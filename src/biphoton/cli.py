@@ -66,8 +66,13 @@ class ScenarioConfig:
     bootstrap_replicas: int = 200
 
     def __post_init__(self):
-        if self.seed is None or int(self.seed) < 0:
-            raise ValueError("scenario needs a non-negative integer seed")
+        if type(self.seed) is not int or self.seed < 0:
+            raise ValueError(f"scenario needs a non-negative integer seed, "
+                             f"got {self.seed!r}")
+        replicas = self.bootstrap_replicas
+        if type(replicas) is not int or replicas < 0 or replicas == 1:
+            raise ValueError(f"bootstrap_replicas must be 0 or an integer of at "
+                             f"least 2, got {replicas!r}")
         if self.noise_p is not None and not 0.0 <= self.noise_p <= 1.0:
             raise ValueError("noise_p must lie in [0, 1]")
         if self.noise_p is not None and self.noise_fit_concurrence is not None:

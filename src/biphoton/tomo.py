@@ -9,16 +9,15 @@ counts attaches standard deviations to every derived metric.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize
 
 from biphoton import bell
-from biphoton.qstate import (DensityMatrix, MetricReport, PureState,
-                             bell_state, concurrence, fidelity_with_pure,
-                             metric_report)
+from biphoton.qstate import (PAULI_X, PAULI_Y, PAULI_Z, DensityMatrix,
+                             MetricReport, PureState, bell_state, concurrence,
+                             fidelity_with_pure, metric_report)
 from biphoton.sim import _BOOTSTRAP_STREAM, stream
 
 _PROB_FLOOR = 1e-12
@@ -26,16 +25,17 @@ _GRAM_COND_LIMIT = 1e6
 _INIT_EIGEN_FLOOR = 1e-6
 
 # Orthonormal Hermitian basis: Pauli products / 2, so tr(G_k G_l) = delta_kl.
-_PAULIS = (
-    np.eye(2, dtype=complex),
-    np.array([[0, 1], [1, 0]], dtype=complex),
-    np.array([[0, -1j], [1j, 0]], dtype=complex),
-    np.array([[1, 0], [0, -1]], dtype=complex),
-)
-_HERM_BASIS = np.stack([np.kron(a, b) / 2.0 for a in _PAULIS for b in _PAULIS])
+_HERM_BASIS = np.stack([
+    np.kron(a, b) / 2.0
+    for a in (np.eye(2, dtype=complex), PAULI_X, PAULI_Y, PAULI_Z)
+    for b in (np.eye(2, dtype=complex), PAULI_X, PAULI_Y, PAULI_Z)])
 
-# Positions of the complex lower-triangular entries in parameter order.
-_LOWER_INDICES = ((1, 0), (2, 0), (2, 1), (3, 0), (3, 1), (3, 2))
+_EYE4 = np.eye(4)
+
+# Parameter order: the real diagonal t[0:4], then (re, im) pairs of the
+# lower-triangular entries (1,0), (2,0), (2,1), (3,0), (3,1), (3,2).
+_DIAG = np.arange(4)
+_LOWER_ROWS, _LOWER_COLS = np.tril_indices(4, -1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -60,18 +60,18 @@ class CholeskyParams:
 
 def _lower_from_params(t: np.ndarray) -> np.ndarray:
     tri = np.zeros((4, 4), dtype=complex)
-    tri[0, 0], tri[1, 1], tri[2, 2], tri[3, 3] = t[0], t[1], t[2], t[3]
-    for i, (r, c) in enumerate(_LOWER_INDICES):
-        tri[r, c] = t[4 + 2 * i] + 1j * t[5 + 2 * i]
+    tri[_DIAG, _DIAG] = t[0:4]
+    tri[_LOWER_ROWS, _LOWER_COLS] = t[4::2] + 1j * t[5::2]
     return tri
 
 
 def _params_from_lower(tri: np.ndarray) -> np.ndarray:
+    """The 16 reals of the diagonal and lower triangle, in parameter order."""
     t = np.empty(16)
-    t[0:4] = np.real(np.diag(tri))
-    for i, (r, c) in enumerate(_LOWER_INDICES):
-        t[4 + 2 * i] = tri[r, c].real
-        t[5 + 2 * i] = tri[r, c].imag
+    t[0:4] = tri[_DIAG, _DIAG].real
+    lower = tri[_LOWER_ROWS, _LOWER_COLS]
+    t[4::2] = lower.real
+    t[5::2] = lower.imag
     return t
 
 
@@ -102,6 +102,28 @@ def record_arrays(records) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return projectors, counts, pairs
 
 
+def _design_matrix(projectors: np.ndarray) -> np.ndarray | None:
+    """Real design matrix tr(P_n G_k), or None when the projectors do not
+    span the operator space (condition number above 1e6)."""
+    design = np.real(np.einsum("nij,kji->nk", projectors, _HERM_BASIS))
+    singulars = np.linalg.svd(design, compute_uv=False)
+    if singulars[-1] <= 0 or singulars[0] / singulars[-1] > _GRAM_COND_LIMIT:
+        return None
+    return design
+
+
+def _linear_start(design: np.ndarray | None, counts: np.ndarray,
+                  pairs: np.ndarray) -> np.ndarray:
+    """Linear-inversion estimate; the maximally mixed state if `design` is None."""
+    if design is None:
+        return np.eye(4, dtype=complex) / 4.0
+    freqs = counts / pairs
+    coeffs = np.linalg.lstsq(design, freqs, rcond=None)[0]
+    mat = np.einsum("k,kij->ij", coeffs, _HERM_BASIS)
+    mat = 0.5 * (mat + mat.conj().T)
+    return mat / np.real(np.trace(mat))
+
+
 def linear_inversion(records) -> np.ndarray:
     """Gram-inverse estimate from count frequencies.
 
@@ -110,16 +132,11 @@ def linear_inversion(records) -> np.ndarray:
     operator space (condition number above 1e6).
     """
     projectors, counts, pairs = record_arrays(records)
-    design = np.real(np.einsum("nij,kji->nk", projectors, _HERM_BASIS))
-    singulars = np.linalg.svd(design, compute_uv=False)
-    if singulars[-1] <= 0 or singulars[0] / singulars[-1] > _GRAM_COND_LIMIT:
+    design = _design_matrix(projectors)
+    if design is None:
         raise ValueError("measurement plan is rank deficient: projectors do "
                          "not span the two-qubit operator space")
-    freqs = counts / pairs
-    coeffs = np.linalg.lstsq(design, freqs, rcond=None)[0]
-    mat = np.einsum("k,kij->ij", coeffs, _HERM_BASIS)
-    mat = 0.5 * (mat + mat.conj().T)
-    return mat / np.real(np.trace(mat))
+    return _linear_start(design, counts, pairs)
 
 
 def objective_and_gradient(t: np.ndarray, counts: np.ndarray,
@@ -132,27 +149,22 @@ def objective_and_gradient(t: np.ndarray, counts: np.ndarray,
     """
     tri = _lower_from_params(np.asarray(t, dtype=float))
     gram = tri @ tri.conj().T
-    trace = float(np.real(np.trace(gram)))
+    trace = float(gram.trace().real)
     rho = gram / trace
-    probs = np.real(np.einsum("nij,ji->n", projectors, rho))
+    probs = np.einsum("nij,ji->n", projectors, rho).real
     floored = np.maximum(probs, _PROB_FLOOR)
     residuals = counts - pairs * probs
-    value = float(np.sum(residuals ** 2 / (2.0 * pairs * floored)))
+    value = float((residuals ** 2 / (2.0 * pairs * floored)).sum())
 
     # d(objective)/d(p_v); the floor freezes the denominator when active.
     dldp = -residuals / floored
-    free = probs > _PROB_FLOOR
-    dldp[free] -= residuals[free] ** 2 / (2.0 * pairs[free] * probs[free] ** 2)
+    dldp = np.where(probs > _PROB_FLOOR,
+                    dldp - residuals ** 2 / (2.0 * pairs * floored ** 2), dldp)
 
     weight = np.einsum("n,nij->ij", dldp, projectors)
-    weight = (weight - np.sum(dldp * probs) * np.eye(4)) / trace
+    weight = (weight - (dldp * probs).sum() * _EYE4) / trace
     gmat = 2.0 * weight @ tri
-    grad = np.empty(16)
-    grad[0:4] = np.real(np.diag(gmat))
-    for i, (r, c) in enumerate(_LOWER_INDICES):
-        grad[4 + 2 * i] = gmat[r, c].real
-        grad[5 + 2 * i] = gmat[r, c].imag
-    return value, grad
+    return value, _params_from_lower(gmat)
 
 
 @dataclass(frozen=True)
@@ -180,6 +192,31 @@ class TomographyResult:
         }
 
 
+def _fit(projectors: np.ndarray, counts: np.ndarray, pairs: np.ndarray,
+         init_mat: np.ndarray, max_iterations: int = 10_000,
+         ftol: float = 1e-9):
+    """L-BFGS-B minimization of the objective from `init_mat`.
+
+    Returns the scipy result, the reconstructed state and the objective at
+    the start and after every iteration.
+    """
+    t0 = params_from_density(init_mat).t
+
+    def fun(t):
+        return objective_and_gradient(t, counts, pairs, projectors)
+
+    trace_values = [fun(t0)[0]]
+
+    def record_iterate(intermediate_result):
+        trace_values.append(intermediate_result.fun)
+
+    res = minimize(fun, t0, jac=True, method="L-BFGS-B",
+                   callback=record_iterate,
+                   options={"maxiter": max_iterations, "ftol": ftol,
+                            "gtol": 1e-10, "maxfun": 10 * max_iterations})
+    return res, CholeskyParams(res.x).density(), trace_values
+
+
 def mle_reconstruct(records, init=None, *, target: PureState | None = None,
                     plan_id: str | None = None, max_iterations: int = 10_000,
                     ftol: float = 1e-9) -> TomographyResult:
@@ -203,28 +240,11 @@ def mle_reconstruct(records, init=None, *, target: PureState | None = None,
         target = bell_state("phi+")
 
     if init is None:
-        try:
-            init_mat = linear_inversion(records)
-        except ValueError:
-            init_mat = np.eye(4, dtype=complex) / 4.0
+        init_mat = _linear_start(_design_matrix(projectors), counts, pairs)
     else:
         init_mat = init.matrix if isinstance(init, DensityMatrix) else np.asarray(init, dtype=complex)
-    t0 = params_from_density(init_mat).t
-
-    trace_values: list[float] = []
-
-    def fun(t):
-        return objective_and_gradient(t, counts, pairs, projectors)
-
-    def record_iterate(tk):
-        trace_values.append(objective_and_gradient(tk, counts, pairs, projectors)[0])
-
-    trace_values.append(fun(t0)[0])
-    res = minimize(fun, t0, jac=True, method="L-BFGS-B",
-                   callback=record_iterate,
-                   options={"maxiter": max_iterations, "ftol": ftol,
-                            "gtol": 1e-10, "maxfun": 10 * max_iterations})
-    rho = CholeskyParams(res.x).density()
+    res, rho, trace_values = _fit(projectors, counts, pairs, init_mat,
+                                  max_iterations, ftol)
     converged = bool(res.success) and res.nit < max_iterations
     return TomographyResult(
         rho=rho,
@@ -244,14 +264,16 @@ def bootstrap_errors(records, replicas: int = 200, seed: int = 0, *,
     """Standard deviations of concurrence, fidelity and S over resampled data.
 
     Each replica redraws every count as Poisson(n_v) (stream derived from
-    (seed, replica index)), re-runs the reconstruction and recomputes the
-    metrics; `resample=False` replays the original counts, which must give
-    identically zero spread. The CHSH statistic is evaluated on each
-    replica's state at `plan` (default: the optimal analyzer set).
+    (seed, replica index)), re-runs the reconstruction from its own
+    linear-inversion start and recomputes the metrics; `resample=False`
+    replays the original counts, which must give identically zero spread.
+    The CHSH statistic is evaluated on each replica's state at `plan`
+    (default: the optimal analyzer set).
     """
     if replicas < 2:
         raise ValueError("bootstrap needs at least 2 replicas")
-    records = list(records)
+    projectors, counts, pairs = record_arrays(list(records))
+    design = _design_matrix(projectors)
     if target is None:
         target = bell_state("phi+")
     if plan is None:
@@ -261,15 +283,14 @@ def bootstrap_errors(records, replicas: int = 200, seed: int = 0, *,
     s_val = np.empty(replicas)
     for r in range(replicas):
         if resample:
-            rng = stream(seed, _BOOTSTRAP_STREAM, r)
-            replica = [dataclasses.replace(rec, counts=float(rng.poisson(rec.counts)))
-                       for rec in records]
+            replica = stream(seed, _BOOTSTRAP_STREAM, r).poisson(counts).astype(float)
         else:
-            replica = records
-        result = mle_reconstruct(replica, target=target)
-        conc[r] = concurrence(result.rho)
-        fid[r] = fidelity_with_pure(result.rho, target)
-        s_val[r] = bell.chsh_S(result.rho, plan).S
+            replica = counts
+        _, rho, _ = _fit(projectors, replica, pairs,
+                         _linear_start(design, replica, pairs))
+        conc[r] = concurrence(rho)
+        fid[r] = fidelity_with_pure(rho, target)
+        s_val[r] = bell.chsh_S(rho, plan).S
     return {
         "concurrence": float(np.std(conc, ddof=1)),
         "fidelity": float(np.std(fid, ddof=1)),

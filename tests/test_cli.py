@@ -277,6 +277,21 @@ class TestCommandLine:
         assert cli.main(["run", str(path)]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value", [
+        ("seed", 2.7), ("seed", True),
+        ("bootstrap_replicas", -3), ("bootstrap_replicas", 1),
+        ("bootstrap_replicas", 2.5)])
+    def test_invalid_config_value_exits_2(self, tmp_path, capsys, key, value):
+        scenario = {"name": "x", "source": "phi+", "mean_pairs": 500, "seed": 3,
+                    "outputs": str(tmp_path / "out"), "bootstrap_replicas": 0}
+        scenario[key] = value
+        path = tmp_path / "bad.yaml"
+        path.write_text(yaml.safe_dump(scenario))
+        assert cli.main(["run", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and key in err and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
     def test_invalid_budget_exits_nonzero(self, capsys):
         assert cli.main(["budget", "0.0"]) == 2
         assert "error:" in capsys.readouterr().err

@@ -5,10 +5,14 @@ import dataclasses
 import numpy as np
 import pytest
 
-from biphoton.qstate import (bell_state, fidelity_with_pure, maximally_mixed,
+from biphoton import bell, tomo
+from biphoton.optics import depolarize
+from biphoton.qstate import (PureState, bell_state, concurrence,
+                             fidelity_with_pure, maximally_mixed,
                              random_density, to_density)
-from biphoton.sim import (CountRecord, MeasurementSetting, acquire_tomography,
-                          exact_tomography, tomography_plan)
+from biphoton.sim import (_BOOTSTRAP_STREAM, CountRecord, MeasurementSetting,
+                          acquire_tomography, exact_tomography, stream,
+                          tomography_plan)
 from biphoton.tomo import (CholeskyParams, bootstrap_errors, linear_inversion,
                            mle_reconstruct, objective_and_gradient,
                            params_from_density, record_arrays)
@@ -132,6 +136,18 @@ class TestMleReconstruct:
         trace = result.objective_trace
         assert all(trace[i + 1] <= trace[i] + 1e-9 for i in range(len(trace) - 1))
 
+    @pytest.mark.parametrize("seed", [23, 24])
+    def test_objective_trace_holds_start_and_every_iterate(self, seed):
+        records = sampled_records(random_density(np.random.default_rng(seed)),
+                                  3000, seed)
+        result = mle_reconstruct(records)
+        projectors, counts, pairs = record_arrays(records)
+        start = params_from_density(linear_inversion(records)).t
+        trace = result.objective_trace
+        assert len(trace) == result.iterations + 1
+        assert trace[0] == objective_and_gradient(start, counts, pairs, projectors)[0]
+        assert trace[-1] == result.likelihood
+
     def test_permutation_invariance(self):
         # identical up to floating-point path differences in the optimizer,
         # far below the statistical scale of the estimate
@@ -158,7 +174,50 @@ class TestMleReconstruct:
         assert payload["iterations"] == result.iterations
 
 
+def reference_bootstrap(records, replicas, seed, target):
+    """Bootstrap as a plain loop: rebuild the records with each replica's
+    redrawn counts and run the full reconstruction on them."""
+    conc, fid, s_val = [], [], []
+    for r in range(replicas):
+        rng = stream(seed, _BOOTSTRAP_STREAM, r)
+        replica = [dataclasses.replace(rec, counts=float(rng.poisson(rec.counts)))
+                   for rec in records]
+        rho = mle_reconstruct(replica, target=target).rho
+        conc.append(concurrence(rho))
+        fid.append(fidelity_with_pure(rho, target))
+        s_val.append(bell.chsh_S(rho, bell.OPTIMAL_PLAN).S)
+    return {"concurrence": float(np.std(conc, ddof=1)),
+            "fidelity": float(np.std(fid, ddof=1)),
+            "S": float(np.std(s_val, ddof=1))}
+
+
 class TestBootstrapErrors:
+    @pytest.mark.parametrize("rho, mean_pairs, seed, floored", [
+        # mixed state at the built-in count scale
+        (depolarize(to_density(bell_state("phi+")), 0.2), 1e4, 3, False),
+        # low counts; psi- never gives HH or VV coincidences
+        (to_density(bell_state("psi-")), 5e2, 4, False),
+        # pure HH at high counts: the fits reach the probability floor
+        (to_density(PureState(np.array([1, 0, 0, 0], dtype=complex))), 1e9, 5, True),
+    ])
+    def test_matches_reference_loop_exactly(self, monkeypatch, rho, mean_pairs,
+                                            seed, floored):
+        records = sampled_records(rho, mean_pairs, seed)
+        target = bell_state("phi+")
+        expected = reference_bootstrap(records, 5, seed, target)
+
+        lowest = []
+        objective = tomo.objective_and_gradient
+
+        def spy(t, counts, pairs, projectors):
+            lowest.append(np.einsum("nij,ji->n", projectors,
+                                    tomo._density_from_params(t)).real.min())
+            return objective(t, counts, pairs, projectors)
+
+        monkeypatch.setattr(tomo, "objective_and_gradient", spy)
+        assert bootstrap_errors(records, replicas=5, seed=seed, target=target) == expected
+        assert (min(lowest) <= tomo._PROB_FLOOR) == floored
+
     def test_no_resampling_gives_zero_spread(self):
         rho = to_density(bell_state("phi+"))
         records = exact_tomography(rho, PLAN, 5000)
