@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from biphoton.qstate import DensityMatrix
+from biphoton.qstate import DensityMatrix, linear_ket
 from biphoton.sim import (CountRecord, MeasurementSetting, _CHSH_STREAM,
                           coincidence_probability, sample_counts, stream)
 
@@ -73,15 +73,10 @@ class ChshResult:
         }
 
 
-def _observable(angle: float) -> np.ndarray:
-    vec = np.array([np.cos(angle), np.sin(angle)], dtype=complex)
-    proj = np.outer(vec, vec.conj())
-    return 2.0 * proj - np.eye(2)
-
-
 def correlation(rho: DensityMatrix, a: float, b: float) -> float:
     """Expectation of the joint +/-1 observable at analyzer angles (a, b)."""
-    joint = np.kron(_observable(a), _observable(b))
+    kets = (linear_ket(a), linear_ket(b))
+    joint = np.kron(*(2.0 * np.outer(k, k.conj()) - np.eye(2) for k in kets))
     return float(np.real(np.trace(rho.matrix @ joint)))
 
 

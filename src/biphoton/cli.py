@@ -7,19 +7,20 @@ deterministic set of artifacts (density matrix JSON, count CSVs, fringe
 CSVs, metrics summary and a manifest) suitable for plotting without
 re-running.
 
-Four named scenarios ship with the package, modeling an entangled-photon
-source measured directly, through a fiber taper, through a taper-nanowire
-junction with anisotropic coupling, and through the same junction with the
-pump adjusted to pre-compensate that anisotropy.
+Four named scenarios ship with the package as YAML files under
+`biphoton/scenarios/`, modeling an entangled-photon source measured
+directly, through a fiber taper, through a taper-nanowire junction with
+anisotropic coupling, and through the same junction with the pump adjusted
+to pre-compensate that anisotropy.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import dataclass, field, replace
+from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -28,15 +29,6 @@ import yaml
 from biphoton import bell, optics, sim, tomo
 from biphoton.qstate import (DensityMatrix, PureState, bell_state, concurrence,
                              eigen_hermitian, schmidt_pure, to_density)
-
-#: Coupler efficiencies of the taper-nanowire junction: the H-polarized
-#: path transmits 40.3% absolute with an H:V ratio of 1.78.
-NANOWIRE_ETA_H = 0.403
-NANOWIRE_RATIO = 1.78
-NANOWIRE_ETA_V = NANOWIRE_ETA_H / NANOWIRE_RATIO
-
-#: Orientation of the Schmidt-form eigenstate observed behind the junction.
-NANOWIRE_SCHMIDT_THETA = math.atan2(0.594, 0.801)
 
 _FRINGE_GRID = np.deg2rad(np.arange(0.0, 180.0, 10.0))
 
@@ -174,14 +166,23 @@ def fit_noise(target_concurrence: float, base_state: DensityMatrix) -> float:
 # Scenario assembly
 # ---------------------------------------------------------------------------
 
+def _pop_coupler_etas(params: dict) -> tuple[float, float]:
+    """Remove a coupler's eta_h and its ratio or eta_v from `params`;
+    return (eta_h, eta_v)."""
+    if "eta_h" not in params:
+        raise ValueError("coupler needs eta_h")
+    eta_h = float(params.pop("eta_h"))
+    if "ratio" in params:
+        return eta_h, eta_h / float(params.pop("ratio"))
+    if "eta_v" not in params:
+        raise ValueError("coupler needs ratio or eta_v")
+    return eta_h, float(params.pop("eta_v"))
+
+
 def build_channel(spec: ChannelSpec) -> optics.KrausChannel:
     params = dict(spec.params)
     if spec.kind == "coupler":
-        eta_h = float(params.pop("eta_h"))
-        if "ratio" in params:
-            eta_v = eta_h / float(params.pop("ratio"))
-        else:
-            eta_v = float(params.pop("eta_v"))
+        eta_h, eta_v = _pop_coupler_etas(params)
     elif spec.kind == "polarizer":
         angle = float(params.pop("angle"))
     elif spec.kind == "waveplate":
@@ -203,12 +204,10 @@ def build_channel(spec: ChannelSpec) -> optics.KrausChannel:
 
 
 def _coupler_etas(config: ScenarioConfig) -> tuple[float, float]:
+    """(eta_h, eta_v) of the first coupler in the chain; (1, 1) without one."""
     for spec in config.channel_chain:
         if spec.kind == "coupler":
-            params = spec.params
-            eta_h = float(params["eta_h"])
-            eta_v = eta_h / float(params["ratio"]) if "ratio" in params else float(params["eta_v"])
-            return eta_h, eta_v
+            return _pop_coupler_etas(dict(spec.params))
     return 1.0, 1.0
 
 
@@ -220,7 +219,7 @@ def source_state(config: ScenarioConfig) -> PureState:
         eta_h, eta_v = _coupler_etas(config)
         if eta_h == eta_v == 1.0:
             raise ValueError("'compensated' source needs a coupler in the chain")
-        return schmidt_pure(optics.pump_compensation(eta_h, eta_v))
+        return optics.compensated_source(eta_h, eta_v)
     return bell_state(src)
 
 
@@ -305,14 +304,41 @@ class ScenarioReport:
     artifacts: tuple
 
 
-def _write_json(path: Path, payload: dict) -> None:
+def _output_dir(config: ScenarioConfig) -> Path:
+    outdir = Path(config.outputs)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise RuntimeError(f"cannot create output directory {outdir}: {exc}") from exc
+    return outdir
+
+
+def _write_json(path: Path, payload: dict) -> str:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    return path.name
 
 
-def _fringe_to_csv(path: Path, angles, values) -> None:
-    lines = ["angle_rad,value"]
-    lines += [f"{repr(float(a))},{repr(float(v))}" for a, v in zip(angles, values)]
-    path.write_text("\n".join(lines) + "\n")
+def _write_fringes(outdir: Path, fringes: dict) -> tuple:
+    """The four fringe CSVs, one `angle_rad,value` row per grid angle."""
+    curves = {"fringe_single.csv": fringes["single_photon"].values,
+              "fringe_transmission.csv": fringes["transmission"],
+              "fringe_biphoton_h.csv": fringes["biphoton_h"].values,
+              "fringe_biphoton_d.csv": fringes["biphoton_d"].values}
+    for name, values in curves.items():
+        rows = [f"{float(a)!r},{float(v)!r}" for a, v in zip(_FRINGE_GRID, values)]
+        (outdir / name).write_text("\n".join(["angle_rad,value", *rows]) + "\n")
+    return tuple(curves)
+
+
+def _chsh(config: ScenarioConfig, model: ScenarioModel):
+    """CHSH from sampled counts and from the model state."""
+    records = bell.simulate_chsh_counts(model.state, bell.OPTIMAL_PLAN,
+                                        model.effective_pairs, config.seed)
+    return bell.chsh_from_counts(records), bell.chsh_S(model.state)
+
+
+def _write_chsh(outdir: Path, result: bell.ChshResult, exact: bell.ChshResult) -> str:
+    return _write_json(outdir / "chsh.json", {**result.to_json_dict(), "S_model": exact.S})
 
 
 def run_scenario(config: ScenarioConfig) -> ScenarioReport:
@@ -332,17 +358,9 @@ def run_scenario(config: ScenarioConfig) -> ScenarioReport:
                                        config.seed, target=model.target)
         result = replace(result, uncertainties=errors)
 
-    chsh_records = bell.simulate_chsh_counts(model.state, bell.OPTIMAL_PLAN,
-                                             model.effective_pairs, config.seed)
-    chsh_result = bell.chsh_from_counts(chsh_records)
-    chsh_model = bell.chsh_S(model.state)
+    chsh_result, chsh_model = _chsh(config, model)
     fringes = scenario_fringes(config, model)
-
-    outdir = Path(config.outputs)
-    try:
-        outdir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise RuntimeError(f"cannot create output directory {outdir}: {exc}") from exc
+    outdir = _output_dir(config)
 
     _, evecs = eigen_hermitian(result.rho)
     top = evecs[0].amplitudes
@@ -367,29 +385,18 @@ def run_scenario(config: ScenarioConfig) -> ScenarioReport:
         "converged": result.converged,
     }
 
-    writes = {
-        "density_matrix.json": lambda p: _write_json(p, result.rho.to_json_dict()),
-        "tomography.json": lambda p: _write_json(p, result.to_json_dict()),
-        "chsh.json": lambda p: _write_json(p, {
-            **chsh_result.to_json_dict(), "S_model": chsh_model.S}),
-        "counts.csv": lambda p: sim.records_to_csv(records, p),
-        "fringe_single.csv": lambda p: _fringe_to_csv(
-            p, fringes["single_photon"].angles, fringes["single_photon"].values),
-        "fringe_transmission.csv": lambda p: _fringe_to_csv(
-            p, _FRINGE_GRID, fringes["transmission"]),
-        "fringe_biphoton_h.csv": lambda p: _fringe_to_csv(
-            p, fringes["biphoton_h"].angles, fringes["biphoton_h"].values),
-        "fringe_biphoton_d.csv": lambda p: _fringe_to_csv(
-            p, fringes["biphoton_d"].angles, fringes["biphoton_d"].values),
-        "metrics.json": lambda p: _write_json(p, metrics_payload),
-    }
-    for name, write in writes.items():
-        write(outdir / name)
+    sim.records_to_csv(records, outdir / "counts.csv")
+    written = ["counts.csv",
+               _write_json(outdir / "density_matrix.json", result.rho.to_json_dict()),
+               _write_json(outdir / "tomography.json", result.to_json_dict()),
+               _write_json(outdir / "metrics.json", metrics_payload),
+               _write_chsh(outdir, chsh_result, chsh_model),
+               *_write_fringes(outdir, fringes)]
     manifest = {
         "scenario": config.name,
         "seed": config.seed,
         "noise_p": model.noise_p,
-        "artifacts": sorted([*writes, "manifest.json"]),
+        "artifacts": sorted([*written, "manifest.json"]),
     }
     _write_json(outdir / "manifest.json", manifest)
 
@@ -414,52 +421,33 @@ def run_scenario(config: ScenarioConfig) -> ScenarioReport:
 # Built-in scenarios and config files
 # ---------------------------------------------------------------------------
 
-def builtin_scenario(name: str, outputs: str | None = None,
-                     seed: int | None = None, **overrides) -> ScenarioConfig:
-    """One of the four named experiments shipped with the package."""
-    nanowire_chain = (ChannelSpec("coupler",
-                                  {"eta_h": NANOWIRE_ETA_H, "ratio": NANOWIRE_RATIO},
-                                  arm=1),)
-    presets = {
-        "source": dict(source="phi+", channel_chain=(),
-                       noise_fit_concurrence=0.924, seed=7),
-        "taper": dict(source="phi+", channel_chain=(),
-                      noise_fit_concurrence=0.852, seed=7),
-        "nanowire": dict(source="phi+", channel_chain=nanowire_chain,
-                         noise_fit_concurrence=0.700,
-                         fidelity_target={"schmidt_theta": NANOWIRE_SCHMIDT_THETA},
-                         singles_extinction=25.0, seed=7),
-        "nanowire-compensated": dict(source="compensated",
-                                     channel_chain=nanowire_chain,
-                                     noise_fit_concurrence=0.824,
-                                     singles_extinction=25.0, seed=7),
-    }
-    if name not in presets:
-        raise ValueError(f"unknown scenario {name!r}; "
-                         f"builtins: {sorted(presets)}")
-    kwargs = dict(presets[name])
-    kwargs.update(overrides)
-    if seed is not None:
-        kwargs["seed"] = seed
-    return ScenarioConfig(name=name,
-                          outputs=outputs or f"out/{name}",
-                          **kwargs)
-
-
 BUILTIN_SCENARIOS = ("source", "taper", "nanowire", "nanowire-compensated")
+
+
+def builtin_scenario(name: str) -> ScenarioConfig:
+    """One of the four named experiments shipped with the package."""
+    if name not in BUILTIN_SCENARIOS:
+        raise ValueError(f"unknown scenario {name!r}; "
+                         f"builtins: {sorted(BUILTIN_SCENARIOS)}")
+    return load_scenario(resources.files("biphoton") / "scenarios" / f"{name}.yaml")
 
 
 def load_scenario(path) -> ScenarioConfig:
     """Parse a YAML scenario file into a ScenarioConfig."""
-    with open(path) as fh:
-        raw = yaml.safe_load(fh)
+    try:
+        with open(path) as fh:
+            raw = yaml.safe_load(fh)
+    except yaml.YAMLError as exc:
+        raise ValueError(f"{path}: invalid YAML: {' '.join(str(exc).split())}") from None
     if not isinstance(raw, dict):
         raise ValueError(f"{path}: scenario file must hold a mapping")
     if "seed" not in raw:
         raise ValueError(f"{path}: scenario must specify a seed")
     chain = []
-    for entry in raw.pop("channel_chain", []) or []:
+    for i, entry in enumerate(raw.pop("channel_chain", []) or []):
         entry = dict(entry)
+        if "kind" not in entry:
+            raise ValueError(f"{path}: channel_chain entry {i} needs a kind")
         kind = entry.pop("kind")
         arm = int(entry.pop("arm", 1))
         chain.append(ChannelSpec(kind, entry, arm))
@@ -471,14 +459,9 @@ def load_scenario(path) -> ScenarioConfig:
 
 
 def _resolve_config(arg: str, seed: int | None, outputs: str | None) -> ScenarioConfig:
-    if arg in BUILTIN_SCENARIOS:
-        return builtin_scenario(arg, outputs=outputs, seed=seed)
-    config = load_scenario(arg)
-    if seed is not None:
-        config = replace(config, seed=seed)
-    if outputs is not None:
-        config = replace(config, outputs=outputs)
-    return config
+    config = builtin_scenario(arg) if arg in BUILTIN_SCENARIOS else load_scenario(arg)
+    overrides = {"seed": seed, "outputs": outputs}
+    return replace(config, **{k: v for k, v in overrides.items() if v is not None})
 
 
 # ---------------------------------------------------------------------------
@@ -508,18 +491,8 @@ def _cmd_budget(args) -> int:
 
 def _cmd_fringe(args) -> int:
     config = _resolve_config(args.scenario, args.seed, args.outputs)
-    model = resolve_model(config)
-    fringes = scenario_fringes(config, model)
-    outdir = Path(config.outputs)
-    outdir.mkdir(parents=True, exist_ok=True)
-    _fringe_to_csv(outdir / "fringe_single.csv",
-                   fringes["single_photon"].angles, fringes["single_photon"].values)
-    _fringe_to_csv(outdir / "fringe_transmission.csv",
-                   _FRINGE_GRID, fringes["transmission"])
-    _fringe_to_csv(outdir / "fringe_biphoton_h.csv",
-                   fringes["biphoton_h"].angles, fringes["biphoton_h"].values)
-    _fringe_to_csv(outdir / "fringe_biphoton_d.csv",
-                   fringes["biphoton_d"].angles, fringes["biphoton_d"].values)
+    fringes = scenario_fringes(config, resolve_model(config))
+    _write_fringes(_output_dir(config), fringes)
     print(f"single-photon visibility {fringes['single_photon'].visibility:.4f}")
     print(f"biphoton H visibility    {fringes['biphoton_h'].visibility:.4f}")
     print(f"biphoton D visibility    {fringes['biphoton_d'].visibility:.4f}")
@@ -529,15 +502,8 @@ def _cmd_fringe(args) -> int:
 
 def _cmd_chsh(args) -> int:
     config = _resolve_config(args.scenario, args.seed, args.outputs)
-    model = resolve_model(config)
-    chsh_records = bell.simulate_chsh_counts(model.state, bell.OPTIMAL_PLAN,
-                                             model.effective_pairs, config.seed)
-    result = bell.chsh_from_counts(chsh_records)
-    exact = bell.chsh_S(model.state)
-    outdir = Path(config.outputs)
-    outdir.mkdir(parents=True, exist_ok=True)
-    _write_json(outdir / "chsh.json",
-                {**result.to_json_dict(), "S_model": exact.S})
+    result, exact = _chsh(config, resolve_model(config))
+    _write_chsh(_output_dir(config), result, exact)
     print(f"S = {result.S:.4f} +/- {result.sigma_S:.4f} (model {exact.S:.4f})")
     return 0
 

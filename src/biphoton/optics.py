@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from biphoton.qstate import DensityMatrix, PureState, schmidt_pure
+from biphoton.qstate import DensityMatrix, PureState, linear_ket, schmidt_pure
 
 _UNITARY_TOL = 1e-12
 _CP_TOL = 1e-10
@@ -105,7 +105,7 @@ class ChannelOutcome:
 
 def polarizer(angle: float, arm: int = 1) -> KrausChannel:
     """Ideal linear polarizer: projector onto the ket at `angle` from H."""
-    vec = np.array([np.cos(angle), np.sin(angle)], dtype=complex)
+    vec = linear_ket(angle)
     return KrausChannel((np.outer(vec, vec.conj()),), arm)
 
 

@@ -79,12 +79,6 @@ class PureState:
             raise ValueError(f"amplitudes not normalized: |psi|^2 = {norm_sq!r}")
         object.__setattr__(self, "amplitudes", _freeze(amps))
 
-    @classmethod
-    def from_product(cls, ket_1: np.ndarray, ket_2: np.ndarray) -> "PureState":
-        """Tensor product of two single-photon kets."""
-        return cls(np.kron(np.asarray(ket_1, dtype=complex),
-                           np.asarray(ket_2, dtype=complex)))
-
     def overlap(self, other: "PureState") -> complex:
         """Inner product <self|other>."""
         return complex(np.vdot(self.amplitudes, other.amplitudes))

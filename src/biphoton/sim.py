@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from biphoton.optics import anisotropic_coupler
 from biphoton.qstate import DensityMatrix, ket, linear_ket
 
 # Purpose tags for derived RNG streams; disjoint so that reusing one master
@@ -239,7 +240,7 @@ def single_photon_fringe(input_state, eta_h: float, eta_v: float,
     phase reference is the H axis, matching a horizontally polarized probe.
     """
     rho = _qubit_density(input_state)
-    coupling = np.diag([np.sqrt(eta_h), np.sqrt(eta_v)]).astype(complex)
+    coupling = anisotropic_coupler(eta_h, eta_v).operators[0]
     out = coupling @ rho @ coupling.conj().T
     theta = np.asarray(analyzer_angles, dtype=float)
     values = np.empty_like(theta)

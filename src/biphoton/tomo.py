@@ -21,6 +21,8 @@ from biphoton.qstate import (PAULI_X, PAULI_Y, PAULI_Z, DensityMatrix,
 from biphoton.sim import _BOOTSTRAP_STREAM, stream
 
 _PROB_FLOOR = 1e-12
+# L-BFGS-B stops when the objective improves by less than this per iteration.
+_FTOL = 1e-9
 _GRAM_COND_LIMIT = 1e6
 _INIT_EIGEN_FLOOR = 1e-6
 
@@ -50,9 +52,6 @@ class CholeskyParams:
             raise ValueError("Cholesky parameterization needs 16 reals")
         t.setflags(write=False)
         object.__setattr__(self, "t", t)
-
-    def lower_triangular(self) -> np.ndarray:
-        return _lower_from_params(self.t)
 
     def density(self) -> DensityMatrix:
         return DensityMatrix(_density_from_params(self.t))
@@ -114,21 +113,26 @@ def _design_matrix(projectors: np.ndarray) -> np.ndarray | None:
 
 def _linear_start(design: np.ndarray | None, counts: np.ndarray,
                   pairs: np.ndarray) -> np.ndarray:
-    """Linear-inversion estimate; the maximally mixed state if `design` is None."""
-    if design is None:
-        return np.eye(4, dtype=complex) / 4.0
-    freqs = counts / pairs
-    coeffs = np.linalg.lstsq(design, freqs, rcond=None)[0]
-    mat = np.einsum("k,kij->ij", coeffs, _HERM_BASIS)
-    mat = 0.5 * (mat + mat.conj().T)
-    return mat / np.real(np.trace(mat))
+    """Linear-inversion estimate, or the maximally mixed state when `design`
+    is None or the estimate's trace (the summed H/V-basis frequencies) does
+    not exceed the probability floor."""
+    if design is not None:
+        freqs = counts / pairs
+        coeffs = np.linalg.lstsq(design, freqs, rcond=None)[0]
+        mat = np.einsum("k,kij->ij", coeffs, _HERM_BASIS)
+        mat = 0.5 * (mat + mat.conj().T)
+        trace = np.real(np.trace(mat))
+        if trace > _PROB_FLOOR:
+            return mat / trace
+    return np.eye(4, dtype=complex) / 4.0
 
 
 def linear_inversion(records) -> np.ndarray:
     """Gram-inverse estimate from count frequencies.
 
     Returns a Hermitian, unit-trace 4x4 matrix that may carry small
-    negative eigenvalues. Rejects plans whose projectors do not span the
+    negative eigenvalues, or the maximally mixed state when the H/V-basis
+    counts are all zero. Rejects plans whose projectors do not span the
     operator space (condition number above 1e6).
     """
     projectors, counts, pairs = record_arrays(records)
@@ -193,8 +197,7 @@ class TomographyResult:
 
 
 def _fit(projectors: np.ndarray, counts: np.ndarray, pairs: np.ndarray,
-         init_mat: np.ndarray, max_iterations: int = 10_000,
-         ftol: float = 1e-9):
+         init_mat: np.ndarray, max_iterations: int = 10_000):
     """L-BFGS-B minimization of the objective from `init_mat`.
 
     Returns the scipy result, the reconstructed state and the objective at
@@ -212,21 +215,21 @@ def _fit(projectors: np.ndarray, counts: np.ndarray, pairs: np.ndarray,
 
     res = minimize(fun, t0, jac=True, method="L-BFGS-B",
                    callback=record_iterate,
-                   options={"maxiter": max_iterations, "ftol": ftol,
+                   options={"maxiter": max_iterations, "ftol": _FTOL,
                             "gtol": 1e-10, "maxfun": 10 * max_iterations})
     return res, CholeskyParams(res.x).density(), trace_values
 
 
 def mle_reconstruct(records, init=None, *, target: PureState | None = None,
-                    plan_id: str | None = None, max_iterations: int = 10_000,
-                    ftol: float = 1e-9) -> TomographyResult:
+                    plan_id: str | None = None,
+                    max_iterations: int = 10_000) -> TomographyResult:
     """Maximum-likelihood reconstruction over the Cholesky parameterization.
 
     `init` seeds the optimizer (matrix or DensityMatrix); by default the
     linear-inversion estimate is used, falling back to the maximally mixed
     state when the plan is ill-conditioned for inversion. The optimizer is
     L-BFGS-B with the analytic gradient; it stops when the objective
-    improvement per iteration falls below `ftol` or at `max_iterations`
+    improvement per iteration falls below 1e-9 or at `max_iterations`
     (in which case the result is flagged via `converged=False`).
 
     `target` selects the pure state the fidelity metric is reported
@@ -244,7 +247,7 @@ def mle_reconstruct(records, init=None, *, target: PureState | None = None,
     else:
         init_mat = init.matrix if isinstance(init, DensityMatrix) else np.asarray(init, dtype=complex)
     res, rho, trace_values = _fit(projectors, counts, pairs, init_mat,
-                                  max_iterations, ftol)
+                                  max_iterations)
     converged = bool(res.success) and res.nit < max_iterations
     return TomographyResult(
         rho=rho,

@@ -2,6 +2,8 @@
 
 import dataclasses
 import json
+import math
+from importlib import resources
 from pathlib import Path
 
 import pytest
@@ -15,7 +17,20 @@ from biphoton.qstate import (DensityMatrix, bell_state, concurrence,
                              fidelity_with_pure, to_density)
 from biphoton.optics import anisotropic_coupler, apply_channel
 
-CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+# The four experiments as measured: bare source, taper, taper-nanowire
+# junction (40.3% H transmission, H:V 1.78) and pump-compensated junction.
+NANOWIRE_CHAIN = (ChannelSpec("coupler", {"eta_h": 0.403, "ratio": 1.78}, 1),)
+PAPER_PRESETS = {
+    "source": dict(source="phi+", noise_fit_concurrence=0.924),
+    "taper": dict(source="phi+", noise_fit_concurrence=0.852),
+    "nanowire": dict(source="phi+", channel_chain=NANOWIRE_CHAIN,
+                     noise_fit_concurrence=0.700,
+                     fidelity_target={"schmidt_theta": math.atan2(0.594, 0.801)},
+                     singles_extinction=25.0),
+    "nanowire-compensated": dict(source="compensated", channel_chain=NANOWIRE_CHAIN,
+                                 noise_fit_concurrence=0.824,
+                                 singles_extinction=25.0),
+}
 
 
 def small_config(tmp_path, name="small", **overrides):
@@ -100,17 +115,17 @@ class TestScenarioConfig:
         with pytest.raises(ValueError, match="unknown scenario"):
             builtin_scenario("vacuum")
 
-    def test_yaml_files_match_builtins(self):
-        files = {
-            "source": "source.yaml",
-            "taper": "taper.yaml",
-            "nanowire": "nanowire.yaml",
-            "nanowire-compensated": "nanowire_compensated.yaml",
-        }
-        for name, fname in files.items():
-            loaded = load_scenario(CONFIG_DIR / fname)
-            built = builtin_scenario(name, outputs=loaded.outputs)
-            assert loaded == built
+    def test_packaged_presets_match_paper_values(self):
+        for name, preset in PAPER_PRESETS.items():
+            expected = ScenarioConfig(name=name, seed=7, outputs=f"out/{name}",
+                                      **preset)
+            assert builtin_scenario(name) == expected
+        packaged = resources.files("biphoton") / "scenarios"
+        stems = sorted(p.name[:-len(".yaml")] for p in packaged.iterdir()
+                       if p.name.endswith(".yaml"))
+        assert stems == sorted(cli.BUILTIN_SCENARIOS)
+        for stem in stems:
+            assert load_scenario(packaged / f"{stem}.yaml").name == stem
 
     def test_seed_required_in_yaml(self, tmp_path):
         path = tmp_path / "bad.yaml"
@@ -290,6 +305,21 @@ class TestCommandLine:
         assert cli.main(["run", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and key in err and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("text, named", [
+        ("channel_chain:\n  - {kind: coupler, ratio: 1.78}\n", "eta_h"),
+        ("channel_chain:\n  - {eta_h: 0.4, ratio: 1.78}\n", "kind"),
+        ("noise_p: [0.1\n", "bad.yaml"),
+    ], ids=["coupler-without-eta_h", "channel-without-kind", "yaml-syntax"])
+    def test_malformed_scenario_exits_2(self, tmp_path, capsys, text, named):
+        path = tmp_path / "bad.yaml"
+        path.write_text("name: x\nsource: phi+\nseed: 3\nmean_pairs: 500\n"
+                        f"outputs: {tmp_path / 'out'}\nbootstrap_replicas: 0\n"
+                        + text)
+        assert cli.main(["run", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and named in err and err.count("\n") == 1
         assert not (tmp_path / "out").exists()
 
     def test_invalid_budget_exits_nonzero(self, capsys):

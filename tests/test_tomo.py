@@ -24,6 +24,17 @@ def sampled_records(rho, mean_pairs, seed):
     return acquire_tomography(rho, PLAN, mean_pairs, seed)
 
 
+def central_differences(t, counts, pairs, projectors, step):
+    numeric = np.empty(16)
+    for k in range(16):
+        plus, minus = t.copy(), t.copy()
+        plus[k] += step
+        minus[k] -= step
+        numeric[k] = (objective_and_gradient(plus, counts, pairs, projectors)[0]
+                      - objective_and_gradient(minus, counts, pairs, projectors)[0]) / (2 * step)
+    return numeric
+
+
 class TestCholeskyParams:
     def test_any_parameters_give_physical_state(self):
         rng = np.random.default_rng(3)
@@ -80,19 +91,30 @@ class TestGradient:
         rng = np.random.default_rng(11)
         rho = random_density(rng)
         projectors, counts, pairs = record_arrays(sampled_records(rho, 5000, 1))
-        step = 1e-6
         for _ in range(20):
             t = rng.standard_normal(16)
             _, grad = objective_and_gradient(t, counts, pairs, projectors)
-            numeric = np.empty(16)
-            for k in range(16):
-                plus, minus = t.copy(), t.copy()
-                plus[k] += step
-                minus[k] -= step
-                numeric[k] = (objective_and_gradient(plus, counts, pairs, projectors)[0]
-                              - objective_and_gradient(minus, counts, pairs, projectors)[0]) / (2 * step)
+            numeric = central_differences(t, counts, pairs, projectors, 1e-6)
             rel = np.linalg.norm(grad - numeric) / np.linalg.norm(numeric)
             assert rel < 1e-5
+
+    def test_matches_central_differences_below_probability_floor(self):
+        # Near |HH>: T[1,1] = 9e-7 puts p(HV) at 8.1e-13, under the floor,
+        # and one HV count keeps that setting's residual non-zero.
+        t = np.zeros(16)
+        t[0], t[1] = 1.0, 9e-7
+        projectors = record_arrays([CountRecord(s, 0.0, 1.0) for s in PLAN])[0]
+        probs = np.einsum("nij,ji->n", projectors, tomo._density_from_params(t)).real
+        counts = np.where(probs > tomo._PROB_FLOOR, 1000.0 * probs, 0.0)
+        counts[1] = 1.0
+        pairs = np.full(16, 1000.0)
+        assert PLAN[1].label_1 + PLAN[1].label_2 == "HV"
+        assert 0.0 < probs[1] < tomo._PROB_FLOOR
+        _, grad = objective_and_gradient(t, counts, pairs, projectors)
+        # A step of 1e-8 keeps p(HV) under the floor at every evaluation.
+        numeric = central_differences(t, counts, pairs, projectors, 1e-8)
+        rel = np.linalg.norm(grad - numeric) / np.linalg.norm(numeric)
+        assert rel < 1e-5
 
 
 class TestMleReconstruct:
@@ -159,6 +181,20 @@ class TestMleReconstruct:
         a = mle_reconstruct(records).rho.matrix
         b = mle_reconstruct(shuffled).rho.matrix
         assert np.linalg.norm(a - b) <= 1e-6
+
+    def test_zero_hv_counts_stay_physical(self):
+        # With HH, HV, VH and VV all at zero the linear estimate has zero
+        # trace; both fits must still start and end physical.
+        rng = np.random.default_rng(43)
+        records = [CountRecord(s, 0.0 if {s.label_1, s.label_2} <= {"H", "V"}
+                               else float(rng.integers(1, 50)), 100.0)
+                   for s in PLAN]
+        assert sum(rec.counts == 0.0 for rec in records) == 4
+        mat = mle_reconstruct(records).rho.matrix
+        assert np.trace(mat).real == pytest.approx(1.0, abs=1e-12)
+        assert np.linalg.eigvalsh(mat).min() >= -1e-12
+        errors = bootstrap_errors(records, replicas=3, seed=0)
+        assert all(np.isfinite(v) and v >= 0.0 for v in errors.values())
 
     def test_iteration_cap_flags_result(self):
         rho = to_density(bell_state("phi+"))
