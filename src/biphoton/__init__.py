@@ -8,8 +8,8 @@ Subpackages cover state representation and entanglement metrics
 scenario runner / command line interface (:mod:`~biphoton.cli`).
 """
 
-from biphoton import bell, cli, optics, qstate, sim, tomo
+from biphoton import bell, optics, qstate, sim, tomo
 
-__all__ = ["bell", "cli", "optics", "qstate", "sim", "tomo"]
+__all__ = ["bell", "optics", "qstate", "sim", "tomo"]
 
 __version__ = "0.1.0"

@@ -15,7 +15,8 @@ import numpy as np
 
 from biphoton.qstate import DensityMatrix, linear_ket
 from biphoton.sim import (CountRecord, MeasurementSetting, _CHSH_STREAM,
-                          coincidence_probability, sample_counts, stream)
+                          _format_label, coincidence_probability,
+                          sample_counts, stream)
 
 #: Sign of each correlation in S, indexed [alice setting][bob setting].
 SIGNS = np.array([[1.0, -1.0], [1.0, 1.0]])
@@ -87,13 +88,14 @@ def chsh_S(rho: DensityMatrix, plan: ChshPlan = OPTIMAL_PLAN) -> ChshResult:
     return ChshResult(e, float(np.sum(SIGNS * e)), 0.0, plan)
 
 
-def _outcome_settings(a: float, b: float) -> list[MeasurementSetting]:
+def _outcome_angles(a: float, b: float) -> list[tuple[float, float]]:
     # Outcome order per pair: ++, +-, -+, --
     half_pi = np.pi / 2
-    return [MeasurementSetting.of(a, b),
-            MeasurementSetting.of(a, b + half_pi),
-            MeasurementSetting.of(a + half_pi, b),
-            MeasurementSetting.of(a + half_pi, b + half_pi)]
+    return [(a, b), (a, b + half_pi), (a + half_pi, b), (a + half_pi, b + half_pi)]
+
+
+def _outcome_settings(a: float, b: float) -> list[MeasurementSetting]:
+    return [MeasurementSetting.of(x, y) for x, y in _outcome_angles(a, b)]
 
 
 def _pair_angles(plan: ChshPlan) -> list[tuple[float, float]]:
@@ -130,12 +132,20 @@ def chsh_from_counts(records, plan: ChshPlan = OPTIMAL_PLAN) -> ChshResult:
 
     Records follow the layout of `simulate_chsh_counts`: setting pairs in
     the order (a1,b1), (a1,b2), (a2,b1), (a2,b2), outcomes ++, +-, -+, --
-    within each pair. sigma_S propagates Poissonian count variances to
-    first order.
+    within each pair. A record whose setting labels differ from that
+    layout for `plan` is rejected. sigma_S propagates Poissonian count
+    variances to first order.
     """
     records = list(records)
     if len(records) != 16:
         raise ValueError(f"expected 16 outcome records, got {len(records)}")
+    expected = [(_format_label(x), _format_label(y)) for a, b in _pair_angles(plan)
+                for x, y in _outcome_angles(a, b)]
+    for i, (rec, labels) in enumerate(zip(records, expected)):
+        if (rec.setting.label_1, rec.setting.label_2) != labels:
+            raise ValueError(f"record {i} is at setting {rec.setting.label_1}/"
+                             f"{rec.setting.label_2}, the plan puts "
+                             f"{labels[0]}/{labels[1]} there")
     signs = np.array([1.0, -1.0, -1.0, 1.0])
     e = np.empty((2, 2))
     var_e = np.empty((2, 2))

@@ -166,12 +166,17 @@ def fit_noise(target_concurrence: float, base_state: DensityMatrix) -> float:
 # Scenario assembly
 # ---------------------------------------------------------------------------
 
+def _pop_param(params: dict, kind: str, key: str) -> float:
+    """Remove the required parameter `key` of a `kind` channel from `params`."""
+    if key not in params:
+        raise ValueError(f"{kind} needs {key}")
+    return float(params.pop(key))
+
+
 def _pop_coupler_etas(params: dict) -> tuple[float, float]:
     """Remove a coupler's eta_h and its ratio or eta_v from `params`;
     return (eta_h, eta_v)."""
-    if "eta_h" not in params:
-        raise ValueError("coupler needs eta_h")
-    eta_h = float(params.pop("eta_h"))
+    eta_h = _pop_param(params, "coupler", "eta_h")
     if "ratio" in params:
         return eta_h, eta_h / float(params.pop("ratio"))
     if "eta_v" not in params:
@@ -184,9 +189,9 @@ def build_channel(spec: ChannelSpec) -> optics.KrausChannel:
     if spec.kind == "coupler":
         eta_h, eta_v = _pop_coupler_etas(params)
     elif spec.kind == "polarizer":
-        angle = float(params.pop("angle"))
+        angle = _pop_param(params, "polarizer", "angle")
     elif spec.kind == "waveplate":
-        retardance = float(params.pop("retardance"))
+        retardance = _pop_param(params, "waveplate", "retardance")
         angle = float(params.pop("angle", 0.0))
     elif spec.kind == "identity":
         pass
@@ -441,10 +446,13 @@ def load_scenario(path) -> ScenarioConfig:
         raise ValueError(f"{path}: invalid YAML: {' '.join(str(exc).split())}") from None
     if not isinstance(raw, dict):
         raise ValueError(f"{path}: scenario file must hold a mapping")
-    if "seed" not in raw:
-        raise ValueError(f"{path}: scenario must specify a seed")
+    for key in ("name", "source", "seed"):
+        if key not in raw:
+            raise ValueError(f"{path}: scenario must specify a {key}")
     chain = []
     for i, entry in enumerate(raw.pop("channel_chain", []) or []):
+        if not isinstance(entry, dict):
+            raise ValueError(f"{path}: channel_chain entry {i} must be a mapping")
         entry = dict(entry)
         if "kind" not in entry:
             raise ValueError(f"{path}: channel_chain entry {i} needs a kind")

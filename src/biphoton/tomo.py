@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize._lbfgsb import setulb
 
 from biphoton import bell
 from biphoton.qstate import (PAULI_X, PAULI_Y, PAULI_Z, DensityMatrix,
@@ -21,8 +21,19 @@ from biphoton.qstate import (PAULI_X, PAULI_Y, PAULI_Z, DensityMatrix,
 from biphoton.sim import _BOOTSTRAP_STREAM, stream
 
 _PROB_FLOOR = 1e-12
-# L-BFGS-B stops when the objective improves by less than this per iteration.
+# L-BFGS-B stops when the objective improves by less than this per iteration
+# or when no gradient component exceeds _GTOL; it keeps _LBFGSB_MEMORY
+# correction pairs and tries at most _LBFGSB_MAXLS steps per line search.
 _FTOL = 1e-9
+_GTOL = 1e-10
+_LBFGSB_MEMORY = 10
+_LBFGSB_MAXLS = 20
+# setulb's task codes: evaluate f and g at x, new iterate, converged, stopped.
+_TASK_FG, _TASK_NEW_X, _TASK_CONVERGED, _TASK_STOP = 3, 1, 4, 5
+_STOP_MAXITER, _STOP_MAXFUN = 504, 502
+# Bootstrap replicas fitted in lockstep at a time; each holds about 16 kB of
+# solver state, so the group size bounds peak memory.
+_FIT_GROUP = 32
 _GRAM_COND_LIMIT = 1e6
 _INIT_EIGEN_FLOOR = 1e-6
 
@@ -35,9 +46,10 @@ _HERM_BASIS = np.stack([
 _EYE4 = np.eye(4)
 
 # Parameter order: the real diagonal t[0:4], then (re, im) pairs of the
-# lower-triangular entries (1,0), (2,0), (2,1), (3,0), (3,1), (3,2).
-_DIAG = np.arange(4)
-_LOWER_ROWS, _LOWER_COLS = np.tril_indices(4, -1)
+# lower-triangular entries (1,0), (2,0), (2,1), (3,0), (3,1), (3,2), here as
+# indices into the row-major flattened 4x4 matrix.
+_DIAG_FLAT = np.arange(4) * 5
+_LOWER_FLAT = np.flatnonzero(np.tri(4, k=-1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -58,19 +70,22 @@ class CholeskyParams:
 
 
 def _lower_from_params(t: np.ndarray) -> np.ndarray:
-    tri = np.zeros((4, 4), dtype=complex)
-    tri[_DIAG, _DIAG] = t[0:4]
-    tri[_LOWER_ROWS, _LOWER_COLS] = t[4::2] + 1j * t[5::2]
-    return tri
+    """Lower-triangular T of each parameter vector along the last axis."""
+    flat = np.zeros(t.shape[:-1] + (16,), dtype=complex)
+    flat[..., _DIAG_FLAT] = t[..., 0:4]
+    flat[..., _LOWER_FLAT] = t[..., 4::2] + 1j * t[..., 5::2]
+    return flat.reshape(t.shape[:-1] + (4, 4))
 
 
 def _params_from_lower(tri: np.ndarray) -> np.ndarray:
-    """The 16 reals of the diagonal and lower triangle, in parameter order."""
-    t = np.empty(16)
-    t[0:4] = tri[_DIAG, _DIAG].real
-    lower = tri[_LOWER_ROWS, _LOWER_COLS]
-    t[4::2] = lower.real
-    t[5::2] = lower.imag
+    """The 16 reals of the diagonal and lower triangle, in parameter order,
+    of each matrix along the last two axes."""
+    flat = tri.reshape(tri.shape[:-2] + (16,))
+    t = np.empty(flat.shape)
+    t[..., 0:4] = flat[..., _DIAG_FLAT].real
+    lower = flat[..., _LOWER_FLAT]
+    t[..., 4::2] = lower.real
+    t[..., 5::2] = lower.imag
     return t
 
 
@@ -144,31 +159,38 @@ def linear_inversion(records) -> np.ndarray:
 
 
 def objective_and_gradient(t: np.ndarray, counts: np.ndarray,
-                           pairs: np.ndarray,
-                           projectors: np.ndarray) -> tuple[float, np.ndarray]:
+                           pairs: np.ndarray, projectors: np.ndarray):
     """Gaussian-approximation Poisson objective and its analytic gradient.
 
     objective = sum_v (n_v - N_v p_v)^2 / (2 N_v max(p_v, floor)) over the
     records; the gradient is with respect to the 16 Cholesky parameters.
+    One parameter vector `t` gives a float and a (16,) gradient. A stack
+    `t` of shape (R, 16), with `counts` of shape (R, N) or (N,), gives R
+    values and an (R, 16) gradient, row r equal to the call on row r alone.
     """
-    tri = _lower_from_params(np.asarray(t, dtype=float))
-    gram = tri @ tri.conj().T
-    trace = float(gram.trace().real)
-    rho = gram / trace
-    probs = np.einsum("nij,ji->n", projectors, rho).real
+    t = np.asarray(t, dtype=float)
+    tri = _lower_from_params(t.reshape(-1, 16))
+    gram = tri @ tri.conj().transpose(0, 2, 1)
+    trace = gram.trace(axis1=1, axis2=2).real.reshape(-1, 1, 1)
+    rhos = gram / trace
+    # One einsum per row: a batched einsum rounds differently.
+    probs = np.array([np.einsum("nij,ji->n", projectors, rho).real
+                      for rho in rhos])
     floored = np.maximum(probs, _PROB_FLOOR)
     residuals = counts - pairs * probs
-    value = float((residuals ** 2 / (2.0 * pairs * floored)).sum())
+    values = (residuals ** 2 / (2.0 * pairs * floored)).sum(axis=1)
 
     # d(objective)/d(p_v); the floor freezes the denominator when active.
     dldp = -residuals / floored
     dldp = np.where(probs > _PROB_FLOOR,
                     dldp - residuals ** 2 / (2.0 * pairs * floored ** 2), dldp)
 
-    weight = np.einsum("n,nij->ij", dldp, projectors)
-    weight = (weight - (dldp * probs).sum() * _EYE4) / trace
-    gmat = 2.0 * weight @ tri
-    return value, _params_from_lower(gmat)
+    weight = np.einsum("rn,nij->rij", dldp, projectors)
+    weight = (weight - (dldp * probs).sum(axis=1).reshape(-1, 1, 1) * _EYE4) / trace
+    grads = _params_from_lower(2.0 * weight @ tri)
+    if t.ndim == 1:
+        return float(values[0]), grads[0]
+    return values, grads
 
 
 @dataclass(frozen=True)
@@ -196,28 +218,80 @@ class TomographyResult:
         }
 
 
-def _fit(projectors: np.ndarray, counts: np.ndarray, pairs: np.ndarray,
-         init_mat: np.ndarray, max_iterations: int = 10_000):
-    """L-BFGS-B minimization of the objective from `init_mat`.
+def _lbfgsb(fun, x0: np.ndarray, max_iterations: int):
+    """L-BFGS-B from every row of `x0`, the rows advancing in lockstep.
 
-    Returns the scipy result, the reconstructed state and the objective at
-    the start and after every iteration.
+    Each row drives its own state of scipy's reverse-communication core
+    with what `scipy.optimize.minimize(method="L-BFGS-B")` passes it (no
+    bounds, `maxiter=max_iterations`, `maxfun=10 * max_iterations`), so it
+    follows the path that call would. Each round, the rows that ask for the
+    objective are evaluated in one `fun(x_rows, rows)` call returning their
+    values and gradients. As in `minimize`, the rows are evaluated once at
+    `x0` first, a request at the point last evaluated reuses it, and that
+    first evaluation counts towards `maxfun`.
+
+    Returns the final parameters, final objective values, iteration counts,
+    convergence flags and, per row, the objective at the start and after
+    every iteration.
     """
-    t0 = params_from_density(init_mat).t
+    rows, n = x0.shape
+    m = _LBFGSB_MEMORY
+    factr = _FTOL / np.finfo(float).eps
+    maxfun = 10 * max_iterations
+    unbounded = np.zeros(n)
+    nbd = np.zeros(n, np.int32)
+    x = np.array(x0, dtype=float)
+    g = np.zeros((rows, n))
+    wa = np.zeros((rows, 2 * m * n + 5 * n + 11 * m * m + 8 * m))
+    iwa = np.zeros((rows, 3 * n), np.int32)
+    task = np.zeros((rows, 2), np.int32)
+    lsave = np.zeros((rows, 4), np.int32)
+    isave = np.zeros((rows, 44), np.int32)
+    dsave = np.zeros((rows, 29))
+    ln_task = np.zeros((rows, 2), np.int32)
+    states = list(zip(x, g, wa, iwa, task, lsave, isave, dsave, ln_task))
 
-    def fun(t):
-        return objective_and_gradient(t, counts, pairs, projectors)
-
-    trace_values = [fun(t0)[0]]
-
-    def record_iterate(intermediate_result):
-        trace_values.append(intermediate_result.fun)
-
-    res = minimize(fun, t0, jac=True, method="L-BFGS-B",
-                   callback=record_iterate,
-                   options={"maxiter": max_iterations, "ftol": _FTOL,
-                            "gtol": 1e-10, "maxfun": 10 * max_iterations})
-    return res, CholeskyParams(res.x).density(), trace_values
+    values, last_g = fun(x, list(range(rows)))
+    last_f = [float(v) for v in values]
+    last_x = x.copy()
+    traces = [[v] for v in last_f]
+    f = [0.0] * rows
+    evaluations = [1] * rows
+    pending = range(rows)
+    while pending:
+        asks = []
+        for r in pending:
+            x_r, g_r, wa_r, iwa_r, task_r, lsave_r, isave_r, dsave_r, ln_r = states[r]
+            while True:
+                setulb(m, x_r, unbounded, unbounded, nbd, f[r], g_r, factr,
+                       _GTOL, wa_r, iwa_r, task_r, lsave_r, isave_r, dsave_r,
+                       _LBFGSB_MAXLS, ln_r)
+                if task_r[0] != _TASK_NEW_X:
+                    break
+                traces[r].append(f[r])  # the start plus one value per iteration
+                if len(traces[r]) > max_iterations:
+                    task_r[:] = _TASK_STOP, _STOP_MAXITER
+                elif evaluations[r] > maxfun:
+                    task_r[:] = _TASK_STOP, _STOP_MAXFUN
+            if task_r[0] == _TASK_FG:
+                asks.append(r)
+        moved = [r for r, new in zip(asks, (x[asks] != last_x[asks]).any(axis=1))
+                 if new]
+        if moved:
+            points = x[moved]
+            last_x[moved] = points
+            values, last_g[moved] = fun(points, moved)
+            for r, value in zip(moved, values):
+                last_f[r] = float(value)
+                evaluations[r] += 1
+        g[asks] = last_g[asks]
+        for r in asks:
+            f[r] = last_f[r]
+        pending = asks
+    iterations = [len(trace) - 1 for trace in traces]
+    converged = [task_r[0] == _TASK_CONVERGED and its < max_iterations
+                 for task_r, its in zip(task, iterations)]
+    return x, f, iterations, converged, traces
 
 
 def mle_reconstruct(records, init=None, *, target: PureState | None = None,
@@ -246,18 +320,19 @@ def mle_reconstruct(records, init=None, *, target: PureState | None = None,
         init_mat = _linear_start(_design_matrix(projectors), counts, pairs)
     else:
         init_mat = init.matrix if isinstance(init, DensityMatrix) else np.asarray(init, dtype=complex)
-    res, rho, trace_values = _fit(projectors, counts, pairs, init_mat,
-                                  max_iterations)
-    converged = bool(res.success) and res.nit < max_iterations
+    x, likelihood, iterations, converged, traces = _lbfgsb(
+        lambda t, rows: objective_and_gradient(t, counts, pairs, projectors),
+        params_from_density(init_mat).t[None], max_iterations)
+    rho = CholeskyParams(x[0]).density()
     return TomographyResult(
         rho=rho,
         metrics=metric_report(rho, target),
         uncertainties=None,
-        likelihood=float(res.fun),
-        iterations=int(res.nit),
-        converged=converged,
+        likelihood=likelihood[0],
+        iterations=int(iterations[0]),
+        converged=bool(converged[0]),
         plan_id=plan_id,
-        objective_trace=tuple(trace_values),
+        objective_trace=tuple(traces[0]),
     )
 
 
@@ -271,7 +346,9 @@ def bootstrap_errors(records, replicas: int = 200, seed: int = 0, *,
     linear-inversion start and recomputes the metrics; `resample=False`
     replays the original counts, which must give identically zero spread.
     The CHSH statistic is evaluated on each replica's state at `plan`
-    (default: the optimal analyzer set).
+    (default: the optimal analyzer set). Replicas are fitted in lockstep
+    groups of `_FIT_GROUP`; each fit equals the replica's own
+    `mle_reconstruct` fit.
     """
     if replicas < 2:
         raise ValueError("bootstrap needs at least 2 replicas")
@@ -281,21 +358,18 @@ def bootstrap_errors(records, replicas: int = 200, seed: int = 0, *,
         target = bell_state("phi+")
     if plan is None:
         plan = bell.OPTIMAL_PLAN
-    conc = np.empty(replicas)
-    fid = np.empty(replicas)
-    s_val = np.empty(replicas)
-    for r in range(replicas):
-        if resample:
-            replica = stream(seed, _BOOTSTRAP_STREAM, r).poisson(counts).astype(float)
-        else:
-            replica = counts
-        _, rho, _ = _fit(projectors, replica, pairs,
-                         _linear_start(design, replica, pairs))
-        conc[r] = concurrence(rho)
-        fid[r] = fidelity_with_pure(rho, target)
-        s_val[r] = bell.chsh_S(rho, plan).S
-    return {
-        "concurrence": float(np.std(conc, ddof=1)),
-        "fidelity": float(np.std(fid, ddof=1)),
-        "S": float(np.std(s_val, ddof=1)),
-    }
+    metrics = np.empty((3, replicas))
+    for first in range(0, replicas, _FIT_GROUP):
+        group = range(first, min(first + _FIT_GROUP, replicas))
+        draws = np.array([stream(seed, _BOOTSTRAP_STREAM, r).poisson(counts)
+                          if resample else counts for r in group], dtype=float)
+        starts = np.stack([params_from_density(_linear_start(design, row, pairs)).t
+                           for row in draws])
+        fits = _lbfgsb(lambda t, rows: objective_and_gradient(
+            t, draws[rows], pairs, projectors), starts, 10_000)[0]
+        for r, params in zip(group, fits):
+            rho = CholeskyParams(params).density()
+            metrics[:, r] = (concurrence(rho), fidelity_with_pure(rho, target),
+                             bell.chsh_S(rho, plan).S)
+    return {name: float(np.std(values, ddof=1))
+            for name, values in zip(("concurrence", "fidelity", "S"), metrics)}

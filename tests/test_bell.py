@@ -141,6 +141,23 @@ class TestChshFromCounts:
         b = simulate_chsh_counts(rho, OPTIMAL_PLAN, 1000, seed=9)
         assert [r.counts for r in a] == [r.counts for r in b]
 
+    def test_permuted_records_rejected(self):
+        records = simulate_chsh_counts(to_density(bell_state("phi+")),
+                                       OPTIMAL_PLAN, 1000, seed=5)
+        swapped = [records[4], *records[1:4], records[0], *records[5:]]
+        with pytest.raises(ValueError, match="record 0"):
+            chsh_from_counts(swapped)
+        with pytest.raises(ValueError, match="record 1"):
+            chsh_from_counts([records[0], records[3], records[2], records[1],
+                              *records[4:]])
+
+    def test_records_of_another_plan_rejected(self):
+        plan = ChshPlan((0.1, 0.9), (0.3, 1.2))
+        records = exact_chsh_counts(to_density(bell_state("phi+")), plan, 1000)
+        assert chsh_from_counts(records, plan).plan == plan
+        with pytest.raises(ValueError, match="record 0"):
+            chsh_from_counts(records)
+
     def test_record_count_validation(self):
         with pytest.raises(ValueError, match="16"):
             chsh_from_counts([])

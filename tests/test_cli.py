@@ -3,6 +3,9 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 from importlib import resources
 from pathlib import Path
 
@@ -307,20 +310,40 @@ class TestCommandLine:
         assert err.startswith("error:") and key in err and err.count("\n") == 1
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("text, named", [
-        ("channel_chain:\n  - {kind: coupler, ratio: 1.78}\n", "eta_h"),
-        ("channel_chain:\n  - {eta_h: 0.4, ratio: 1.78}\n", "kind"),
-        ("noise_p: [0.1\n", "bad.yaml"),
-    ], ids=["coupler-without-eta_h", "channel-without-kind", "yaml-syntax"])
-    def test_malformed_scenario_exits_2(self, tmp_path, capsys, text, named):
+    @pytest.mark.parametrize("dropped, text, named", [
+        (None, "channel_chain:\n  - {kind: coupler, ratio: 1.78}\n", "eta_h"),
+        (None, "channel_chain:\n  - {eta_h: 0.4, ratio: 1.78}\n", "kind"),
+        (None, "noise_p: [0.1\n", "bad.yaml"),
+        (None, "channel_chain:\n  - {kind: polarizer}\n", "angle"),
+        (None, "channel_chain:\n  - {kind: waveplate, angle: 0.3}\n", "retardance"),
+        (None, "channel_chain:\n  - 5\n", "channel_chain"),
+        ("name", "", "name"),
+        ("source", "", "source"),
+    ], ids=["coupler-without-eta_h", "channel-without-kind", "yaml-syntax",
+            "polarizer-without-angle", "waveplate-without-retardance",
+            "channel-not-a-mapping", "without-name", "without-source"])
+    def test_malformed_scenario_exits_2(self, tmp_path, capsys, dropped, text,
+                                        named):
+        lines = ["name: x", "source: phi+", "seed: 3", "mean_pairs: 500",
+                 f"outputs: {tmp_path / 'out'}", "bootstrap_replicas: 0"]
         path = tmp_path / "bad.yaml"
-        path.write_text("name: x\nsource: phi+\nseed: 3\nmean_pairs: 500\n"
-                        f"outputs: {tmp_path / 'out'}\nbootstrap_replicas: 0\n"
-                        + text)
+        path.write_text("".join(f"{line}\n" for line in lines
+                                if line.split(":")[0] != dropped) + text)
         assert cli.main(["run", str(path)]) == 2
-        err = capsys.readouterr().err
+        # tmp_path holds the test id, which may spell the key itself.
+        err = capsys.readouterr().err.replace(str(tmp_path), "")
         assert err.startswith("error:") and named in err and err.count("\n") == 1
         assert not (tmp_path / "out").exists()
+
+    def test_module_entry_point_runs_without_warnings(self):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "biphoton.cli",
+             "--help"], capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": path})
+        assert done.returncode == 0 and done.stderr == ""
+        assert "usage: biphoton" in done.stdout
 
     def test_invalid_budget_exits_nonzero(self, capsys):
         assert cli.main(["budget", "0.0"]) == 2

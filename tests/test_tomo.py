@@ -4,6 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
 from biphoton import bell, tomo
 from biphoton.optics import depolarize
@@ -22,6 +23,27 @@ PLAN = tomography_plan()
 
 def sampled_records(rho, mean_pairs, seed):
     return acquire_tomography(rho, PLAN, mean_pairs, seed)
+
+
+def reference_fit(records, init=None, max_iterations=10_000):
+    """The maximum-likelihood fit through scipy.optimize.minimize: L-BFGS-B
+    with the options the fit has always used, one state per objective
+    call, and the objective at the start plus after every iteration."""
+    projectors, counts, pairs = record_arrays(records)
+    if init is None:
+        init = tomo._linear_start(tomo._design_matrix(projectors), counts, pairs)
+    t0 = params_from_density(init).t
+
+    def fun(t):
+        return objective_and_gradient(t, counts, pairs, projectors)
+
+    trace = [fun(t0)[0]]
+    res = minimize(fun, t0, jac=True, method="L-BFGS-B",
+                   callback=lambda intermediate_result: trace.append(
+                       intermediate_result.fun),
+                   options={"maxiter": max_iterations, "ftol": 1e-9,
+                            "gtol": 1e-10, "maxfun": 10 * max_iterations})
+    return res, CholeskyParams(res.x).density(), tuple(trace)
 
 
 def central_differences(t, counts, pairs, projectors, step):
@@ -115,6 +137,70 @@ class TestGradient:
         numeric = central_differences(t, counts, pairs, projectors, 1e-8)
         rel = np.linalg.norm(grad - numeric) / np.linalg.norm(numeric)
         assert rel < 1e-5
+
+
+class TestObjectiveStack:
+    @pytest.mark.parametrize("scale", [1e-6, 1.0, 3.0])
+    def test_rows_equal_single_calls(self, scale):
+        rng = np.random.default_rng(59)
+        projectors, counts, pairs = record_arrays(
+            sampled_records(random_density(rng), 5000, 2))
+        t = rng.standard_normal((7, 16)) * scale
+        stacked_counts = counts + rng.integers(0, 5, (7, 16))
+        for row_counts in (stacked_counts, counts):
+            values, grads = objective_and_gradient(t, row_counts, pairs, projectors)
+            assert values.shape == (7,) and grads.shape == (7, 16)
+            for r in range(7):
+                value, grad = objective_and_gradient(
+                    t[r], np.broadcast_to(row_counts, (7, 16))[r], pairs, projectors)
+                assert value == values[r]
+                assert np.array_equal(grad, grads[r])
+
+
+def assert_matches_reference(records, **kwargs):
+    result = mle_reconstruct(records, **kwargs)
+    res, rho, trace = reference_fit(records, **kwargs)
+    max_iterations = kwargs.get("max_iterations", 10_000)
+    assert np.array_equal(result.rho.matrix, rho.matrix)
+    assert result.likelihood == res.fun
+    assert result.iterations == res.nit
+    assert result.converged == (res.success and res.nit < max_iterations)
+    assert result.objective_trace == trace
+
+
+class TestMatchesMinimize:
+    @pytest.mark.parametrize("mean_pairs", [5e1, 5e2, 1e4, 1e6])
+    def test_random_states(self, mean_pairs):
+        rng = np.random.default_rng(61)
+        for seed in range(8):
+            assert_matches_reference(
+                sampled_records(random_density(rng), mean_pairs, seed))
+
+    @pytest.mark.parametrize("mean_pairs", [1e2, 1e4, 1e9])
+    def test_exact_counts(self, mean_pairs):
+        rng = np.random.default_rng(83)
+        for _ in range(8):
+            assert_matches_reference(
+                exact_tomography(random_density(rng), PLAN, mean_pairs))
+
+    def test_adversarial_counts(self):
+        rng = np.random.default_rng(19)
+        for _ in range(20):
+            counts = rng.choice([0.0, 1.0, 50.0, 1e5], size=16)
+            assert_matches_reference([CountRecord(s, float(c), 1000.0)
+                                      for s, c in zip(PLAN, counts)])
+
+    @pytest.mark.parametrize("max_iterations", [1, 2, 5])
+    def test_iteration_caps(self, max_iterations):
+        rng = np.random.default_rng(67)
+        for seed in range(4):
+            records = sampled_records(random_density(rng), 3000, seed)
+            assert_matches_reference(records, max_iterations=max_iterations)
+
+    def test_given_start(self):
+        rng = np.random.default_rng(71)
+        records = sampled_records(random_density(rng), 3000, 5)
+        assert_matches_reference(records, init=random_density(rng))
 
 
 class TestMleReconstruct:
@@ -212,13 +298,13 @@ class TestMleReconstruct:
 
 def reference_bootstrap(records, replicas, seed, target):
     """Bootstrap as a plain loop: rebuild the records with each replica's
-    redrawn counts and run the full reconstruction on them."""
+    redrawn counts and fit each through `reference_fit`."""
     conc, fid, s_val = [], [], []
     for r in range(replicas):
         rng = stream(seed, _BOOTSTRAP_STREAM, r)
         replica = [dataclasses.replace(rec, counts=float(rng.poisson(rec.counts)))
                    for rec in records]
-        rho = mle_reconstruct(replica, target=target).rho
+        rho = reference_fit(replica)[1]
         conc.append(concurrence(rho))
         fid.append(fidelity_with_pure(rho, target))
         s_val.append(bell.chsh_S(rho, bell.OPTIMAL_PLAN).S)
@@ -246,13 +332,21 @@ class TestBootstrapErrors:
         objective = tomo.objective_and_gradient
 
         def spy(t, counts, pairs, projectors):
-            lowest.append(np.einsum("nij,ji->n", projectors,
-                                    tomo._density_from_params(t)).real.min())
+            lowest.extend(np.einsum("nij,ji->n", projectors,
+                                    tomo._density_from_params(row)).real.min()
+                          for row in np.atleast_2d(t))
             return objective(t, counts, pairs, projectors)
 
         monkeypatch.setattr(tomo, "objective_and_gradient", spy)
         assert bootstrap_errors(records, replicas=5, seed=seed, target=target) == expected
         assert (min(lowest) <= tomo._PROB_FLOOR) == floored
+
+    def test_groups_do_not_change_results(self, monkeypatch):
+        records = sampled_records(random_density(np.random.default_rng(73)),
+                                  2000, 6)
+        expected = bootstrap_errors(records, replicas=5, seed=1)
+        monkeypatch.setattr(tomo, "_FIT_GROUP", 2)
+        assert bootstrap_errors(records, replicas=5, seed=1) == expected
 
     def test_no_resampling_gives_zero_spread(self):
         rho = to_density(bell_state("phi+"))
@@ -278,3 +372,33 @@ class TestBootstrapErrors:
         clone = dataclasses.replace(rec, counts=15.0)
         assert clone.setting is rec.setting
         assert clone.counts == 15.0
+
+
+LOW_COUNT_STATES = {
+    "psi-": to_density(bell_state("psi-")),
+    "phi+": to_density(bell_state("phi+")),
+    "depolarized phi+": depolarize(to_density(bell_state("phi+")), 0.3),
+    "HH": to_density(PureState(np.array([1, 0, 0, 0], dtype=complex))),
+    "random": random_density(np.random.default_rng(79)),
+}
+
+
+class TestLowCounts:
+    """About 5e2 pairs per setting, where many settings count zero."""
+
+    @pytest.mark.parametrize("name", sorted(LOW_COUNT_STATES))
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_fit_errors_and_s_stay_finite(self, name, seed):
+        rho = LOW_COUNT_STATES[name]
+        records = sampled_records(rho, 5e2, seed)
+        result = mle_reconstruct(records)
+        assert result.converged
+        mat = result.rho.matrix
+        assert np.trace(mat).real == pytest.approx(1.0, abs=1e-12)
+        assert np.linalg.eigvalsh(mat).min() >= -1e-12
+        assert np.isfinite(bell.chsh_S(result.rho).S)
+        errors = bootstrap_errors(records, replicas=20, seed=seed)
+        assert all(np.isfinite(v) and v >= 0.0 for v in errors.values())
+        sampled = bell.chsh_from_counts(
+            bell.simulate_chsh_counts(rho, bell.OPTIMAL_PLAN, 5e2, seed))
+        assert np.isfinite(sampled.S) and np.isfinite(sampled.sigma_S)
