@@ -10,6 +10,7 @@ quantum states.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -74,10 +75,18 @@ class ChshResult:
         }
 
 
-def correlation(rho: DensityMatrix, a: float, b: float) -> float:
-    """Expectation of the joint +/-1 observable at analyzer angles (a, b)."""
+@lru_cache(maxsize=64)
+def _joint_observable(a: float, b: float) -> np.ndarray:
+    """The joint +/-1 observable at analyzer angles (a, b), read-only."""
     kets = (linear_ket(a), linear_ket(b))
     joint = np.kron(*(2.0 * np.outer(k, k.conj()) - np.eye(2) for k in kets))
+    joint.setflags(write=False)
+    return joint
+
+
+def correlation(rho: DensityMatrix, a: float, b: float) -> float:
+    """Expectation of the joint +/-1 observable at analyzer angles (a, b)."""
+    joint = _joint_observable(float(a), float(b))
     return float(np.real(np.trace(rho.matrix @ joint)))
 
 

@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import numbers
+import os
 import sys
 from dataclasses import dataclass, field, replace
 from importlib import resources
@@ -58,6 +60,18 @@ class ScenarioConfig:
     bootstrap_replicas: int = 200
 
     def __post_init__(self):
+        for key in ("source", "fidelity_target"):
+            if not isinstance(getattr(self, key), (str, dict)):
+                raise ValueError(f"{key} must be a state name or a schmidt_theta "
+                                 f"mapping, got {getattr(self, key)!r}")
+        if not isinstance(self.outputs, (str, os.PathLike)):
+            raise ValueError(f"outputs must be a directory path, got {self.outputs!r}")
+        for key in ("mean_pairs", "noise_p", "noise_fit_concurrence",
+                    "singles_extinction"):
+            value = getattr(self, key)
+            if (value is not None or key == "mean_pairs") and (
+                    isinstance(value, bool) or not isinstance(value, numbers.Real)):
+                raise ValueError(f"{key} must be a number, got {value!r}")
         if type(self.seed) is not int or self.seed < 0:
             raise ValueError(f"scenario needs a non-negative integer seed, "
                              f"got {self.seed!r}")
@@ -166,11 +180,22 @@ def fit_noise(target_concurrence: float, base_state: DensityMatrix) -> float:
 # Scenario assembly
 # ---------------------------------------------------------------------------
 
-def _pop_param(params: dict, kind: str, key: str) -> float:
-    """Remove the required parameter `key` of a `kind` channel from `params`."""
-    if key not in params:
+def _as_float(value, what: str) -> float:
+    """`value` as a float (numeric strings included), or a ValueError
+    naming `what`."""
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{what} must be a number, got {value!r}") from None
+
+
+def _pop_param(params: dict, kind: str, key: str,
+               default: float | None = None) -> float:
+    """Remove the numeric parameter `key` of a `kind` channel from `params`;
+    without a `default` it is required."""
+    if key not in params and default is None:
         raise ValueError(f"{kind} needs {key}")
-    return float(params.pop(key))
+    return _as_float(params.pop(key, default), f"{kind} {key}")
 
 
 def _pop_coupler_etas(params: dict) -> tuple[float, float]:
@@ -178,10 +203,10 @@ def _pop_coupler_etas(params: dict) -> tuple[float, float]:
     return (eta_h, eta_v)."""
     eta_h = _pop_param(params, "coupler", "eta_h")
     if "ratio" in params:
-        return eta_h, eta_h / float(params.pop("ratio"))
+        return eta_h, eta_h / _pop_param(params, "coupler", "ratio")
     if "eta_v" not in params:
         raise ValueError("coupler needs ratio or eta_v")
-    return eta_h, float(params.pop("eta_v"))
+    return eta_h, _pop_param(params, "coupler", "eta_v")
 
 
 def build_channel(spec: ChannelSpec) -> optics.KrausChannel:
@@ -192,7 +217,7 @@ def build_channel(spec: ChannelSpec) -> optics.KrausChannel:
         angle = _pop_param(params, "polarizer", "angle")
     elif spec.kind == "waveplate":
         retardance = _pop_param(params, "waveplate", "retardance")
-        angle = float(params.pop("angle", 0.0))
+        angle = _pop_param(params, "waveplate", "angle", 0.0)
     elif spec.kind == "identity":
         pass
     else:
@@ -216,23 +241,27 @@ def _coupler_etas(config: ScenarioConfig) -> tuple[float, float]:
     return 1.0, 1.0
 
 
+def _pure_state(spec, key: str) -> PureState:
+    """The Bell state named by `spec`, or the Schmidt state of a
+    {schmidt_theta: angle} mapping; `key` names the config entry."""
+    if isinstance(spec, dict):
+        if "schmidt_theta" not in spec:
+            raise ValueError(f"{key} mapping needs schmidt_theta")
+        return schmidt_pure(_as_float(spec["schmidt_theta"], f"{key} schmidt_theta"))
+    return bell_state(spec)
+
+
 def source_state(config: ScenarioConfig) -> PureState:
-    src = config.source
-    if isinstance(src, dict):
-        return schmidt_pure(float(src["schmidt_theta"]))
-    if src == "compensated":
+    if config.source == "compensated":
         eta_h, eta_v = _coupler_etas(config)
         if eta_h == eta_v == 1.0:
             raise ValueError("'compensated' source needs a coupler in the chain")
         return optics.compensated_source(eta_h, eta_v)
-    return bell_state(src)
+    return _pure_state(config.source, "source")
 
 
 def target_state(config: ScenarioConfig) -> PureState:
-    tgt = config.fidelity_target
-    if isinstance(tgt, dict):
-        return schmidt_pure(float(tgt["schmidt_theta"]))
-    return bell_state(tgt)
+    return _pure_state(config.fidelity_target, "fidelity_target")
 
 
 @dataclass(frozen=True)
@@ -457,7 +486,12 @@ def load_scenario(path) -> ScenarioConfig:
         if "kind" not in entry:
             raise ValueError(f"{path}: channel_chain entry {i} needs a kind")
         kind = entry.pop("kind")
-        arm = int(entry.pop("arm", 1))
+        arm = entry.pop("arm", 1)
+        try:
+            arm = int(arm)
+        except (TypeError, ValueError):
+            raise ValueError(f"{path}: channel_chain entry {i} arm must be an "
+                             f"integer, got {arm!r}") from None
         chain.append(ChannelSpec(kind, entry, arm))
     known = {f.name for f in ScenarioConfig.__dataclass_fields__.values()}
     unknown = set(raw) - known

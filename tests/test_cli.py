@@ -319,9 +319,22 @@ class TestCommandLine:
         (None, "channel_chain:\n  - 5\n", "channel_chain"),
         ("name", "", "name"),
         ("source", "", "source"),
+        (None, "channel_chain:\n  - {kind: polarizer, angle: [1]}\n", "angle"),
+        ("mean_pairs", "mean_pairs: abc\n", "mean_pairs"),
+        ("source", "source: [1]\n", "source"),
+        (None, "channel_chain:\n  - {kind: coupler, eta_h: 0.4, ratio: x}\n", "ratio"),
+        (None, "channel_chain:\n  - {kind: identity, arm: [1]}\n", "arm"),
+        ("source", "source: {theta: 0.3}\n", "schmidt_theta"),
+        (None, "noise_p: abc\n", "noise_p"),
+        (None, "singles_extinction: [25]\n", "singles_extinction"),
+        ("outputs", "outputs: [1]\n", "outputs"),
     ], ids=["coupler-without-eta_h", "channel-without-kind", "yaml-syntax",
             "polarizer-without-angle", "waveplate-without-retardance",
-            "channel-not-a-mapping", "without-name", "without-source"])
+            "channel-not-a-mapping", "without-name", "without-source",
+            "polarizer-angle-a-list", "mean_pairs-not-a-number",
+            "source-a-list", "coupler-ratio-not-a-number", "arm-a-list",
+            "source-mapping-without-schmidt_theta", "noise_p-not-a-number",
+            "singles_extinction-a-list", "outputs-a-list"])
     def test_malformed_scenario_exits_2(self, tmp_path, capsys, dropped, text,
                                         named):
         lines = ["name: x", "source: phi+", "seed: 3", "mean_pairs: 500",

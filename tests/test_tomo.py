@@ -46,6 +46,25 @@ def reference_fit(records, init=None, max_iterations=10_000):
     return res, CholeskyParams(res.x).density(), tuple(trace)
 
 
+def oracle_objective(t, counts, pairs, projectors):
+    """The stacked objective with its per-row forms: one einsum per row for
+    the probabilities and a complex einsum for the gradient weight."""
+    tri = tomo._lower_from_params(np.asarray(t, dtype=float).reshape(-1, 16))
+    gram = tri @ tri.conj().transpose(0, 2, 1)
+    trace = gram.trace(axis1=1, axis2=2).real.reshape(-1, 1, 1)
+    probs = np.array([np.einsum("nij,ji->n", projectors, rho).real
+                      for rho in gram / trace])
+    floored = np.maximum(probs, tomo._PROB_FLOOR)
+    residuals = counts - pairs * probs
+    values = (residuals ** 2 / (2.0 * pairs * floored)).sum(axis=1)
+    dldp = -residuals / floored
+    dldp = np.where(probs > tomo._PROB_FLOOR,
+                    dldp - residuals ** 2 / (2.0 * pairs * floored ** 2), dldp)
+    weight = np.einsum("rn,nij->rij", dldp, projectors)
+    weight = (weight - (dldp * probs).sum(axis=1).reshape(-1, 1, 1) * np.eye(4)) / trace
+    return values, tomo._params_from_lower(2.0 * weight @ tri), probs
+
+
 def central_differences(t, counts, pairs, projectors, step):
     numeric = np.empty(16)
     for k in range(16):
@@ -155,6 +174,39 @@ class TestObjectiveStack:
                     t[r], np.broadcast_to(row_counts, (7, 16))[r], pairs, projectors)
                 assert value == values[r]
                 assert np.array_equal(grad, grads[r])
+
+
+    @pytest.mark.parametrize("rows", [1, 7, 64])
+    @pytest.mark.parametrize("scale", [1e-6, 1e-3, 1.0, 3.0])
+    def test_equals_per_row_forms(self, rows, scale):
+        rng = np.random.default_rng(89)
+        projectors, counts, pairs = record_arrays(
+            sampled_records(random_density(rng), 5000, 3))
+        t = rng.standard_normal((rows, 16)) * scale
+        stacked_counts = counts + rng.integers(0, 5, (rows, 16))
+        for row_counts in (stacked_counts, counts):
+            values, grads = objective_and_gradient(t, row_counts, pairs, projectors)
+            expected, expected_grads, _ = oracle_objective(t, row_counts, pairs,
+                                                           projectors)
+            assert np.array_equal(values, expected)
+            assert np.array_equal(grads, expected_grads)
+
+    @pytest.mark.parametrize("rows", [1, 7, 64])
+    def test_equals_per_row_forms_below_probability_floor(self, rows):
+        # Near |HH>, as in TestGradient: p(HV), p(VH) and p(VV) fall under
+        # the floor, and every count is non-zero.
+        rng = np.random.default_rng(97)
+        t = rng.standard_normal((rows, 16)) * 3e-7
+        t[:, 0] = 1.0
+        projectors = record_arrays([CountRecord(s, 0.0, 1.0) for s in PLAN])[0]
+        counts = rng.integers(1, 50, (rows, 16)).astype(float)
+        pairs = np.full(16, 1000.0)
+        values, grads = objective_and_gradient(t, counts, pairs, projectors)
+        expected, expected_grads, probs = oracle_objective(t, counts, pairs,
+                                                           projectors)
+        assert (probs < tomo._PROB_FLOOR).sum(axis=1).min() >= 3
+        assert np.array_equal(values, expected)
+        assert np.array_equal(grads, expected_grads)
 
 
 def assert_matches_reference(records, **kwargs):
@@ -345,8 +397,58 @@ class TestBootstrapErrors:
         records = sampled_records(random_density(np.random.default_rng(73)),
                                   2000, 6)
         expected = bootstrap_errors(records, replicas=5, seed=1)
-        monkeypatch.setattr(tomo, "_FIT_GROUP", 2)
+        monkeypatch.setattr(tomo, "_FIT_SLOTS", 2)
         assert bootstrap_errors(records, replicas=5, seed=1) == expected
+
+    def test_slot_refill_keeps_every_fit(self, monkeypatch):
+        # Seven low-count replicas whose fits take different iteration
+        # counts, so that with fewer slots than replicas a slot is refilled
+        # in the middle of other fits.
+        records = sampled_records(random_density(np.random.default_rng(101)),
+                                  500, 9)
+        projectors, counts, pairs = record_arrays(records)
+        design = tomo._design_matrix(projectors)
+        draws = np.array([stream(4, _BOOTSTRAP_STREAM, r).poisson(counts)
+                          for r in range(7)], dtype=float)
+        starts = np.stack([params_from_density(tomo._linear_start(design, row, pairs)).t
+                           for row in draws])
+        references = [reference_fit([dataclasses.replace(rec, counts=float(n))
+                                     for rec, n in zip(records, row)])
+                      for row in draws]
+        assert len({res.nit for res, _, _ in references}) >= 4
+        sigmas = []
+        for slots in (1, 3, 7, 64):
+            monkeypatch.setattr(tomo, "_FIT_SLOTS", slots)
+            x, values, iterations, converged, traces = tomo._lbfgsb(
+                lambda t, rows: objective_and_gradient(t, draws[rows], pairs,
+                                                       projectors),
+                starts, 10_000)
+            for r, (res, _, trace) in enumerate(references):
+                assert np.array_equal(x[r], res.x)
+                assert values[r] == res.fun
+                assert iterations[r] == res.nit
+                assert converged[r] == res.success
+                assert tuple(traces[r]) == trace
+            sigmas.append(bootstrap_errors(records, replicas=7, seed=4))
+        assert all(sigma == sigmas[0] for sigma in sigmas)
+
+    def test_refilled_slot_evaluates_its_start(self, monkeypatch):
+        # The first fit converges at its start; the next one starts there too
+        # in the same slot, with other counts, and must not reuse the first
+        # fit's evaluation.
+        rho = random_density(np.random.default_rng(13))
+        projectors, exact, pairs = record_arrays(exact_tomography(rho, PLAN, 10000))
+        records = sampled_records(rho, 10000, 3)
+        draws = np.stack([exact, record_arrays(records)[1]])
+        start = params_from_density(rho).t
+        monkeypatch.setattr(tomo, "_FIT_SLOTS", 1)
+        x, _, iterations, _, traces = tomo._lbfgsb(
+            lambda t, rows: objective_and_gradient(t, draws[rows], pairs, projectors),
+            np.stack([start, start]), 10_000)
+        assert iterations[0] == 0 and np.array_equal(x[0], start)
+        res, _, trace = reference_fit(records, init=rho)
+        assert np.array_equal(x[1], res.x)
+        assert iterations[1] == res.nit and tuple(traces[1]) == trace
 
     def test_no_resampling_gives_zero_spread(self):
         rho = to_density(bell_state("phi+"))
