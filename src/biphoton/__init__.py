@@ -8,8 +8,16 @@ Subpackages cover state representation and entanglement metrics
 scenario runner / command line interface (:mod:`~biphoton.cli`).
 """
 
-from biphoton import bell, optics, qstate, sim, tomo
+import importlib
 
 __all__ = ["bell", "optics", "qstate", "sim", "tomo"]
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    # Submodules load on first use, so that importing `biphoton.cli` runs
+    # its first lines before numpy and scipy load.
+    if name in __all__:
+        return importlib.import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import numbers
 import os
 import sys
@@ -25,11 +26,17 @@ from dataclasses import dataclass, field, replace
 from importlib import resources
 from pathlib import Path
 
-import numpy as np
-import yaml
+# One BLAS thread unless the environment names a count: the fits multiply
+# 4x4 matrices, and after the first L-BFGS-B call scipy's OpenBLAS keeps a
+# worker thread spinning, which doubles CPU time and saves no wall time.
+# OpenBLAS reads this when it loads, so it is set before numpy and scipy.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from biphoton import bell, optics, sim, tomo
-from biphoton.qstate import (DensityMatrix, PureState, bell_state, concurrence,
+import numpy as np  # noqa: E402
+import yaml  # noqa: E402
+
+from biphoton import bell, optics, sim, tomo  # noqa: E402
+from biphoton.qstate import (DensityMatrix, PureState, bell_state, concurrence,  # noqa: E402
                              eigen_hermitian, schmidt_pure, to_density)
 
 _FRINGE_GRID = np.deg2rad(np.arange(0.0, 180.0, 10.0))
@@ -60,6 +67,8 @@ class ScenarioConfig:
     bootstrap_replicas: int = 200
 
     def __post_init__(self):
+        if not isinstance(self.name, str):
+            raise ValueError(f"name must be a string, got {self.name!r}")
         for key in ("source", "fidelity_target"):
             if not isinstance(getattr(self, key), (str, dict)):
                 raise ValueError(f"{key} must be a state name or a schmidt_theta "
@@ -70,7 +79,8 @@ class ScenarioConfig:
                     "singles_extinction"):
             value = getattr(self, key)
             if (value is not None or key == "mean_pairs") and (
-                    isinstance(value, bool) or not isinstance(value, numbers.Real)):
+                    isinstance(value, bool) or not isinstance(value, numbers.Real)
+                    or math.isnan(value)):
                 raise ValueError(f"{key} must be a number, got {value!r}")
         if type(self.seed) is not int or self.seed < 0:
             raise ValueError(f"scenario needs a non-negative integer seed, "
@@ -203,7 +213,10 @@ def _pop_coupler_etas(params: dict) -> tuple[float, float]:
     return (eta_h, eta_v)."""
     eta_h = _pop_param(params, "coupler", "eta_h")
     if "ratio" in params:
-        return eta_h, eta_h / _pop_param(params, "coupler", "ratio")
+        ratio = _pop_param(params, "coupler", "ratio")
+        if not ratio > 0.0:
+            raise ValueError(f"coupler ratio must be positive, got {ratio!r}")
+        return eta_h, eta_h / ratio
     if "eta_v" not in params:
         raise ValueError("coupler needs ratio or eta_v")
     return eta_h, _pop_param(params, "coupler", "eta_v")
@@ -478,8 +491,12 @@ def load_scenario(path) -> ScenarioConfig:
     for key in ("name", "source", "seed"):
         if key not in raw:
             raise ValueError(f"{path}: scenario must specify a {key}")
+    entries = raw.pop("channel_chain", None)
+    if not isinstance(entries, (list, type(None))):
+        raise ValueError(f"{path}: channel_chain must be a list of channels, "
+                         f"got {entries!r}")
     chain = []
-    for i, entry in enumerate(raw.pop("channel_chain", []) or []):
+    for i, entry in enumerate(entries or []):
         if not isinstance(entry, dict):
             raise ValueError(f"{path}: channel_chain entry {i} must be a mapping")
         entry = dict(entry)
@@ -487,11 +504,9 @@ def load_scenario(path) -> ScenarioConfig:
             raise ValueError(f"{path}: channel_chain entry {i} needs a kind")
         kind = entry.pop("kind")
         arm = entry.pop("arm", 1)
-        try:
-            arm = int(arm)
-        except (TypeError, ValueError):
+        if isinstance(arm, bool) or not isinstance(arm, numbers.Integral):
             raise ValueError(f"{path}: channel_chain entry {i} arm must be an "
-                             f"integer, got {arm!r}") from None
+                             f"integer, got {arm!r}")
         chain.append(ChannelSpec(kind, entry, arm))
     known = {f.name for f in ScenarioConfig.__dataclass_fields__.values()}
     unknown = set(raw) - known

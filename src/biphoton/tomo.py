@@ -103,11 +103,19 @@ def params_from_density(rho, floor: float = _INIT_EIGEN_FLOOR) -> CholeskyParams
     so the Cholesky factor exists even for rank-deficient inputs.
     """
     mat = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
-    evals, evecs = np.linalg.eigh(mat)
+    return CholeskyParams(_params_from_densities(mat[None], floor)[0])
+
+
+def _params_from_densities(mats: np.ndarray,
+                           floor: float = _INIT_EIGEN_FLOOR) -> np.ndarray:
+    """`params_from_density` of each matrix of an (R, 4, 4) stack, as an
+    (R, 16) array. The stacked eigh, matmul, trace and cholesky give each
+    row the bits they give that matrix alone."""
+    evals, evecs = np.linalg.eigh(mats)
     evals = np.clip(evals, floor, None)
-    mat = (evecs * evals) @ evecs.conj().T
-    mat /= np.real(np.trace(mat))
-    return CholeskyParams(_params_from_lower(np.linalg.cholesky(mat)))
+    mats = (evecs * evals[:, None, :]) @ evecs.conj().transpose(0, 2, 1)
+    mats /= mats.trace(axis1=1, axis2=2).real.reshape(-1, 1, 1)
+    return _params_from_lower(np.linalg.cholesky(mats))
 
 
 def record_arrays(records) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -175,9 +183,13 @@ def objective_and_gradient(t: np.ndarray, counts: np.ndarray,
     gram = tri @ tri.conj().transpose(0, 2, 1)
     trace = gram.trace(axis1=1, axis2=2).real.reshape(-1, 1, 1)
     rhos = gram / trace
-    # Summed over j and then over i, as the one-row einsum "nij,ji->n" sums,
-    # so that every row is bit-equal to a call on that row alone.
-    probs = np.einsum("nij,rji->rni", projectors, rhos).real.sum(axis=2)
+    # Summed over j by the einsum, then over i in the order 0, 1, 2, 3, as the
+    # one-row einsum "nij,ji->n" sums, so each row is bit-equal to a call on
+    # it alone. `.sum(axis=2)` adds in that order too, but right after the
+    # complex matmul above that strided reduce runs about 10x slower (OpenBLAS
+    # on AVX-512); it also turns four -0.0 terms into +0.0, which no result sees.
+    terms = np.einsum("nij,rji->rni", projectors, rhos).real
+    probs = terms[..., 0] + terms[..., 1] + terms[..., 2] + terms[..., 3]
     floored = np.maximum(probs, _PROB_FLOOR)
     residuals = counts - pairs * probs
     values = (residuals ** 2 / (2.0 * pairs * floored)).sum(axis=1)
@@ -281,11 +293,12 @@ def _lbfgsb(fun, x0: np.ndarray, max_iterations: int):
                 setulb(m, x_s, unbounded, unbounded, nbd, f[s], g_s, factr,
                        _GTOL, wa_s, iwa_s, task_s, lsave_s, isave_s, dsave_s,
                        _LBFGSB_MAXLS, ln_s)
-                if task_s[0] == _TASK_FG:
+                code = task_s.item(0)
+                if code == _TASK_FG:
                     asks.append(s)
                     break
                 r = row_of[s]
-                if task_s[0] == _TASK_NEW_X:
+                if code == _TASK_NEW_X:
                     traces[r].append(f[s])  # the start plus one value per iteration
                     if len(traces[r]) > max_iterations:
                         task_s[:] = _TASK_STOP, _STOP_MAXITER
@@ -294,7 +307,7 @@ def _lbfgsb(fun, x0: np.ndarray, max_iterations: int):
                     continue
                 x_out[r] = x_s
                 f_out[r] = f[s]
-                converged[r] = (task_s[0] == _TASK_CONVERGED
+                converged[r] = (code == _TASK_CONVERGED
                                 and len(traces[r]) <= max_iterations)
                 r = next(waiting, None)
                 if r is None:
@@ -306,13 +319,13 @@ def _lbfgsb(fun, x0: np.ndarray, max_iterations: int):
                 last_x[s] = np.nan
                 f[s] = 0.0
                 evaluations[s] = 0
-        changed = (x != last_x).any(axis=1)
+        changed = (x != last_x).any(axis=1).tolist()
         moved = [s for s in asks if changed[s]]
         if moved:
             last_x[moved] = x[moved]
             values, last_g[moved] = fun(x[moved], [row_of[s] for s in moved])
-            for s, value in zip(moved, values):
-                f[s] = float(value)
+            for s, value in zip(moved, values.tolist()):
+                f[s] = value
                 evaluations[s] += 1
                 if evaluations[s] == 1:
                     traces[row_of[s]].append(f[s])
@@ -388,8 +401,9 @@ def bootstrap_errors(records, replicas: int = 200, seed: int = 0, *,
         plan = bell.OPTIMAL_PLAN
     draws = np.array([stream(seed, _BOOTSTRAP_STREAM, r).poisson(counts)
                       if resample else counts for r in range(replicas)], dtype=float)
-    starts = np.stack([params_from_density(_linear_start(design, row, pairs)).t
-                       for row in draws])
+    # One lstsq per start: a multi-RHS lstsq is not bit-equal to it.
+    starts = _params_from_densities(np.stack([_linear_start(design, row, pairs)
+                                              for row in draws]))
     fits = _lbfgsb(lambda t, rows: objective_and_gradient(
         t, draws[rows], pairs, projectors), starts, 10_000)[0]
     metrics = np.empty((3, replicas))

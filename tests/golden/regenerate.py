@@ -19,35 +19,18 @@ TESTS = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(TESTS.parent / "src"))
 sys.path.insert(0, str(TESTS))
 
-from test_golden import GOLDEN, SEED0_REPLICAS, produce, toolchain  # noqa: E402
-
-
-def changed_entries(old: dict, new: dict) -> list:
-    """`case: entry` for each hash or number of `new` that `old` lacks or
-    holds with another value."""
-    lines = []
-    if old.get("toolchain") != new["toolchain"]:
-        lines.append(f"toolchain: {old.get('toolchain')} -> {new['toolchain']}")
-    for case, entry in new["cases"].items():
-        before = old.get("cases", {}).get(case, {})
-        for name, digest in entry["files"].items():
-            if before.get("files", {}).get(name) != digest:
-                lines.append(f"{case}: {name}")
-        if before.get("stdout") != entry["stdout"]:
-            lines.append(f"{case}: stdout")
-        if before.get("numbers") != entry.get("numbers"):
-            lines.append(f"{case}: numbers")
-    lines += [f"{case}: removed" for case in old.get("cases", {})
-              if case not in new["cases"]]
-    return lines
+from test_golden import (GOLDEN, SEED0_REPLICAS, differences,  # noqa: E402
+                         produce, toolchain)
 
 
 def main() -> int:
-    old = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
+    old = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {"cases": {}}
     with tempfile.TemporaryDirectory() as workdir:
         new = {"toolchain": toolchain(), "seed0_replicas": SEED0_REPLICAS,
                "cases": produce(Path(workdir))}
-    lines = changed_entries(old, new)
+    lines = differences(old, new["cases"], same_toolchain=True)
+    if old.get("toolchain") != new["toolchain"]:
+        lines.insert(0, f"toolchain: {old.get('toolchain')} -> {new['toolchain']}")
     GOLDEN.write_text(json.dumps(new, indent=1, sort_keys=True) + "\n")
     print("\n".join(lines) if lines else "no change")
     return 0

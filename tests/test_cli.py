@@ -246,11 +246,11 @@ class TestCommandLine:
 
     def test_run_yaml_scenario(self, tmp_path, capsys):
         path = tmp_path / "tiny.yaml"
-        yaml.safe_dump({
+        path.write_text(yaml.safe_dump({
             "name": "tiny", "source": "phi+", "noise_p": 0.05,
             "mean_pairs": 800, "seed": 3, "outputs": str(tmp_path / "out"),
             "bootstrap_replicas": 0,
-        }, path.open("w"))
+        }))
         code = cli.main(["run", str(path)])
         out = capsys.readouterr().out
         assert code == 0
@@ -259,31 +259,31 @@ class TestCommandLine:
 
     def test_run_seed_override(self, tmp_path):
         path = tmp_path / "tiny.yaml"
-        yaml.safe_dump({
+        path.write_text(yaml.safe_dump({
             "name": "tiny", "source": "phi+", "noise_p": 0.05,
             "mean_pairs": 500, "seed": 3, "outputs": str(tmp_path / "out"),
             "bootstrap_replicas": 0,
-        }, path.open("w"))
+        }))
         assert cli.main(["run", str(path), "--seed", "9"]) == 0
         metrics = json.loads((tmp_path / "out" / "metrics.json").read_text())
         assert metrics["seed"] == 9
 
     def test_fringe_command(self, tmp_path, capsys):
         path = tmp_path / "tiny.yaml"
-        yaml.safe_dump({
+        path.write_text(yaml.safe_dump({
             "name": "tiny", "source": "phi+", "noise_p": 0.0,
             "mean_pairs": 500, "seed": 3, "outputs": str(tmp_path / "out"),
-        }, path.open("w"))
+        }))
         assert cli.main(["fringe", str(path)]) == 0
         assert (tmp_path / "out" / "fringe_biphoton_h.csv").exists()
         assert "visibility" in capsys.readouterr().out
 
     def test_chsh_command(self, tmp_path, capsys):
         path = tmp_path / "tiny.yaml"
-        yaml.safe_dump({
+        path.write_text(yaml.safe_dump({
             "name": "tiny", "source": "phi+", "noise_p": 0.0,
             "mean_pairs": 500, "seed": 3, "outputs": str(tmp_path / "out"),
-        }, path.open("w"))
+        }))
         assert cli.main(["chsh", str(path)]) == 0
         payload = json.loads((tmp_path / "out" / "chsh.json").read_text())
         assert "S" in payload and "sigma_S" in payload
@@ -328,13 +328,23 @@ class TestCommandLine:
         (None, "noise_p: abc\n", "noise_p"),
         (None, "singles_extinction: [25]\n", "singles_extinction"),
         ("outputs", "outputs: [1]\n", "outputs"),
+        (None, "channel_chain: 5\n", "channel_chain"),
+        (None, "channel_chain: true\n", "channel_chain"),
+        (None, "channel_chain:\n  - {kind: identity, arm: .inf}\n", "arm"),
+        (None, "channel_chain:\n  - {kind: coupler, eta_h: 0.4, ratio: 0}\n", "ratio"),
+        (None, "noise_fit_concurrence: .nan\n", "noise_fit_concurrence"),
+        (None, "channel_chain:\n  - {kind: identity, arm: 1.9}\n", "arm"),
+        ("name", "name: [1]\n", "name"),
     ], ids=["coupler-without-eta_h", "channel-without-kind", "yaml-syntax",
             "polarizer-without-angle", "waveplate-without-retardance",
             "channel-not-a-mapping", "without-name", "without-source",
             "polarizer-angle-a-list", "mean_pairs-not-a-number",
             "source-a-list", "coupler-ratio-not-a-number", "arm-a-list",
             "source-mapping-without-schmidt_theta", "noise_p-not-a-number",
-            "singles_extinction-a-list", "outputs-a-list"])
+            "singles_extinction-a-list", "outputs-a-list",
+            "channel_chain-a-number", "channel_chain-a-bool", "arm-infinite",
+            "coupler-ratio-zero", "noise_fit_concurrence-nan",
+            "arm-not-an-integer", "name-a-list"])
     def test_malformed_scenario_exits_2(self, tmp_path, capsys, dropped, text,
                                         named):
         lines = ["name: x", "source: phi+", "seed: 3", "mean_pairs: 500",
@@ -357,6 +367,25 @@ class TestCommandLine:
             env={**os.environ, "PYTHONPATH": path})
         assert done.returncode == 0 and done.stderr == ""
         assert "usage: biphoton" in done.stdout
+
+    @pytest.mark.parametrize("preset, expected", [(None, "1"), ("3", "3")])
+    def test_cli_pins_one_blas_thread_unless_set(self, preset, expected):
+        # Importing the package loads no numpy, so the CLI's setting is in
+        # place before OpenBLAS reads it; a value already set is kept.
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {key: value for key, value in os.environ.items()
+               if key != "OPENBLAS_NUM_THREADS"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        if preset is not None:
+            env["OPENBLAS_NUM_THREADS"] = preset
+        probe = ("import os, sys, biphoton\n"
+                 "assert 'numpy' not in sys.modules\n"
+                 "import biphoton.cli\n"
+                 "print(os.environ['OPENBLAS_NUM_THREADS'])\n")
+        done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                              text=True, timeout=60, env=env)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == f"{expected}\n"
 
     def test_invalid_budget_exits_nonzero(self, capsys):
         assert cli.main(["budget", "0.0"]) == 2

@@ -119,3 +119,17 @@ def test_golden_covers_every_command_and_builtin():
     for case, entry in golden["cases"].items():
         assert len(entry["files"]) == counts[case.split()[0]], case
     assert len(golden["cases"]) == 3 * 2 * len(cli.BUILTIN_SCENARIOS)
+
+
+def test_other_toolchains_compare_fit_derived_files_by_number():
+    golden = json.loads(GOLDEN.read_text())
+    cases = json.loads(json.dumps(golden["cases"]))
+    run = cases["run nanowire seed 7"]
+    run["files"]["metrics.json"] = run["stdout"] = "0" * 64
+    run["numbers"]["metrics"]["concurrence"] += 0.5 * METRIC_TOL
+    run["numbers"]["uncertainties"]["S"] -= 0.5 * SIGMA_TOL
+    assert differences(golden, cases, same_toolchain=False) == []
+    assert len(differences(golden, cases, same_toolchain=True)) == 2
+    run["numbers"]["metrics"]["concurrence"] += METRIC_TOL
+    cases["chsh source seed 0"]["files"]["chsh.json"] = "0" * 64
+    assert len(differences(golden, cases, same_toolchain=False)) == 2

@@ -7,6 +7,7 @@ import pytest
 from scipy.optimize import minimize
 
 from biphoton import bell, tomo
+from biphoton.cli import BUILTIN_SCENARIOS, builtin_scenario, resolve_model
 from biphoton.optics import depolarize
 from biphoton.qstate import (PureState, bell_state, concurrence,
                              fidelity_with_pure, maximally_mixed,
@@ -63,6 +64,16 @@ def oracle_objective(t, counts, pairs, projectors):
     weight = np.einsum("rn,nij->rij", dldp, projectors)
     weight = (weight - (dldp * probs).sum(axis=1).reshape(-1, 1, 1) * np.eye(4)) / trace
     return values, tomo._params_from_lower(2.0 * weight @ tri), probs
+
+
+def reference_params(mat, floor=tomo._INIT_EIGEN_FLOOR):
+    """The one-matrix body of params_from_density: floor the eigenvalues,
+    renormalize and take the Cholesky factor."""
+    evals, evecs = np.linalg.eigh(mat)
+    evals = np.clip(evals, floor, None)
+    mat = (evecs * evals) @ evecs.conj().T
+    mat /= np.real(np.trace(mat))
+    return tomo._params_from_lower(np.linalg.cholesky(mat))
 
 
 def central_differences(t, counts, pairs, projectors, step):
@@ -207,6 +218,40 @@ class TestObjectiveStack:
         assert (probs < tomo._PROB_FLOOR).sum(axis=1).min() >= 3
         assert np.array_equal(values, expected)
         assert np.array_equal(grads, expected_grads)
+
+
+class TestStackedStarts:
+    """The stacked start parameters against a loop of one-matrix calls,
+    compared by their bytes so that the signs of zeros count too."""
+
+    @pytest.mark.parametrize("name", BUILTIN_SCENARIOS)
+    def test_bootstrap_starts_of_builtins(self, name):
+        config = builtin_scenario(name)
+        model = resolve_model(config)
+        records = acquire_tomography(model.state, tomography_plan(config.tomography_plan),
+                                     model.effective_pairs, config.seed)
+        projectors, counts, pairs = record_arrays(records)
+        design = tomo._design_matrix(projectors)
+        mats = np.stack([
+            tomo._linear_start(design, stream(config.seed, _BOOTSTRAP_STREAM, r)
+                               .poisson(counts).astype(float), pairs)
+            for r in range(config.bootstrap_replicas)])
+        expected = np.stack([reference_params(mat) for mat in mats])
+        assert len(mats) == 200
+        assert tomo._params_from_densities(mats).tobytes() == expected.tobytes()
+        for mat, row in zip(mats[:5], expected):
+            assert params_from_density(mat).t.tobytes() == row.tobytes()
+
+    def test_rank_deficient_starts_hit_the_floor(self):
+        mats = np.stack([to_density(bell_state("phi+")).matrix,
+                         np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex),
+                         maximally_mixed().matrix,
+                         random_density(np.random.default_rng(7)).matrix])
+        assert (np.linalg.eigvalsh(mats[:2]) < tomo._INIT_EIGEN_FLOOR).sum() == 6
+        expected = np.stack([reference_params(mat) for mat in mats])
+        assert tomo._params_from_densities(mats).tobytes() == expected.tobytes()
+        for mat, row in zip(mats, expected):
+            assert params_from_density(mat).t.tobytes() == row.tobytes()
 
 
 def assert_matches_reference(records, **kwargs):
