@@ -93,8 +93,16 @@ class ScenarioConfig:
             raise ValueError("noise_p must lie in [0, 1]")
         if self.noise_p is not None and self.noise_fit_concurrence is not None:
             raise ValueError("give noise_p or noise_fit_concurrence, not both")
-        if self.mean_pairs <= 0:
-            raise ValueError("mean_pairs must be positive")
+        if not 0 < self.mean_pairs < math.inf:
+            raise ValueError(f"mean_pairs must be positive and finite, "
+                             f"got {self.mean_pairs!r}")
+        # An infinite extinction ratio is a polarizer that leaks nothing.
+        if self.singles_extinction is not None and not self.singles_extinction > 1:
+            raise ValueError(f"singles_extinction must exceed 1, "
+                             f"got {self.singles_extinction!r}")
+        if self.tomography_plan != sim.PLAN_HVDR16:
+            raise ValueError(f"tomography_plan must be {sim.PLAN_HVDR16!r}, "
+                             f"got {self.tomography_plan!r}")
 
 
 @dataclass(frozen=True)

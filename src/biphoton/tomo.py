@@ -9,10 +9,13 @@ counts attaches standard deviations to every derived metric.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize._lbfgsb import setulb
 
 from biphoton import bell
 from biphoton.qstate import (PAULI_X, PAULI_Y, PAULI_Z, DensityMatrix,
@@ -37,6 +40,31 @@ _STOP_MAXITER, _STOP_MAXFUN = 504, 502
 _FIT_SLOTS = 64
 _GRAM_COND_LIMIT = 1e6
 _INIT_EIGEN_FLOOR = 1e-6
+
+
+def _load_lbfgsb():
+    """scipy's compiled L-BFGS-B core, without importing `scipy.optimize`.
+
+    That package takes most of a command's start-up time and memory, and
+    the fits need only the extension module. It is registered under its
+    own name, so a later `import scipy.optimize` reuses it.
+    """
+    name = "scipy.optimize._lbfgsb"
+    if name in sys.modules:
+        return sys.modules[name]
+    scipy_spec = importlib.util.find_spec("scipy")
+    roots = scipy_spec.submodule_search_locations if scipy_spec else []
+    spec = importlib.machinery.PathFinder.find_spec(
+        name, [os.path.join(root, "optimize") for root in roots])
+    if spec is None:
+        raise ImportError(f"no module named {name!r}", name=name)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+setulb = _load_lbfgsb().setulb
 
 # Orthonormal Hermitian basis: Pauli products / 2, so tr(G_k G_l) = delta_kl.
 _HERM_BASIS = np.stack([

@@ -51,6 +51,18 @@ def small_config(tmp_path, name="small", **overrides):
     return ScenarioConfig(**base)
 
 
+def run_python(code, *args, env=None):
+    """stdout of `code` run with `args` in a fresh interpreter that imports
+    this checkout's biphoton; the run must succeed."""
+    env = dict(os.environ if env is None else env)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
+                          text=True, timeout=60, env=env)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
 class TestEfficiencyBudget:
     def test_product_of_measured_stages(self):
         budget = efficiency_budget([("objective", 0.401), ("confocal", 0.705),
@@ -335,6 +347,9 @@ class TestCommandLine:
         (None, "noise_fit_concurrence: .nan\n", "noise_fit_concurrence"),
         (None, "channel_chain:\n  - {kind: identity, arm: 1.9}\n", "arm"),
         ("name", "name: [1]\n", "name"),
+        ("mean_pairs", "mean_pairs: .inf\n", "mean_pairs"),
+        (None, "singles_extinction: -5\n", "singles_extinction"),
+        (None, "tomography_plan: xyz\n", "tomography_plan"),
     ], ids=["coupler-without-eta_h", "channel-without-kind", "yaml-syntax",
             "polarizer-without-angle", "waveplate-without-retardance",
             "channel-not-a-mapping", "without-name", "without-source",
@@ -344,7 +359,8 @@ class TestCommandLine:
             "singles_extinction-a-list", "outputs-a-list",
             "channel_chain-a-number", "channel_chain-a-bool", "arm-infinite",
             "coupler-ratio-zero", "noise_fit_concurrence-nan",
-            "arm-not-an-integer", "name-a-list"])
+            "arm-not-an-integer", "name-a-list", "mean_pairs-infinite",
+            "singles_extinction-below-1", "tomography_plan-unknown"])
     def test_malformed_scenario_exits_2(self, tmp_path, capsys, dropped, text,
                                         named):
         lines = ["name: x", "source: phi+", "seed: 3", "mean_pairs: 500",
@@ -352,11 +368,14 @@ class TestCommandLine:
         path = tmp_path / "bad.yaml"
         path.write_text("".join(f"{line}\n" for line in lines
                                 if line.split(":")[0] != dropped) + text)
-        assert cli.main(["run", str(path)]) == 2
-        # tmp_path holds the test id, which may spell the key itself.
-        err = capsys.readouterr().err.replace(str(tmp_path), "")
-        assert err.startswith("error:") and named in err and err.count("\n") == 1
-        assert not (tmp_path / "out").exists()
+        # Every command rejects the same files, whichever keys it reads.
+        for command in ("run", "fringe", "chsh"):
+            assert cli.main([command, str(path)]) == 2, command
+            # tmp_path holds the test id, which may spell the key itself.
+            err = capsys.readouterr().err.replace(str(tmp_path), "")
+            assert err.startswith("error:") and named in err, command
+            assert err.count("\n") == 1, command
+            assert not (tmp_path / "out").exists()
 
     def test_module_entry_point_runs_without_warnings(self):
         src = str(Path(cli.__file__).resolve().parents[1])
@@ -372,21 +391,58 @@ class TestCommandLine:
     def test_cli_pins_one_blas_thread_unless_set(self, preset, expected):
         # Importing the package loads no numpy, so the CLI's setting is in
         # place before OpenBLAS reads it; a value already set is kept.
-        src = str(Path(cli.__file__).resolve().parents[1])
         env = {key: value for key, value in os.environ.items()
                if key != "OPENBLAS_NUM_THREADS"}
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         if preset is not None:
             env["OPENBLAS_NUM_THREADS"] = preset
         probe = ("import os, sys, biphoton\n"
                  "assert 'numpy' not in sys.modules\n"
                  "import biphoton.cli\n"
                  "print(os.environ['OPENBLAS_NUM_THREADS'])\n")
-        done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
-                              text=True, timeout=60, env=env)
-        assert done.returncode == 0, done.stderr
-        assert done.stdout == f"{expected}\n"
+        assert run_python(probe, env=env) == f"{expected}\n"
+
+    def test_infinite_extinction_is_accepted(self, tmp_path):
+        # An infinite extinction ratio is a polarizer that leaks nothing.
+        path = tmp_path / "ideal.yaml"
+        path.write_text(yaml.safe_dump({
+            "name": "ideal", "source": "phi+", "noise_p": 0.0,
+            "singles_extinction": math.inf, "mean_pairs": 500, "seed": 3,
+            "outputs": str(tmp_path / "out"), "bootstrap_replicas": 0}))
+        for command in ("run", "fringe", "chsh"):
+            assert cli.main([command, str(path)]) == 0, command
 
     def test_invalid_budget_exits_nonzero(self, capsys):
         assert cli.main(["budget", "0.0"]) == 2
         assert "error:" in capsys.readouterr().err
+
+
+class TestStartUp:
+    """The fits load only scipy's compiled L-BFGS-B core, never the
+    `scipy.optimize` package, and share that core with `scipy.optimize`
+    when it is imported as well."""
+
+    @pytest.mark.parametrize("command", [
+        "cli.build_parser()",
+        "assert cli.main(['chsh', 'nanowire', '--outputs', sys.argv[1]]) == 0",
+    ], ids=["parser", "chsh"])
+    def test_cli_leaves_scipy_optimize_unloaded(self, tmp_path, command):
+        probe = ("import sys\n"
+                 "from biphoton import cli\n"
+                 f"{command}\n"
+                 "assert 'scipy.optimize' not in sys.modules\n")
+        run_python(probe, str(tmp_path / "out"))
+
+    @pytest.mark.parametrize("first", ["biphoton.tomo", "scipy.optimize"])
+    def test_fits_and_minimize_share_one_core(self, first):
+        probe = (f"import {first}\n"
+                 "import sys\n"
+                 "import numpy as np\n"
+                 "from scipy.optimize import minimize\n"
+                 "from biphoton import tomo\n"
+                 "fit = minimize(lambda x: ((x - 1.0) ** 2).sum(), np.zeros(3),\n"
+                 "               jac=lambda x: 2.0 * (x - 1.0), method='L-BFGS-B')\n"
+                 "assert fit.success and np.allclose(fit.x, 1.0), fit\n"
+                 "core = sys.modules['scipy.optimize._lbfgsb']\n"
+                 "assert core.setulb is tomo.setulb\n"
+                 "assert core is tomo.setulb.__self__\n")
+        run_python(probe)
