@@ -17,6 +17,7 @@ to pre-compensate that anisotropy.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import numbers
@@ -40,6 +41,15 @@ from biphoton.qstate import (DensityMatrix, PureState, bell_state, concurrence, 
                              eigen_hermitian, schmidt_pure, to_density)
 
 _FRINGE_GRID = np.deg2rad(np.arange(0.0, 180.0, 10.0))
+
+#: Largest accepted mean_pairs; numpy's Poisson sampler refuses means above
+#: about 9.2e18.
+MAX_MEAN_PAIRS = 1e18
+
+# libyaml's loader where PyYAML was built with it: the same safe constructor
+# and resolver as yaml.SafeLoader, several times faster. Unlike the pure-Python
+# scanner, libyaml also accepts tabs as separators ("seed:\t7").
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
 @dataclass(frozen=True)
@@ -93,9 +103,9 @@ class ScenarioConfig:
             raise ValueError("noise_p must lie in [0, 1]")
         if self.noise_p is not None and self.noise_fit_concurrence is not None:
             raise ValueError("give noise_p or noise_fit_concurrence, not both")
-        if not 0 < self.mean_pairs < math.inf:
-            raise ValueError(f"mean_pairs must be positive and finite, "
-                             f"got {self.mean_pairs!r}")
+        if not 0 < self.mean_pairs <= MAX_MEAN_PAIRS:
+            raise ValueError(f"mean_pairs must be positive and at most "
+                             f"{MAX_MEAN_PAIRS:g}, got {self.mean_pairs!r}")
         # An infinite extinction ratio is a polarizer that leaks nothing.
         if self.singles_extinction is not None and not self.singles_extinction > 1:
             raise ValueError(f"singles_extinction must exceed 1, "
@@ -491,7 +501,7 @@ def load_scenario(path) -> ScenarioConfig:
     """Parse a YAML scenario file into a ScenarioConfig."""
     try:
         with open(path) as fh:
-            raw = yaml.safe_load(fh)
+            raw = yaml.load(fh, Loader=_YAML_LOADER)
     except yaml.YAMLError as exc:
         raise ValueError(f"{path}: invalid YAML: {' '.join(str(exc).split())}") from None
     if not isinstance(raw, dict):
@@ -573,7 +583,10 @@ def _cmd_chsh(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing keeps no
+    state in it, so repeated `main` calls can share it."""
     parser = argparse.ArgumentParser(
         prog="biphoton",
         description="Simulate entangled-photon transport through "

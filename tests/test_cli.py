@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from importlib import resources
@@ -61,6 +62,105 @@ def run_python(code, *args, env=None):
                           text=True, timeout=60, env=env)
     assert done.returncode == 0, done.stderr
     return done.stdout
+
+
+#: Malformed scenario files as (key dropped from a valid file, text appended
+#: to it, word the error must name).
+MALFORMED_SCENARIOS = [
+    (None, "channel_chain:\n  - {kind: coupler, ratio: 1.78}\n", "eta_h"),
+    (None, "channel_chain:\n  - {eta_h: 0.4, ratio: 1.78}\n", "kind"),
+    (None, "noise_p: [0.1\n", "bad.yaml"),
+    (None, "channel_chain:\n  - {kind: polarizer}\n", "angle"),
+    (None, "channel_chain:\n  - {kind: waveplate, angle: 0.3}\n", "retardance"),
+    (None, "channel_chain:\n  - 5\n", "channel_chain"),
+    ("name", "", "name"),
+    ("source", "", "source"),
+    (None, "channel_chain:\n  - {kind: polarizer, angle: [1]}\n", "angle"),
+    ("mean_pairs", "mean_pairs: abc\n", "mean_pairs"),
+    ("source", "source: [1]\n", "source"),
+    (None, "channel_chain:\n  - {kind: coupler, eta_h: 0.4, ratio: x}\n", "ratio"),
+    (None, "channel_chain:\n  - {kind: identity, arm: [1]}\n", "arm"),
+    ("source", "source: {theta: 0.3}\n", "schmidt_theta"),
+    (None, "noise_p: abc\n", "noise_p"),
+    (None, "singles_extinction: [25]\n", "singles_extinction"),
+    ("outputs", "outputs: [1]\n", "outputs"),
+    (None, "channel_chain: 5\n", "channel_chain"),
+    (None, "channel_chain: true\n", "channel_chain"),
+    (None, "channel_chain:\n  - {kind: identity, arm: .inf}\n", "arm"),
+    (None, "channel_chain:\n  - {kind: coupler, eta_h: 0.4, ratio: 0}\n", "ratio"),
+    (None, "noise_fit_concurrence: .nan\n", "noise_fit_concurrence"),
+    (None, "channel_chain:\n  - {kind: identity, arm: 1.9}\n", "arm"),
+    ("name", "name: [1]\n", "name"),
+    ("mean_pairs", "mean_pairs: .inf\n", "mean_pairs"),
+    (None, "singles_extinction: -5\n", "singles_extinction"),
+    (None, "tomography_plan: xyz\n", "tomography_plan"),
+    ("mean_pairs", "mean_pairs: 1.0e+300\n", "mean_pairs"),
+]
+MALFORMED_IDS = [
+    "coupler-without-eta_h", "channel-without-kind", "yaml-syntax",
+    "polarizer-without-angle", "waveplate-without-retardance",
+    "channel-not-a-mapping", "without-name", "without-source",
+    "polarizer-angle-a-list", "mean_pairs-not-a-number", "source-a-list",
+    "coupler-ratio-not-a-number", "arm-a-list",
+    "source-mapping-without-schmidt_theta", "noise_p-not-a-number",
+    "singles_extinction-a-list", "outputs-a-list", "channel_chain-a-number",
+    "channel_chain-a-bool", "arm-infinite", "coupler-ratio-zero",
+    "noise_fit_concurrence-nan", "arm-not-an-integer", "name-a-list",
+    "mean_pairs-infinite", "singles_extinction-below-1", "tomography_plan-unknown",
+    "mean_pairs-too-large"]
+
+
+def malformed_scenario(dropped, text, outputs) -> str:
+    lines = ["name: x", "source: phi+", "seed: 3", "mean_pairs: 500",
+             f"outputs: {outputs}", "bootstrap_replicas: 0"]
+    return "".join(f"{line}\n" for line in lines
+                   if line.split(":")[0] != dropped) + text
+
+
+def assert_every_command_rejects(tmp_path, capsys, dropped, text, named):
+    path = tmp_path / "bad.yaml"
+    path.write_text(malformed_scenario(dropped, text, tmp_path / "out"))
+    # Every command rejects the same files, whichever keys it reads.
+    for command in ("run", "fringe", "chsh"):
+        assert cli.main([command, str(path)]) == 2, command
+        # tmp_path holds the test id, which may spell the key itself.
+        err = capsys.readouterr().err.replace(str(tmp_path), "")
+        assert err.startswith("error:") and named in err, command
+        assert err.count("\n") == 1, command
+        assert not (tmp_path / "out").exists()
+
+
+#: Values the fuzz writes over a key's value; 1e300 is a string in YAML 1.1.
+FUZZ_VALUES = (".inf", "-.inf", ".nan", "[1]", "{a: 1}", "true", "null", "1e300",
+               "1.0e+300", "-1.0e+300", "-1", "0", "'0.5'", "'abc'", '""')
+
+
+def scenario_mutants(count: int, seed: int = 2014):
+    """`count` texts of the built-in scenarios, each with one to three
+    lines dropped, duplicated, edited, given a new value or broken by a tab,
+    drawn from a fixed-seed generator."""
+    rng = random.Random(seed)
+    texts = [(resources.files("biphoton") / "scenarios" / f"{name}.yaml").read_text()
+             for name in cli.BUILTIN_SCENARIOS]
+    for _ in range(count):
+        lines = rng.choice(texts).splitlines()
+        for _ in range(rng.randint(1, 3)):
+            i = rng.randrange(len(lines))
+            line = lines[i]
+            cut = rng.randrange(len(line) + 1)
+            mutation = rng.choice(("drop", "duplicate", "edit", "value", "tab"))
+            if mutation == "drop" and len(lines) > 1:
+                del lines[i]
+            elif mutation == "duplicate":
+                lines.insert(i, line)
+            elif mutation == "edit":
+                char = rng.choice("0123456789.-e:[]{}#, x")
+                lines[i] = line[:cut] + char + line[cut + 1:]
+            elif mutation == "value" and ":" in line:
+                lines[i] = f"{line.split(':')[0]}: {rng.choice(FUZZ_VALUES)}"
+            elif mutation == "tab":
+                lines[i] = line[:cut] + "\t" + line[cut:]
+        yield "".join(f"{line}\n" for line in lines)
 
 
 class TestEfficiencyBudget:
@@ -322,60 +422,33 @@ class TestCommandLine:
         assert err.startswith("error:") and key in err and err.count("\n") == 1
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("dropped, text, named", [
-        (None, "channel_chain:\n  - {kind: coupler, ratio: 1.78}\n", "eta_h"),
-        (None, "channel_chain:\n  - {eta_h: 0.4, ratio: 1.78}\n", "kind"),
-        (None, "noise_p: [0.1\n", "bad.yaml"),
-        (None, "channel_chain:\n  - {kind: polarizer}\n", "angle"),
-        (None, "channel_chain:\n  - {kind: waveplate, angle: 0.3}\n", "retardance"),
-        (None, "channel_chain:\n  - 5\n", "channel_chain"),
-        ("name", "", "name"),
-        ("source", "", "source"),
-        (None, "channel_chain:\n  - {kind: polarizer, angle: [1]}\n", "angle"),
-        ("mean_pairs", "mean_pairs: abc\n", "mean_pairs"),
-        ("source", "source: [1]\n", "source"),
-        (None, "channel_chain:\n  - {kind: coupler, eta_h: 0.4, ratio: x}\n", "ratio"),
-        (None, "channel_chain:\n  - {kind: identity, arm: [1]}\n", "arm"),
-        ("source", "source: {theta: 0.3}\n", "schmidt_theta"),
-        (None, "noise_p: abc\n", "noise_p"),
-        (None, "singles_extinction: [25]\n", "singles_extinction"),
-        ("outputs", "outputs: [1]\n", "outputs"),
-        (None, "channel_chain: 5\n", "channel_chain"),
-        (None, "channel_chain: true\n", "channel_chain"),
-        (None, "channel_chain:\n  - {kind: identity, arm: .inf}\n", "arm"),
-        (None, "channel_chain:\n  - {kind: coupler, eta_h: 0.4, ratio: 0}\n", "ratio"),
-        (None, "noise_fit_concurrence: .nan\n", "noise_fit_concurrence"),
-        (None, "channel_chain:\n  - {kind: identity, arm: 1.9}\n", "arm"),
-        ("name", "name: [1]\n", "name"),
-        ("mean_pairs", "mean_pairs: .inf\n", "mean_pairs"),
-        (None, "singles_extinction: -5\n", "singles_extinction"),
-        (None, "tomography_plan: xyz\n", "tomography_plan"),
-    ], ids=["coupler-without-eta_h", "channel-without-kind", "yaml-syntax",
-            "polarizer-without-angle", "waveplate-without-retardance",
-            "channel-not-a-mapping", "without-name", "without-source",
-            "polarizer-angle-a-list", "mean_pairs-not-a-number",
-            "source-a-list", "coupler-ratio-not-a-number", "arm-a-list",
-            "source-mapping-without-schmidt_theta", "noise_p-not-a-number",
-            "singles_extinction-a-list", "outputs-a-list",
-            "channel_chain-a-number", "channel_chain-a-bool", "arm-infinite",
-            "coupler-ratio-zero", "noise_fit_concurrence-nan",
-            "arm-not-an-integer", "name-a-list", "mean_pairs-infinite",
-            "singles_extinction-below-1", "tomography_plan-unknown"])
+    @pytest.mark.parametrize("dropped, text, named", MALFORMED_SCENARIOS,
+                             ids=MALFORMED_IDS)
     def test_malformed_scenario_exits_2(self, tmp_path, capsys, dropped, text,
                                         named):
-        lines = ["name: x", "source: phi+", "seed: 3", "mean_pairs: 500",
-                 f"outputs: {tmp_path / 'out'}", "bootstrap_replicas: 0"]
-        path = tmp_path / "bad.yaml"
-        path.write_text("".join(f"{line}\n" for line in lines
-                                if line.split(":")[0] != dropped) + text)
-        # Every command rejects the same files, whichever keys it reads.
-        for command in ("run", "fringe", "chsh"):
-            assert cli.main([command, str(path)]) == 2, command
-            # tmp_path holds the test id, which may spell the key itself.
-            err = capsys.readouterr().err.replace(str(tmp_path), "")
-            assert err.startswith("error:") and named in err, command
-            assert err.count("\n") == 1, command
-            assert not (tmp_path / "out").exists()
+        assert_every_command_rejects(tmp_path, capsys, dropped, text, named)
+
+    @pytest.mark.parametrize("dropped, text, named", MALFORMED_SCENARIOS,
+                             ids=MALFORMED_IDS)
+    def test_malformed_scenario_exits_2_with_pure_python_yaml(
+            self, monkeypatch, tmp_path, capsys, dropped, text, named):
+        # The loader of a PyYAML built without libyaml.
+        monkeypatch.setattr(cli, "_YAML_LOADER", yaml.SafeLoader)
+        assert_every_command_rejects(tmp_path, capsys, dropped, text, named)
+
+    def test_repeated_main_calls_are_independent(self, tmp_path):
+        # The parser is built once per process; one call's options must not
+        # carry over to the next.
+        path = tmp_path / "tiny.yaml"
+        path.write_text(yaml.safe_dump({
+            "name": "tiny", "source": "phi+", "noise_p": 0.05, "mean_pairs": 500,
+            "seed": 3, "outputs": str(tmp_path / "out")}))
+        written = []
+        for extra in ([], ["--seed", "5"], []):
+            assert cli.main(["chsh", str(path), *extra]) == 0
+            written.append((tmp_path / "out" / "chsh.json").read_bytes())
+        assert written[1] != written[0]
+        assert written[2] == written[0]
 
     def test_module_entry_point_runs_without_warnings(self):
         src = str(Path(cli.__file__).resolve().parents[1])
@@ -414,6 +487,68 @@ class TestCommandLine:
     def test_invalid_budget_exits_nonzero(self, capsys):
         assert cli.main(["budget", "0.0"]) == 2
         assert "error:" in capsys.readouterr().err
+
+
+class TestScenarioFuzz:
+    @pytest.mark.filterwarnings("error")
+    def test_mutated_scenarios_exit_0_or_2_with_one_error_line(self, tmp_path,
+                                                                capsys):
+        path = tmp_path / "mutant.yaml"
+        outputs = str(tmp_path / "out")
+        for text in scenario_mutants(400):
+            path.write_text(text)
+            for command in ("chsh", "fringe"):
+                code = cli.main([command, str(path), "--outputs", outputs])
+                err = capsys.readouterr().err
+                assert (code, err) == (0, "") or (
+                    code == 2 and err.startswith("error:") and err.count("\n") == 1
+                ), f"{command} exit {code}, stderr {err!r} on\n{text}"
+
+
+def load_or_none(text: str, loader):
+    """repr of the YAML `text` loaded with `loader`, None if it does not parse."""
+    try:
+        return repr(yaml.load(text, Loader=loader))
+    except yaml.YAMLError:
+        return None
+
+
+@pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML built without libyaml")
+class TestYamlLoaders:
+    """Scenarios are parsed with libyaml's CSafeLoader, which shares
+    SafeLoader's constructor and resolver; SafeLoader is the fallback."""
+
+    def test_cli_parses_with_libyaml(self):
+        assert cli._YAML_LOADER is yaml.CSafeLoader
+
+    def test_loaders_never_return_different_objects(self, tmp_path):
+        packaged = resources.files("biphoton") / "scenarios"
+        texts = [(packaged / f"{name}.yaml").read_text()
+                 for name in cli.BUILTIN_SCENARIOS]
+        texts += [malformed_scenario(dropped, text, tmp_path / "out")
+                  for dropped, text, _ in MALFORMED_SCENARIOS]
+        texts += list(scenario_mutants(400))
+        for text in texts:
+            pure = load_or_none(text, yaml.SafeLoader)
+            fast = load_or_none(text, yaml.CSafeLoader)
+            # One loader may reject what the other reads (tabs, stray BOMs).
+            assert pure is None or fast is None or pure == fast, text
+
+    @pytest.mark.parametrize("text, parsed", [("seed:\t7\n", {"seed": 7}),
+                                              ("a: 1\t# c\n", {"a": 1})],
+                             ids=["before-value", "before-comment"])
+    def test_tab_separates_only_under_libyaml(self, text, parsed):
+        assert yaml.load(text, Loader=yaml.CSafeLoader) == parsed
+        with pytest.raises(yaml.scanner.ScannerError, match="cannot start any token"):
+            yaml.load(text, Loader=yaml.SafeLoader)
+
+    def test_scenario_with_tab_loads_only_under_libyaml(self, tmp_path, monkeypatch):
+        path = tmp_path / "tab.yaml"
+        path.write_text("name: x\nsource: phi+\nseed:\t7\n")
+        assert load_scenario(path).seed == 7
+        monkeypatch.setattr(cli, "_YAML_LOADER", yaml.SafeLoader)
+        with pytest.raises(ValueError, match="invalid YAML"):
+            load_scenario(path)
 
 
 class TestStartUp:

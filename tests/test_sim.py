@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from biphoton.qstate import (bell_state, ket, maximally_mixed,
+from biphoton import sim
+from biphoton.qstate import (bell_state, ket, linear_ket, maximally_mixed,
                              random_density, schmidt_pure, to_density)
 from biphoton.sim import (CountRecord, FringeCurve, MeasurementSetting,
                           PLAN_HVDR16, acquire_tomography, biphoton_fringe,
@@ -48,6 +49,19 @@ class TestCoincidenceProbability:
                 coincidence_probability(rho, MeasurementSetting.of(a1, b1))
                 for a1 in (a, a + np.pi / 2) for b1 in (b, b + np.pi / 2))
             assert total == pytest.approx(1.0, abs=1e-10)
+
+
+class TestPairKet:
+    def test_bit_equal_to_kron(self):
+        rng = np.random.default_rng(19)
+        pairs = [tuple(rng.standard_normal((2, 2, 2)) @ [1.0, 1j]) for _ in range(500)]
+        # Every sign of zero in either part, against zeros and unit entries.
+        parts = (0.0, -0.0, 1.0, -1.0)
+        edges = [np.array([complex(a, b), complex(c, d)])
+                 for a in parts for b in parts for c in parts[:2] for d in parts[:2]]
+        pairs += [(k1, k2) for k1 in edges for k2 in edges]
+        for k1, k2 in pairs:
+            assert sim._pair_ket(k1, k2).tobytes() == np.kron(k1, k2).tobytes()
 
 
 class TestSampleCounts:
@@ -147,6 +161,21 @@ class TestBiphotonFringe:
         rho = to_density(bell_state("phi+"))
         with pytest.raises(ValueError, match="seed"):
             biphoton_fringe(rho, "H", np.linspace(0, np.pi, 18), mean_pairs=100)
+
+    def test_values_match_the_setting_loop(self):
+        # Reference: one MeasurementSetting per angle, as biphoton_fringe
+        # computed its points before it formed the pair ket directly.
+        angles = np.deg2rad(np.arange(0, 180, 10))
+        rng = np.random.default_rng(23)
+        for rho in [random_density(rng) for _ in range(20)]:
+            for fixed in ("H", "D", "R", linear_ket(0.3)):
+                fixed_ket = ket(fixed) if isinstance(fixed, str) else fixed
+                expected = np.array([
+                    coincidence_probability(rho, MeasurementSetting(
+                        fixed_ket, linear_ket(ang), "fixed", f"lin:{ang}"))
+                    for ang in angles])
+                curve = biphoton_fringe(rho, fixed, angles)
+                assert curve.values.tobytes() == expected.tobytes()
 
     def test_sampled_fringe_deterministic(self):
         rho = to_density(bell_state("phi+"))
