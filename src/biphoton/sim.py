@@ -102,10 +102,11 @@ class CountRecord:
     expected_pairs: float
 
     def __post_init__(self):
-        if self.counts < 0:
-            raise ValueError("counts must be non-negative")
-        if self.expected_pairs <= 0:
-            raise ValueError("expected_pairs must be positive")
+        # Written so that NaN fails each comparison and is rejected too.
+        if not 0 <= self.counts < np.inf:
+            raise ValueError("counts must be finite and non-negative")
+        if not 0 < self.expected_pairs < np.inf:
+            raise ValueError("expected_pairs must be finite and positive")
 
 
 def tomography_plan(plan_id: str = PLAN_HVDR16) -> tuple:
@@ -336,7 +337,10 @@ def records_from_csv(path) -> list:
     if not rows or rows[0] != ["setting_1", "setting_2", "counts", "expected_pairs"]:
         raise ValueError(f"{path} is not a count-record CSV")
     records = []
-    for label_1, label_2, counts, pairs in rows[1:]:
+    for line, row in enumerate(rows[1:], start=2):
+        if len(row) != 4:
+            raise ValueError(f"{path}, line {line}: expected 4 fields, got {len(row)}")
+        label_1, label_2, counts, pairs = row
         setting = MeasurementSetting(parse_label(label_1), parse_label(label_2),
                                      label_1, label_2)
         records.append(CountRecord(setting, float(counts), float(pairs)))

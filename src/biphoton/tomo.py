@@ -76,9 +76,11 @@ _EYE4 = np.eye(4)
 
 # Parameter order: the real diagonal t[0:4], then (re, im) pairs of the
 # lower-triangular entries (1,0), (2,0), (2,1), (3,0), (3,1), (3,2), here as
-# indices into the row-major flattened 4x4 matrix.
+# indices into the row-major flattened 4x4 matrix and, in _PARAM_FLOATS, into
+# the float64 view of that matrix.
 _DIAG_FLAT = np.arange(4) * 5
 _LOWER_FLAT = np.flatnonzero(np.tri(4, k=-1))
+_PARAM_FLOATS = np.r_[2 * _DIAG_FLAT, (2 * _LOWER_FLAT[:, None] + [0, 1]).ravel()]
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,14 +110,10 @@ def _lower_from_params(t: np.ndarray) -> np.ndarray:
 
 def _params_from_lower(tri: np.ndarray) -> np.ndarray:
     """The 16 reals of the diagonal and lower triangle, in parameter order,
-    of each matrix along the last two axes."""
-    flat = tri.reshape(tri.shape[:-2] + (16,))
-    t = np.empty(flat.shape)
-    t[..., 0:4] = flat[..., _DIAG_FLAT].real
-    lower = flat[..., _LOWER_FLAT]
-    t[..., 4::2] = lower.real
-    t[..., 5::2] = lower.imag
-    return t
+    of each complex matrix along the last two axes, read as one gather from
+    the float64 view of a C-ordered `tri`."""
+    flat = tri.reshape(tri.shape[:-2] + (16,)).view(np.float64)
+    return flat.take(_PARAM_FLOATS, axis=-1)
 
 
 def _density_from_params(t: np.ndarray) -> np.ndarray:
@@ -220,12 +218,15 @@ def objective_and_gradient(t: np.ndarray, counts: np.ndarray,
     probs = terms[..., 0] + terms[..., 1] + terms[..., 2] + terms[..., 3]
     floored = np.maximum(probs, _PROB_FLOOR)
     residuals = counts - pairs * probs
-    values = (residuals ** 2 / (2.0 * pairs * floored)).sum(axis=1)
+    squares = residuals ** 2
+    two_pairs = 2.0 * pairs
+    values = (squares / (two_pairs * floored)).sum(axis=1)
 
     # d(objective)/d(p_v); the floor freezes the denominator when active.
     dldp = -residuals / floored
-    dldp = np.where(probs > _PROB_FLOOR,
-                    dldp - residuals ** 2 / (2.0 * pairs * floored ** 2), dldp)
+    above = probs > _PROB_FLOOR
+    unfrozen = dldp - squares / (two_pairs * floored ** 2)
+    dldp = unfrozen if above.all() else np.where(above, unfrozen, dldp)
 
     # sum_v dldp_v P_v as a real einsum over the (re, im) floats of each
     # projector: bit-equal to the complex einsum "rn,nij->rij", and faster.
@@ -350,8 +351,13 @@ def _lbfgsb(fun, x0: np.ndarray, max_iterations: int):
         changed = (x != last_x).any(axis=1).tolist()
         moved = [s for s in asks if changed[s]]
         if moved:
-            last_x[moved] = x[moved]
-            values, last_g[moved] = fun(x[moved], [row_of[s] for s in moved])
+            if len(moved) == slots:
+                # Every slot asks at a new point: whole arrays, no index copies.
+                last_x[:] = x
+                values, last_g[:] = fun(x, row_of)
+            else:
+                last_x[moved] = x[moved]
+                values, last_g[moved] = fun(x[moved], [row_of[s] for s in moved])
             for s, value in zip(moved, values.tolist()):
                 f[s] = value
                 evaluations[s] += 1

@@ -230,6 +230,16 @@ class TestTomographyAcquisition:
         with pytest.raises(ValueError):
             CountRecord(MeasurementSetting.of("H", "H"), -1.0, 100.0)
 
+    @pytest.mark.parametrize("counts, pairs, match", [
+        (float("nan"), 100.0, "counts"),
+        (float("inf"), 100.0, "counts"),
+        (7.0, float("nan"), "expected_pairs"),
+        (7.0, float("inf"), "expected_pairs"),
+    ], ids=["nan-counts", "inf-counts", "nan-pairs", "inf-pairs"])
+    def test_non_finite_rejected(self, counts, pairs, match):
+        with pytest.raises(ValueError, match=match):
+            CountRecord(MeasurementSetting.of("H", "H"), counts, pairs)
+
 
 class TestRecordCsv:
     def test_round_trip(self, tmp_path):
@@ -250,4 +260,20 @@ class TestRecordCsv:
         path = tmp_path / "other.csv"
         path.write_text("a,b\n1,2\n")
         with pytest.raises(ValueError):
+            records_from_csv(path)
+
+    @pytest.mark.parametrize("row, fields", [
+        ("H,V,3", 3), ("H,V,3,100,9", 5), ("", 0)], ids=["short", "long", "blank"])
+    def test_wrong_field_count_names_file_and_line(self, tmp_path, row, fields):
+        path = tmp_path / "counts.csv"
+        path.write_text("setting_1,setting_2,counts,expected_pairs\n"
+                        f"H,H,5,100\n{row}\nV,V,2,100\n")
+        with pytest.raises(ValueError) as info:
+            records_from_csv(path)
+        assert str(info.value) == f"{path}, line 3: expected 4 fields, got {fields}"
+
+    def test_non_finite_count_rejected(self, tmp_path):
+        path = tmp_path / "counts.csv"
+        path.write_text("setting_1,setting_2,counts,expected_pairs\nH,H,nan,100\n")
+        with pytest.raises(ValueError, match="finite"):
             records_from_csv(path)

@@ -47,6 +47,18 @@ def reference_fit(records, init=None, max_iterations=10_000):
     return res, CholeskyParams(res.x).density(), tuple(trace)
 
 
+def reference_pack(tri):
+    """Field-by-field copy of the diagonal and lower triangle of each 4x4
+    matrix into the 16 Cholesky parameters, in parameter order."""
+    flat = tri.reshape(tri.shape[:-2] + (16,))
+    t = np.empty(flat.shape)
+    t[..., 0:4] = flat[..., tomo._DIAG_FLAT].real
+    lower = flat[..., tomo._LOWER_FLAT]
+    t[..., 4::2] = lower.real
+    t[..., 5::2] = lower.imag
+    return t
+
+
 def oracle_objective(t, counts, pairs, projectors):
     """The stacked objective with its per-row forms: one einsum per row for
     the probabilities and a complex einsum for the gradient weight."""
@@ -63,7 +75,7 @@ def oracle_objective(t, counts, pairs, projectors):
                     dldp - residuals ** 2 / (2.0 * pairs * floored ** 2), dldp)
     weight = np.einsum("rn,nij->rij", dldp, projectors)
     weight = (weight - (dldp * probs).sum(axis=1).reshape(-1, 1, 1) * np.eye(4)) / trace
-    return values, tomo._params_from_lower(2.0 * weight @ tri), probs
+    return values, reference_pack(2.0 * weight @ tri), probs
 
 
 def reference_params(mat, floor=tomo._INIT_EIGEN_FLOOR):
@@ -73,7 +85,7 @@ def reference_params(mat, floor=tomo._INIT_EIGEN_FLOOR):
     evals = np.clip(evals, floor, None)
     mat = (evecs * evals) @ evecs.conj().T
     mat /= np.real(np.trace(mat))
-    return tomo._params_from_lower(np.linalg.cholesky(mat))
+    return reference_pack(np.linalg.cholesky(mat))
 
 
 def central_differences(t, counts, pairs, projectors, step):
@@ -106,6 +118,23 @@ class TestCholeskyParams:
     def test_wrong_length_rejected(self):
         with pytest.raises(ValueError):
             CholeskyParams(np.zeros(15))
+
+    @pytest.mark.parametrize("rows", [1, 64])
+    def test_packing_gather_equals_field_copies(self, rows):
+        # Signed zeros, infinities, NaNs with either sign and a payload, and
+        # subnormals; the first row holds each of them among its 16 packed
+        # floats.
+        pool = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324,
+                         -2.5e-310, 1.0, -0.75]).view(np.uint64)
+        pool = np.append(pool, np.uint64(0x7FF8_0000_0000_0123)).view(np.float64)
+        rng = np.random.default_rng(109)
+        floats = rng.choice(pool, (rows, 32))
+        floats[0, tomo._PARAM_FLOATS] = rng.permutation(np.resize(pool, 16))
+        tri = floats.view(complex).reshape(rows, 4, 4)
+        packed = tomo._params_from_lower(tri)
+        assert packed.flags.c_contiguous
+        assert packed.tobytes() == reference_pack(tri).tobytes()
+        assert tomo._params_from_lower(tri[0]).tobytes() == reference_pack(tri[0]).tobytes()
 
 
 class TestLinearInversion:
@@ -197,27 +226,33 @@ class TestObjectiveStack:
         stacked_counts = counts + rng.integers(0, 5, (rows, 16))
         for row_counts in (stacked_counts, counts):
             values, grads = objective_and_gradient(t, row_counts, pairs, projectors)
-            expected, expected_grads, _ = oracle_objective(t, row_counts, pairs,
-                                                           projectors)
-            assert np.array_equal(values, expected)
-            assert np.array_equal(grads, expected_grads)
+            expected, expected_grads, probs = oracle_objective(t, row_counts, pairs,
+                                                               projectors)
+            assert (probs > tomo._PROB_FLOOR).all()
+            assert values.tobytes() == expected.tobytes()
+            assert grads.tobytes() == expected_grads.tobytes()
 
     @pytest.mark.parametrize("rows", [1, 7, 64])
     def test_equals_per_row_forms_below_probability_floor(self, rows):
         # Near |HH>, as in TestGradient: p(HV), p(VH) and p(VV) fall under
-        # the floor, and every count is non-zero.
+        # the floor, and every count is non-zero. Then the same with the
+        # later half of the rows random states with no probability there.
         rng = np.random.default_rng(97)
         t = rng.standard_normal((rows, 16)) * 3e-7
         t[:, 0] = 1.0
         projectors = record_arrays([CountRecord(s, 0.0, 1.0) for s in PLAN])[0]
         counts = rng.integers(1, 50, (rows, 16)).astype(float)
         pairs = np.full(16, 1000.0)
-        values, grads = objective_and_gradient(t, counts, pairs, projectors)
-        expected, expected_grads, probs = oracle_objective(t, counts, pairs,
-                                                           projectors)
-        assert (probs < tomo._PROB_FLOOR).sum(axis=1).min() >= 3
-        assert np.array_equal(values, expected)
-        assert np.array_equal(grads, expected_grads)
+        for floored_rows in sorted({rows, (rows + 1) // 2}, reverse=True):
+            t[floored_rows:] = rng.standard_normal((rows - floored_rows, 16))
+            values, grads = objective_and_gradient(t, counts, pairs, projectors)
+            expected, expected_grads, probs = oracle_objective(t, counts, pairs,
+                                                               projectors)
+            at_floor = (probs < tomo._PROB_FLOOR).sum(axis=1)
+            assert at_floor[:floored_rows].min() >= 3
+            assert not at_floor[floored_rows:].any()
+            assert values.tobytes() == expected.tobytes()
+            assert grads.tobytes() == expected_grads.tobytes()
 
 
 class TestStackedStarts:
@@ -448,7 +483,10 @@ class TestBootstrapErrors:
     def test_slot_refill_keeps_every_fit(self, monkeypatch):
         # Seven low-count replicas whose fits take different iteration
         # counts, so that with fewer slots than replicas a slot is refilled
-        # in the middle of other fits.
+        # in the middle of other fits. With one slot every round evaluates
+        # the whole stack; with more, rounds in which a slot has no row left
+        # or reuses its last evaluation evaluate only the others. Every slot
+        # count must give the same bytes.
         records = sampled_records(random_density(np.random.default_rng(101)),
                                   500, 9)
         projectors, counts, pairs = record_arrays(records)
@@ -461,20 +499,28 @@ class TestBootstrapErrors:
                                      for rec, n in zip(records, row)])
                       for row in draws]
         assert len({res.nit for res, _, _ in references}) >= 4
-        sigmas = []
-        for slots in (1, 3, 7, 64):
+        sigmas, outputs = [], []
+        for slots in (1, 2, 3, 7, 64):
             monkeypatch.setattr(tomo, "_FIT_SLOTS", slots)
-            x, values, iterations, converged, traces = tomo._lbfgsb(
-                lambda t, rows: objective_and_gradient(t, draws[rows], pairs,
-                                                       projectors),
-                starts, 10_000)
+            round_sizes = set()
+
+            def fun(t, rows):
+                round_sizes.add(len(rows))
+                return objective_and_gradient(t, draws[rows], pairs, projectors)
+
+            x, values, iterations, converged, traces = tomo._lbfgsb(fun, starts, 10_000)
+            assert max(round_sizes) == min(slots, 7)
+            assert (len(round_sizes) > 1) == (slots > 1)
             for r, (res, _, trace) in enumerate(references):
                 assert np.array_equal(x[r], res.x)
                 assert values[r] == res.fun
                 assert iterations[r] == res.nit
                 assert converged[r] == res.success
                 assert tuple(traces[r]) == trace
+            outputs.append((x.tobytes(), np.array(values).tobytes(), iterations,
+                            converged, [np.array(trace).tobytes() for trace in traces]))
             sigmas.append(bootstrap_errors(records, replicas=7, seed=4))
+        assert all(output == outputs[0] for output in outputs)
         assert all(sigma == sigmas[0] for sigma in sigmas)
 
     def test_refilled_slot_evaluates_its_start(self, monkeypatch):
