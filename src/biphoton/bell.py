@@ -84,17 +84,28 @@ def _joint_observable(a: float, b: float) -> np.ndarray:
     return joint
 
 
+def _correlation(mats: np.ndarray, joints: np.ndarray) -> np.ndarray:
+    """tr(rho J), broadcast over the axes before the last two."""
+    return (mats @ joints).trace(axis1=-2, axis2=-1).real
+
+
 def correlation(rho: DensityMatrix, a: float, b: float) -> float:
     """Expectation of the joint +/-1 observable at analyzer angles (a, b)."""
-    joint = _joint_observable(float(a), float(b))
-    return float(np.real(np.trace(rho.matrix @ joint)))
+    return float(_correlation(rho.matrix, _joint_observable(float(a), float(b))))
+
+
+def _chsh_S(mats: np.ndarray, plan: ChshPlan) -> tuple[np.ndarray, np.ndarray]:
+    """The (..., 2, 2) correlations and S of each state along the last two axes."""
+    joints = np.array([[_joint_observable(a, b) for b in plan.bob]
+                       for a in plan.alice])
+    e = _correlation(mats[..., None, None, :, :], joints)
+    return e, np.sum(SIGNS * e, axis=(-2, -1))
 
 
 def chsh_S(rho: DensityMatrix, plan: ChshPlan = OPTIMAL_PLAN) -> ChshResult:
     """Exact-probability CHSH statistic (sigma_S = 0)."""
-    e = np.array([[correlation(rho, a, b) for b in plan.bob]
-                  for a in plan.alice])
-    return ChshResult(e, float(np.sum(SIGNS * e)), 0.0, plan)
+    e, s_val = _chsh_S(rho.matrix, plan)
+    return ChshResult(e, float(s_val), 0.0, plan)
 
 
 def _outcome_angles(a: float, b: float) -> list[tuple[float, float]]:

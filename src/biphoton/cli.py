@@ -154,8 +154,15 @@ def efficiency_budget(stages, solve_total: float | None = None,
 
     `stages` holds (name, efficiency) pairs or bare efficiencies, each in
     (0, 1]. With `solve_total`, the unknown stage is target / product and
-    is reported next to `quoted_unknown` when one is given.
+    is reported next to `quoted_unknown` when one is given. Both lie in
+    (0, 1], as must the solved stage, and `quoted_unknown` needs `solve_total`.
     """
+    for flag, value in (("--solve-total", solve_total),
+                        ("--quoted-unknown", quoted_unknown)):
+        if value is not None and not 0.0 < float(value) <= 1.0:
+            raise ValueError(f"{flag} must be a number in (0, 1], got {float(value)!r}")
+    if quoted_unknown is not None and solve_total is None:
+        raise ValueError("--quoted-unknown needs --solve-total")
     named = []
     for i, entry in enumerate(stages):
         if isinstance(entry, (tuple, list)):
@@ -170,6 +177,9 @@ def efficiency_budget(stages, solve_total: float | None = None,
         raise ValueError("budget needs at least one stage")
     total = float(np.prod([eff for _, eff in named]))
     solved = None if solve_total is None else float(solve_total) / total
+    if solved is not None and solved > 1.0:
+        raise ValueError(f"--solve-total {float(solve_total)!r} over the stage product "
+                         f"{total!r} puts the unknown stage at {solved!r} > 1")
     return EfficiencyBudget(tuple(named), total, solved, quoted_unknown)
 
 

@@ -84,6 +84,24 @@ class PureState:
         return complex(np.vdot(self.amplitudes, other.amplitudes))
 
 
+def _checked_density(mats: np.ndarray) -> np.ndarray:
+    """The Hermitian part of each 4x4 matrix along the last two axes, once
+    all of them pass the `DensityMatrix` checks."""
+    adjoint = mats.conj().swapaxes(-1, -2)
+    if (np.abs(mats - adjoint) > _HERM_TOL).any():
+        raise ValueError("density matrix is not Hermitian")
+    traces = mats.trace(axis1=-2, axis2=-1)
+    off = abs(traces - 1.0) > _TRACE_TOL
+    if off.any():
+        tr = complex(np.ravel(traces)[np.argmax(off)])
+        raise ValueError(f"density matrix trace {tr!r} != 1")
+    mats = 0.5 * (mats + adjoint)
+    if (np.linalg.eigvalsh(mats) < -_PSD_TOL).any():
+        raise ValueError("density matrix has a negative eigenvalue "
+                         "beyond tolerance")
+    return mats
+
+
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """4x4 Hermitian, unit-trace, positive-semidefinite two-qubit state.
@@ -99,16 +117,7 @@ class DensityMatrix:
         mat = np.asarray(self.matrix, dtype=complex)
         if mat.shape != (4, 4):
             raise ValueError("density matrix must be 4x4")
-        if np.max(np.abs(mat - mat.conj().T)) > _HERM_TOL:
-            raise ValueError("density matrix is not Hermitian")
-        tr = complex(np.trace(mat))
-        if abs(tr - 1.0) > _TRACE_TOL:
-            raise ValueError(f"density matrix trace {tr!r} != 1")
-        mat = 0.5 * (mat + mat.conj().T)
-        if float(np.linalg.eigvalsh(mat).min()) < -_PSD_TOL:
-            raise ValueError("density matrix has a negative eigenvalue "
-                             "beyond tolerance")
-        object.__setattr__(self, "matrix", _freeze(mat))
+        object.__setattr__(self, "matrix", _freeze(_checked_density(mat)))
 
     def to_json_dict(self) -> dict:
         """JSON form: real and imaginary parts as row-major 4x4 arrays."""
@@ -203,19 +212,32 @@ def concurrence(rho) -> float:
     rho = X X^H, which avoids the precision loss of a non-Hermitian
     eigenvalue problem.
     """
-    mat = _as_matrix(rho)
-    evals, evecs = np.linalg.eigh(mat)
-    factor = evecs * np.sqrt(np.clip(evals, 0.0, None))
-    lams = np.linalg.svd(factor.T @ _SYSY @ factor, compute_uv=False)
-    return float(max(0.0, lams[0] - lams[1] - lams[2] - lams[3]))
+    return float(_concurrence(_as_matrix(rho)))
+
+
+def _concurrence(mats: np.ndarray) -> np.ndarray:
+    """`concurrence` of each density matrix along the last two axes."""
+    evals, evecs = np.linalg.eigh(mats)
+    factor = evecs * np.sqrt(evals.clip(0.0))[..., None, :]
+    lams = np.linalg.svd(factor.swapaxes(-1, -2) @ _SYSY @ factor, compute_uv=False)
+    l0, l1, l2, l3 = lams.T
+    # max(0.0, gap): adding 0.0 turns a -0.0 into 0.0, as max does.
+    return np.maximum(l0 - l1 - l2 - l3, 0.0) + 0.0
 
 
 def fidelity_with_pure(rho, psi: PureState) -> float:
     """Overlap <psi|rho|psi> of a (mixed) state with a pure target."""
-    mat = _as_matrix(rho)
-    amps = psi.amplitudes
-    value = float(np.real(amps.conj() @ mat @ amps))
-    return min(max(value, 0.0), 1.0)
+    return float(_fidelity_with_pure(_as_matrix(rho), psi.amplitudes))
+
+
+def _fidelity_with_pure(mats: np.ndarray, amps: np.ndarray) -> np.ndarray:
+    """`fidelity_with_pure` of each density matrix along the last two axes.
+    A (1, 4) @ (4, 1) matmul gives one state and each row of a stack the
+    same bits; a stacked vector product does not. `np.where` clips as
+    min(max(value, 0.0), 1.0) does, keeping a -0.0."""
+    row = amps.conj() @ mats
+    value = np.matmul(row[..., None, :], amps[:, None])[..., 0, 0].real
+    return np.where(1.0 < value, 1.0, np.where(0.0 > value, 0.0, value))
 
 
 def purity(rho) -> float:

@@ -338,10 +338,13 @@ def records_from_csv(path) -> list:
         raise ValueError(f"{path} is not a count-record CSV")
     records = []
     for line, row in enumerate(rows[1:], start=2):
-        if len(row) != 4:
-            raise ValueError(f"{path}, line {line}: expected 4 fields, got {len(row)}")
-        label_1, label_2, counts, pairs = row
-        setting = MeasurementSetting(parse_label(label_1), parse_label(label_2),
-                                     label_1, label_2)
-        records.append(CountRecord(setting, float(counts), float(pairs)))
+        try:
+            if len(row) != 4:
+                raise ValueError(f"expected 4 fields, got {len(row)}")
+            label_1, label_2, counts, pairs = row
+            setting = MeasurementSetting(parse_label(label_1), parse_label(label_2),
+                                         label_1, label_2)
+            records.append(CountRecord(setting, float(counts), float(pairs)))
+        except ValueError as exc:
+            raise ValueError(f"{path}, line {line}: {exc}") from None
     return records

@@ -19,8 +19,9 @@ import numpy as np
 
 from biphoton import bell
 from biphoton.qstate import (PAULI_X, PAULI_Y, PAULI_Z, DensityMatrix,
-                             MetricReport, PureState, bell_state, concurrence,
-                             fidelity_with_pure, metric_report)
+                             MetricReport, PureState, _checked_density,
+                             _concurrence, _fidelity_with_pure, bell_state,
+                             metric_report)
 from biphoton.sim import _BOOTSTRAP_STREAM, stream
 
 _PROB_FLOOR = 1e-12
@@ -117,9 +118,10 @@ def _params_from_lower(tri: np.ndarray) -> np.ndarray:
 
 
 def _density_from_params(t: np.ndarray) -> np.ndarray:
+    """T T^H / tr(T T^H) of each parameter vector along the last axis."""
     tri = _lower_from_params(t)
-    gram = tri @ tri.conj().T
-    return gram / np.real(np.trace(gram))
+    gram = tri @ tri.conj().swapaxes(-1, -2)
+    return gram / gram.trace(axis1=-2, axis2=-1).real[..., None, None]
 
 
 def params_from_density(rho, floor: float = _INIT_EIGEN_FLOOR) -> CholeskyParams:
@@ -163,18 +165,24 @@ def _design_matrix(projectors: np.ndarray) -> np.ndarray | None:
 
 def _linear_start(design: np.ndarray | None, counts: np.ndarray,
                   pairs: np.ndarray) -> np.ndarray:
-    """Linear-inversion estimate, or the maximally mixed state when `design`
-    is None or the estimate's trace (the summed H/V-basis frequencies) does
-    not exceed the probability floor."""
+    """Linear-inversion estimate of each row of `counts`, (N,) or (R, N),
+    or the maximally mixed state when `design` is None or the estimate's
+    trace (the summed H/V-basis frequencies) does not exceed the
+    probability floor."""
+    starts = np.broadcast_to(np.eye(4, dtype=complex) / 4.0,
+                             counts.shape[:-1] + (4, 4)).copy()
     if design is not None:
         freqs = counts / pairs
-        coeffs = np.linalg.lstsq(design, freqs, rcond=None)[0]
-        mat = np.einsum("k,kij->ij", coeffs, _HERM_BASIS)
-        mat = 0.5 * (mat + mat.conj().T)
-        trace = np.real(np.trace(mat))
-        if trace > _PROB_FLOOR:
-            return mat / trace
-    return np.eye(4, dtype=complex) / 4.0
+        # One lstsq per row: a multi-RHS lstsq is not bit-equal to it.
+        coeffs = np.array([np.linalg.lstsq(design, row, rcond=None)[0]
+                           for row in freqs.reshape(-1, len(pairs))])
+        mat = np.einsum("...k,kij->...ij", coeffs.reshape(counts.shape[:-1] + (16,)),
+                        _HERM_BASIS)
+        mat = 0.5 * (mat + mat.conj().swapaxes(-1, -2))
+        trace = mat.trace(axis1=-2, axis2=-1).real
+        above = trace > _PROB_FLOOR
+        starts[above] = mat[above] / trace[above, None, None]
+    return starts
 
 
 def linear_inversion(records) -> np.ndarray:
@@ -435,15 +443,11 @@ def bootstrap_errors(records, replicas: int = 200, seed: int = 0, *,
         plan = bell.OPTIMAL_PLAN
     draws = np.array([stream(seed, _BOOTSTRAP_STREAM, r).poisson(counts)
                       if resample else counts for r in range(replicas)], dtype=float)
-    # One lstsq per start: a multi-RHS lstsq is not bit-equal to it.
-    starts = _params_from_densities(np.stack([_linear_start(design, row, pairs)
-                                              for row in draws]))
+    starts = _params_from_densities(_linear_start(design, draws, pairs))
     fits = _lbfgsb(lambda t, rows: objective_and_gradient(
         t, draws[rows], pairs, projectors), starts, 10_000)[0]
-    metrics = np.empty((3, replicas))
-    for r, params in enumerate(fits):
-        rho = CholeskyParams(params).density()
-        metrics[:, r] = (concurrence(rho), fidelity_with_pure(rho, target),
-                         bell.chsh_S(rho, plan).S)
+    rhos = _checked_density(_density_from_params(fits))
+    metrics = (_concurrence(rhos), _fidelity_with_pure(rhos, target.amplitudes),
+               bell._chsh_S(rhos, plan)[1])
     return {name: float(np.std(values, ddof=1))
             for name, values in zip(("concurrence", "fidelity", "S"), metrics)}

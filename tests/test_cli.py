@@ -188,6 +188,19 @@ class TestEfficiencyBudget:
         with pytest.raises(ValueError):
             efficiency_budget([0.5, 0.0])
 
+    @pytest.mark.parametrize("kwargs", [
+        {"solve_total": math.nan}, {"solve_total": 0.0},
+        {"solve_total": 0.6}, {"solve_total": 0.3, "quoted_unknown": math.inf},
+        {"quoted_unknown": 0.3}],
+        ids=["total-nan", "total-zero", "solved-stage-above-1", "quoted-inf",
+             "quoted-without-total"])
+    def test_rejects_bad_solve_inputs(self, kwargs):
+        with pytest.raises(ValueError):
+            efficiency_budget([0.5], **kwargs)
+
+    def test_solved_stage_of_exactly_1(self):
+        assert efficiency_budget([0.5], solve_total=0.5).solved_unknown == 1.0
+
     def test_total_is_order_invariant(self):
         a = efficiency_budget([0.3, 0.9, 0.5]).total
         b = efficiency_budget([0.9, 0.5, 0.3]).total
@@ -487,6 +500,23 @@ class TestCommandLine:
     def test_invalid_budget_exits_nonzero(self, capsys):
         assert cli.main(["budget", "0.0"]) == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["0.5", "--solve-total", "nan"], "--solve-total"),
+        (["0.5", "--solve-total", "inf"], "--solve-total"),
+        (["0.5", "--solve-total", "-1"], "--solve-total"),
+        (["0.5", "--solve-total", "0.9"], "--solve-total"),
+        (["0.5", "--solve-total", "0.4", "--quoted-unknown", "nan"], "--quoted-unknown"),
+        (["0.5", "--solve-total", "0.4", "--quoted-unknown", "1.5"], "--quoted-unknown"),
+        (["0.5", "--quoted-unknown", "0.3"], "--quoted-unknown"),
+    ], ids=["total-nan", "total-inf", "total-negative", "solved-stage-above-1",
+            "quoted-nan", "quoted-above-1", "quoted-without-total"])
+    def test_bad_budget_flag_exits_2(self, capsys, argv, flag):
+        assert cli.main(["budget", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert flag in captured.err
 
 
 class TestScenarioFuzz:

@@ -272,6 +272,21 @@ class TestRecordCsv:
             records_from_csv(path)
         assert str(info.value) == f"{path}, line 3: expected 4 fields, got {fields}"
 
+    @pytest.mark.parametrize("row, message", [
+        ("H,H,abc,100", "could not convert string to float: 'abc'"),
+        ("Q,H,5,100", "unknown polarization label 'Q'; expected one of "
+                      "['A', 'D', 'H', 'L', 'R', 'V']"),
+        ("lin:x,H,5,100", "could not convert string to float: 'x'"),
+        ("H,H,-5,100", "counts must be finite and non-negative"),
+    ], ids=["counts-not-a-number", "unknown-label", "bad-angle", "negative-counts"])
+    def test_bad_row_names_file_and_line(self, tmp_path, row, message):
+        path = tmp_path / "counts.csv"
+        path.write_text("setting_1,setting_2,counts,expected_pairs\n"
+                        f"H,H,5,100\n{row}\nV,V,2,100\n")
+        with pytest.raises(ValueError) as info:
+            records_from_csv(path)
+        assert str(info.value) == f"{path}, line 3: {message}"
+
     def test_non_finite_count_rejected(self, tmp_path):
         path = tmp_path / "counts.csv"
         path.write_text("setting_1,setting_2,counts,expected_pairs\nH,H,nan,100\n")

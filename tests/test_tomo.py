@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
-from biphoton import bell, tomo
+from biphoton import bell, qstate, tomo
 from biphoton.cli import BUILTIN_SCENARIOS, builtin_scenario, resolve_model
 from biphoton.optics import depolarize
-from biphoton.qstate import (PureState, bell_state, concurrence,
-                             fidelity_with_pure, maximally_mixed,
-                             random_density, to_density)
+from biphoton.qstate import (PAULI_Y, DensityMatrix, PureState, bell_state,
+                             concurrence, fidelity_with_pure, maximally_mixed,
+                             random_density, random_pure, to_density)
 from biphoton.sim import (_BOOTSTRAP_STREAM, CountRecord, MeasurementSetting,
                           acquire_tomography, exact_tomography, stream,
                           tomography_plan)
@@ -32,8 +32,8 @@ def reference_fit(records, init=None, max_iterations=10_000):
     call, and the objective at the start plus after every iteration."""
     projectors, counts, pairs = record_arrays(records)
     if init is None:
-        init = tomo._linear_start(tomo._design_matrix(projectors), counts, pairs)
-    t0 = params_from_density(init).t
+        init = reference_linear_start(tomo._design_matrix(projectors), counts, pairs)
+    t0 = reference_params(getattr(init, "matrix", init))
 
     def fun(t):
         return objective_and_gradient(t, counts, pairs, projectors)
@@ -44,7 +44,7 @@ def reference_fit(records, init=None, max_iterations=10_000):
                        intermediate_result.fun),
                    options={"maxiter": max_iterations, "ftol": 1e-9,
                             "gtol": 1e-10, "maxfun": 10 * max_iterations})
-    return res, CholeskyParams(res.x).density(), tuple(trace)
+    return res, reference_checks(reference_density(res.x)), tuple(trace)
 
 
 def reference_pack(tri):
@@ -86,6 +86,63 @@ def reference_params(mat, floor=tomo._INIT_EIGEN_FLOOR):
     mat = (evecs * evals) @ evecs.conj().T
     mat /= np.real(np.trace(mat))
     return reference_pack(np.linalg.cholesky(mat))
+
+
+def reference_linear_start(design, counts, pairs):
+    """The one-row body of the linear-inversion start."""
+    if design is not None:
+        freqs = counts / pairs
+        coeffs = np.linalg.lstsq(design, freqs, rcond=None)[0]
+        mat = np.einsum("k,kij->ij", coeffs, tomo._HERM_BASIS)
+        mat = 0.5 * (mat + mat.conj().T)
+        trace = np.real(np.trace(mat))
+        if trace > tomo._PROB_FLOOR:
+            return mat / trace
+    return np.eye(4, dtype=complex) / 4.0
+
+
+def reference_density(t):
+    """The one-vector body of T T^H / tr(T T^H)."""
+    tri = tomo._lower_from_params(t)
+    gram = tri @ tri.conj().T
+    return gram / np.real(np.trace(gram))
+
+
+def reference_checks(mat):
+    """The one-matrix body of the DensityMatrix checks: Hermitian, unit
+    trace, no eigenvalue below -1e-9; returns the Hermitian part."""
+    if np.max(np.abs(mat - mat.conj().T)) > 1e-10:
+        raise ValueError("density matrix is not Hermitian")
+    tr = complex(np.trace(mat))
+    if abs(tr - 1.0) > 1e-10:
+        raise ValueError(f"density matrix trace {tr!r} != 1")
+    mat = 0.5 * (mat + mat.conj().T)
+    if float(np.linalg.eigvalsh(mat).min()) < -1e-9:
+        raise ValueError("density matrix has a negative eigenvalue "
+                         "beyond tolerance")
+    return mat
+
+
+def reference_concurrence(mat):
+    """The one-matrix body of concurrence."""
+    evals, evecs = np.linalg.eigh(mat)
+    factor = evecs * np.sqrt(np.clip(evals, 0.0, None))
+    lams = np.linalg.svd(factor.T @ np.kron(PAULI_Y, PAULI_Y) @ factor,
+                         compute_uv=False)
+    return float(max(0.0, lams[0] - lams[1] - lams[2] - lams[3]))
+
+
+def reference_fidelity(mat, amps):
+    """The one-matrix body of fidelity_with_pure."""
+    value = float(np.real(amps.conj() @ mat @ amps))
+    return min(max(value, 0.0), 1.0)
+
+
+def reference_chsh_S(mat, plan):
+    """The one-matrix bodies of correlation and chsh_S: E and S."""
+    e = np.array([[float(np.real(np.trace(mat @ bell._joint_observable(a, b))))
+                   for b in plan.bob] for a in plan.alice])
+    return e, float(np.sum(bell.SIGNS * e))
 
 
 def central_differences(t, counts, pairs, projectors, step):
@@ -289,11 +346,151 @@ class TestStackedStarts:
             assert params_from_density(mat).t.tobytes() == row.tobytes()
 
 
+def ginibre_states(rng, rows, rank):
+    """`rows` unit-trace states G G^H / tr of the given rank, Hermitian only
+    to rounding, as the fits leave them."""
+    g = rng.standard_normal((rows, 4, rank)) + 1j * rng.standard_normal((rows, 4, rank))
+    gram = g @ g.conj().transpose(0, 2, 1)
+    return gram / gram.trace(axis1=1, axis2=2).real.reshape(-1, 1, 1)
+
+
+def assert_tail_matches(raw, target, plan):
+    """The stacked checks and metrics of `raw`, (4, 4) or (R, 4, 4), against
+    the one-state reference bodies of each row, compared by their bytes.
+    Up to 7 rows also go through the public one-state functions."""
+    rows = raw.reshape(-1, 4, 4)
+    checked = np.stack([reference_checks(mat) for mat in rows])
+    chsh = [reference_chsh_S(mat, plan) for mat in checked]
+    expected = {
+        "concurrence": np.array([reference_concurrence(mat) for mat in checked]),
+        "fidelity": np.array([reference_fidelity(mat, target.amplitudes)
+                              for mat in checked]),
+        "E": np.stack([e for e, _ in chsh]),
+        "S": np.array([s_val for _, s_val in chsh]),
+    }
+    mats = qstate._checked_density(raw)
+    e, s_val = bell._chsh_S(mats, plan)
+    got = {
+        "concurrence": qstate._concurrence(mats),
+        "fidelity": qstate._fidelity_with_pure(mats, target.amplitudes),
+        "E": e,
+        "S": s_val,
+    }
+    assert mats.shape == raw.shape and mats.tobytes() == checked.tobytes()
+    for name, values in got.items():
+        assert values.shape == raw.shape[:-2] + expected[name].shape[1:], name
+        assert values.tobytes() == expected[name].tobytes(), name
+    for r, mat in enumerate(rows[:7]):
+        rho = DensityMatrix(mat)
+        result = bell.chsh_S(rho, plan)
+        floats = {
+            "concurrence": concurrence(rho),
+            "fidelity": fidelity_with_pure(rho, target),
+            "S": result.S,
+        }
+        assert rho.matrix.tobytes() == checked[r].tobytes()
+        assert result.E.tobytes() == expected["E"][r].tobytes()
+        for name, value in floats.items():
+            assert type(value) is float, name
+            assert np.float64(value).tobytes() == expected[name][r].tobytes(), name
+        corr = bell.correlation(rho, plan.alice[1], plan.bob[0])
+        assert np.float64(corr).tobytes() == expected["E"][r][1, 0].tobytes()
+    return checked
+
+
+class TestStackedTail:
+    """The density, checks and metrics of a stack against the one-state
+    reference bodies, compared by their bytes so that the signs of zeros
+    count too."""
+
+    @pytest.mark.parametrize("rank", [1, 2, 4])
+    @pytest.mark.parametrize("rows", [None, 1, 7, 200])
+    def test_random_states(self, rows, rank):
+        rng = np.random.default_rng(1000 * rank + (rows or 0))
+        raw = ginibre_states(rng, rows or 1, rank)
+        plan = bell.ChshPlan(rng.uniform(0, np.pi, 2), rng.uniform(0, np.pi, 2))
+        for target in (bell_state("phi+"), random_pure(rng)):
+            checked = assert_tail_matches(raw[0] if rows is None else raw,
+                                          target, plan)
+        if rank == 1 and rows == 200:
+            # The clip in concurrence is active: rank-deficient states keep
+            # rounding-sized negative eigenvalues.
+            assert (np.linalg.eigvalsh(checked) < 0.0).sum() > 100
+
+    @pytest.mark.parametrize("name", BUILTIN_SCENARIOS)
+    def test_fitted_replicas_of_builtins(self, name):
+        config = builtin_scenario(name)
+        model = resolve_model(config)
+        records = acquire_tomography(model.state, tomography_plan(config.tomography_plan),
+                                     model.effective_pairs, config.seed)
+        projectors, counts, pairs = record_arrays(records)
+        design = tomo._design_matrix(projectors)
+        draws = np.array([stream(config.seed, _BOOTSTRAP_STREAM, r).poisson(counts)
+                          for r in range(config.bootstrap_replicas)], dtype=float)
+        starts = tomo._linear_start(design, draws, pairs)
+        expected = np.stack([reference_linear_start(design, row, pairs) for row in draws])
+        assert len(draws) == 200 and starts.tobytes() == expected.tobytes()
+        fits = tomo._lbfgsb(lambda t, rows: objective_and_gradient(
+            t, draws[rows], pairs, projectors), tomo._params_from_densities(starts),
+            10_000)[0]
+        raw = tomo._density_from_params(fits)
+        assert raw.tobytes() == np.stack([reference_density(t) for t in fits]).tobytes()
+        assert tomo._density_from_params(fits[0]).tobytes() == raw[0].tobytes()
+        assert_tail_matches(raw, model.target, bell.OPTIMAL_PLAN)
+
+    def test_linear_start_stack_with_rows_under_the_floor(self):
+        records = sampled_records(random_density(np.random.default_rng(11)), 1e3, 11)
+        projectors, counts, pairs = record_arrays(records)
+        design = tomo._design_matrix(projectors)
+        hv = np.array([set(rec.setting.label_1 + rec.setting.label_2) <= set("HV")
+                       for rec in records])
+        draws = np.stack([counts, np.where(hv, 0.0, counts), np.zeros_like(counts),
+                          counts[::-1]])
+        assert hv.sum() == 4
+        mixed = np.eye(4, dtype=complex) / 4.0
+        # Rows 1 and 2 count nothing in the H/V basis: their traces are under
+        # the floor and they fall back to the maximally mixed state, as every
+        # row does without a design matrix.
+        for plan_design, fallbacks in ((design, [False, True, True, False]),
+                                       (None, [True] * 4)):
+            expected = np.stack([reference_linear_start(plan_design, row, pairs)
+                                 for row in draws])
+            assert [np.array_equal(start, mixed) for start in expected] == fallbacks
+            starts = tomo._linear_start(plan_design, draws, pairs)
+            assert starts.tobytes() == expected.tobytes()
+            for row, start in zip(draws, expected):
+                assert tomo._linear_start(plan_design, row, pairs).tobytes() == start.tobytes()
+
+    @pytest.mark.parametrize("fault, message", [
+        ("non-Hermitian", "density matrix is not Hermitian"),
+        ("trace-2", "density matrix trace ("),
+        ("negative-eigenvalue", "density matrix has a negative eigenvalue"),
+    ])
+    def test_one_bad_row_raises_its_message(self, fault, message):
+        mats = ginibre_states(np.random.default_rng(17), 7, 4)
+        bad = {
+            "non-Hermitian": mats[3] + np.triu(np.full((4, 4), 1e-6), 1),
+            "trace-2": 2.0 * mats[3],
+            "negative-eigenvalue": np.diag([0.5, 0.5, 0.25, -0.25]).astype(complex),
+        }[fault]
+        with pytest.raises(ValueError) as reference:
+            reference_checks(bad)
+        mats[3] = bad
+        for given in (mats, bad):
+            with pytest.raises(ValueError) as info:
+                qstate._checked_density(given)
+            assert str(info.value) == str(reference.value)
+        with pytest.raises(ValueError) as info:
+            DensityMatrix(bad)
+        assert str(info.value) == str(reference.value)
+        assert str(info.value).startswith(message)
+
+
 def assert_matches_reference(records, **kwargs):
     result = mle_reconstruct(records, **kwargs)
-    res, rho, trace = reference_fit(records, **kwargs)
+    res, mat, trace = reference_fit(records, **kwargs)
     max_iterations = kwargs.get("max_iterations", 10_000)
-    assert np.array_equal(result.rho.matrix, rho.matrix)
+    assert np.array_equal(result.rho.matrix, mat)
     assert result.likelihood == res.fun
     assert result.iterations == res.nit
     assert result.converged == (res.success and res.nit < max_iterations)
@@ -430,16 +627,17 @@ class TestMleReconstruct:
 
 def reference_bootstrap(records, replicas, seed, target):
     """Bootstrap as a plain loop: rebuild the records with each replica's
-    redrawn counts and fit each through `reference_fit`."""
+    redrawn counts, fit each through `reference_fit` and take its metrics
+    with the one-state reference bodies."""
     conc, fid, s_val = [], [], []
     for r in range(replicas):
         rng = stream(seed, _BOOTSTRAP_STREAM, r)
         replica = [dataclasses.replace(rec, counts=float(rng.poisson(rec.counts)))
                    for rec in records]
-        rho = reference_fit(replica)[1]
-        conc.append(concurrence(rho))
-        fid.append(fidelity_with_pure(rho, target))
-        s_val.append(bell.chsh_S(rho, bell.OPTIMAL_PLAN).S)
+        mat = reference_fit(replica)[1]
+        conc.append(reference_concurrence(mat))
+        fid.append(reference_fidelity(mat, target.amplitudes))
+        s_val.append(reference_chsh_S(mat, bell.OPTIMAL_PLAN)[1])
     return {"concurrence": float(np.std(conc, ddof=1)),
             "fidelity": float(np.std(fid, ddof=1)),
             "S": float(np.std(s_val, ddof=1))}
