@@ -229,11 +229,14 @@ def _as_float(value, what: str) -> float:
 
 def _pop_param(params: dict, kind: str, key: str,
                default: float | None = None) -> float:
-    """Remove the numeric parameter `key` of a `kind` channel from `params`;
-    without a `default` it is required."""
+    """Remove the finite numeric parameter `key` of a `kind` channel from
+    `params`; without a `default` it is required."""
     if key not in params and default is None:
         raise ValueError(f"{kind} needs {key}")
-    return _as_float(params.pop(key, default), f"{kind} {key}")
+    value = _as_float(params.pop(key, default), f"{kind} {key}")
+    if not math.isfinite(value):
+        raise ValueError(f"{kind} {key} must be finite, got {value!r}")
+    return value
 
 
 def _pop_coupler_etas(params: dict) -> tuple[float, float]:
@@ -389,7 +392,7 @@ def _output_dir(config: ScenarioConfig) -> Path:
 
 
 def _write_json(path: Path, payload: dict) -> str:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    sim.write_artifact(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return path.name
 
 
@@ -401,7 +404,7 @@ def _write_fringes(outdir: Path, fringes: dict) -> tuple:
               "fringe_biphoton_d.csv": fringes["biphoton_d"].values}
     for name, values in curves.items():
         rows = [f"{float(a)!r},{float(v)!r}" for a, v in zip(_FRINGE_GRID, values)]
-        (outdir / name).write_text("\n".join(["angle_rad,value", *rows]) + "\n")
+        sim.write_artifact(outdir / name, "\n".join(["angle_rad,value", *rows]) + "\n")
     return tuple(curves)
 
 

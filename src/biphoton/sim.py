@@ -10,6 +10,8 @@ the outcome.
 from __future__ import annotations
 
 import csv
+import io
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -321,14 +323,35 @@ def exact_tomography(rho: DensityMatrix, settings, mean_pairs: float) -> list:
             for s in settings]
 
 
+def _open_in_place(path, flags: int) -> int:
+    """`os.open` for `open`'s "w" mode without O_TRUNC: an existing file
+    keeps its length until `write_artifact` cuts it."""
+    return os.open(path, flags & ~os.O_TRUNC, 0o666)
+
+
+def write_artifact(path, text: str, newline: str | None = None) -> None:
+    """Write `text` to `path` through the text layer of `open(path, "w")`.
+
+    A new file is created as `open` creates it. An existing one is
+    overwritten in place and then cut to the new length, never truncated
+    to zero first: on ext4 a truncate-and-rewrite costs several times the
+    write. A crash mid-write can leave a partly rewritten file, which
+    writing it again repairs. `newline` is `open`'s.
+    """
+    with open(path, "w", newline=newline, opener=_open_in_place) as fh:
+        fh.write(text)
+        fh.truncate()
+
+
 def records_to_csv(records, path) -> None:
     """Write records as CSV columns setting_1, setting_2, counts, expected_pairs."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["setting_1", "setting_2", "counts", "expected_pairs"])
-        for rec in records:
-            writer.writerow([rec.setting.label_1, rec.setting.label_2,
-                             repr(rec.counts), repr(rec.expected_pairs)])
+    buffer = io.StringIO(newline="")
+    writer = csv.writer(buffer)
+    writer.writerow(["setting_1", "setting_2", "counts", "expected_pairs"])
+    for rec in records:
+        writer.writerow([rec.setting.label_1, rec.setting.label_2,
+                         repr(rec.counts), repr(rec.expected_pairs)])
+    write_artifact(path, buffer.getvalue(), newline="")
 
 
 def records_from_csv(path) -> list:

@@ -95,6 +95,11 @@ MALFORMED_SCENARIOS = [
     (None, "singles_extinction: -5\n", "singles_extinction"),
     (None, "tomography_plan: xyz\n", "tomography_plan"),
     ("mean_pairs", "mean_pairs: 1.0e+300\n", "mean_pairs"),
+    (None, "channel_chain:\n  - {kind: polarizer, angle: .inf}\n", "polarizer angle"),
+    (None, "channel_chain:\n  - {kind: waveplate, retardance: .nan}\n",
+     "waveplate retardance"),
+    (None, "channel_chain:\n  - {kind: waveplate, retardance: 1.5, angle: -.inf}\n",
+     "waveplate angle"),
 ]
 MALFORMED_IDS = [
     "coupler-without-eta_h", "channel-without-kind", "yaml-syntax",
@@ -107,7 +112,8 @@ MALFORMED_IDS = [
     "channel_chain-a-bool", "arm-infinite", "coupler-ratio-zero",
     "noise_fit_concurrence-nan", "arm-not-an-integer", "name-a-list",
     "mean_pairs-infinite", "singles_extinction-below-1", "tomography_plan-unknown",
-    "mean_pairs-too-large"]
+    "mean_pairs-too-large", "polarizer-angle-infinite", "waveplate-retardance-nan",
+    "waveplate-angle-minus-infinite"]
 
 
 def malformed_scenario(dropped, text, outputs) -> str:
@@ -462,6 +468,51 @@ class TestCommandLine:
             written.append((tmp_path / "out" / "chsh.json").read_bytes())
         assert written[1] != written[0]
         assert written[2] == written[0]
+
+    @pytest.mark.parametrize("command", ["run", "fringe", "chsh"])
+    def test_rerun_into_the_same_outputs_is_byte_identical(self, tmp_path, command):
+        # Each artifact is rewritten in place: a rerun over another seed's
+        # files, of other lengths, must leave exactly a fresh run's bytes.
+        path = tmp_path / "tiny.yaml"
+        path.write_text(yaml.safe_dump({
+            "name": "tiny", "source": "phi+", "noise_p": 0.05, "mean_pairs": 500,
+            "seed": 3, "outputs": str(tmp_path / "out"), "bootstrap_replicas": 0}))
+
+        def files(outdir):
+            return {p.name: p.read_bytes() for p in sorted(outdir.iterdir())}
+
+        for seed, outputs in (("3", "fresh"), ("3", "out"), ("5", "out"), ("3", "out")):
+            assert cli.main([command, str(path), "--seed", seed,
+                             "--outputs", str(tmp_path / outputs)]) == 0
+            if seed == "5":
+                assert files(tmp_path / "out") != files(tmp_path / "fresh")
+        assert files(tmp_path / "out") == files(tmp_path / "fresh")
+
+    @pytest.mark.parametrize("command, artifact", [
+        ("run", "counts.csv"), ("fringe", "fringe_biphoton_h.csv"),
+        ("chsh", "chsh.json")])
+    @pytest.mark.parametrize("blocker", ["read-only-file", "directory"])
+    def test_unwritable_artifact_exits_2(self, tmp_path, capsys, command, artifact,
+                                         blocker):
+        path = tmp_path / "tiny.yaml"
+        path.write_text(yaml.safe_dump({
+            "name": "tiny", "source": "phi+", "noise_p": 0.05, "mean_pairs": 500,
+            "seed": 3, "outputs": str(tmp_path / "out"), "bootstrap_replicas": 0}))
+        target = tmp_path / "out" / artifact
+        if blocker == "directory":
+            target.mkdir(parents=True)
+        else:
+            assert cli.main([command, str(path)]) == 0
+            target.chmod(0o444)
+            if os.access(target, os.W_OK):
+                pytest.skip("this user writes read-only files (root)")
+        before = target.read_bytes() if target.is_file() else None
+        capsys.readouterr()
+        assert cli.main([command, str(path), "--seed", "5"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert artifact in err
+        assert (target.read_bytes() if target.is_file() else None) == before
 
     def test_module_entry_point_runs_without_warnings(self):
         src = str(Path(cli.__file__).resolve().parents[1])

@@ -1,5 +1,7 @@
 """Tests for coincidence probabilities, sampling and fringe generation."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -117,6 +119,11 @@ class TestSinglePhotonFringe:
         curve = single_photon_fringe(h_state_with_leak(leak), 1.0, 1.0, angles)
         assert curve.values.max() / curve.values.min() == pytest.approx(25.0, rel=1e-9)
         assert curve.visibility == pytest.approx(24.0 / 26.0, abs=1e-9)
+
+    def test_extinction_of_exactly_1_rejected(self):
+        # A ratio of 1 is no fringe at all: the leak would be 1/2.
+        with pytest.raises(ValueError, match="exceed 1"):
+            leak_fraction_for_extinction(1.0)
 
     def test_extinction_accounts_for_coupler(self):
         eta_h, eta_v = 0.403, 0.403 / 1.78
@@ -292,3 +299,44 @@ class TestRecordCsv:
         path.write_text("setting_1,setting_2,counts,expected_pairs\nH,H,nan,100\n")
         with pytest.raises(ValueError, match="finite"):
             records_from_csv(path)
+
+
+class TestWriteArtifact:
+    def test_shorter_rewrite_leaves_no_stale_tail(self, tmp_path):
+        path, plain = tmp_path / "artifact.txt", tmp_path / "plain.txt"
+        sim.write_artifact(path, "0123456789\n" * 50)
+        sim.write_artifact(path, "short\nfile\n")
+        plain.write_text("short\nfile\n")
+        assert path.read_bytes() == plain.read_bytes()
+
+    def test_longer_rewrite_and_new_file_match_a_plain_write(self, tmp_path):
+        path, plain = tmp_path / "artifact.txt", tmp_path / "plain.txt"
+        sim.write_artifact(path, "ab\n")
+        sim.write_artifact(path, "abc\ndef\n" * 10)
+        plain.write_text("abc\ndef\n" * 10)
+        assert path.read_bytes() == plain.read_bytes()
+
+    def test_existing_file_is_never_truncated_to_zero(self, tmp_path, monkeypatch):
+        flags = []
+        real_open = os.open
+
+        def recording_open(path, flag, *args):
+            flags.append(flag)
+            return real_open(path, flag, *args)
+
+        path = tmp_path / "artifact.txt"
+        path.write_text("old text\n")
+        monkeypatch.setattr(os, "open", recording_open)
+        sim.write_artifact(path, "new\n")
+        assert len(flags) == 1 and flags[0] & os.O_CREAT and not flags[0] & os.O_TRUNC
+
+    def test_csv_rewritten_with_fewer_records(self, tmp_path):
+        records = acquire_tomography(to_density(bell_state("phi+")),
+                                     tomography_plan(), 3000, 4)
+        path, fresh = tmp_path / "counts.csv", tmp_path / "fresh.csv"
+        records_to_csv(records, path)
+        records_to_csv(records[:3], path)
+        records_to_csv(records[:3], fresh)
+        assert path.read_bytes() == fresh.read_bytes()
+        assert path.read_bytes().count(b"\r\n") == 4
+        assert [r.counts for r in records_from_csv(path)] == [r.counts for r in records[:3]]

@@ -223,6 +223,37 @@ class TestLinearInversion:
         with pytest.raises(ValueError, match="rank deficient"):
             linear_inversion(records)
 
+    @staticmethod
+    def tilted_plan_records(tilt):
+        """Exact records of the plan with its (H, R) analyzer replaced by D
+        turned `tilt` radians towards R: at tilt 0 it repeats (H, D), and
+        the design matrix's condition number is about 6.4944 / tilt."""
+        settings = list(PLAN)
+        ket_2 = np.array([1.0, np.exp(1j * tilt)]) / np.sqrt(2.0)
+        settings[3] = MeasurementSetting(settings[3].ket_1, ket_2, "H", "tilted")
+        return exact_tomography(to_density(bell_state("phi+")), settings, 10000)
+
+    @staticmethod
+    def design_condition(records):
+        projectors, _, _ = record_arrays(records)
+        design = np.real(np.einsum("nij,kji->nk", projectors, tomo._HERM_BASIS))
+        singulars = np.linalg.svd(design, compute_uv=False)
+        return singulars[0] / singulars[-1]
+
+    def test_plan_just_below_the_condition_limit_accepted(self):
+        records = self.tilted_plan_records(6.6e-6)
+        assert 0.98e6 < self.design_condition(records) < 1e6
+        # Exact counts still invert to the state, to about cond * eps.
+        estimate = linear_inversion(records)
+        rho = to_density(bell_state("phi+")).matrix
+        assert np.max(np.abs(estimate - rho)) <= 1e-8
+
+    def test_plan_just_above_the_condition_limit_rejected(self):
+        records = self.tilted_plan_records(6.4e-6)
+        assert 1e6 < self.design_condition(records) < 1.02e6
+        with pytest.raises(ValueError, match="rank deficient"):
+            linear_inversion(records)
+
 
 class TestGradient:
     def test_matches_central_differences(self):
