@@ -9,6 +9,7 @@ quantum states.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -16,8 +17,7 @@ import numpy as np
 
 from biphoton.qstate import DensityMatrix, linear_ket
 from biphoton.sim import (CountRecord, MeasurementSetting, _CHSH_STREAM,
-                          _format_label, coincidence_probability,
-                          sample_counts, stream)
+                          coincidence_probability, sample_counts, stream)
 
 #: Sign of each correlation in S, indexed [alice setting][bob setting].
 SIGNS = np.array([[1.0, -1.0], [1.0, 1.0]])
@@ -94,11 +94,18 @@ def correlation(rho: DensityMatrix, a: float, b: float) -> float:
     return float(_correlation(rho.matrix, _joint_observable(float(a), float(b))))
 
 
-def _chsh_S(mats: np.ndarray, plan: ChshPlan) -> tuple[np.ndarray, np.ndarray]:
-    """The (..., 2, 2) correlations and S of each state along the last two axes."""
+@lru_cache(maxsize=16)
+def _plan_joints(plan: ChshPlan) -> np.ndarray:
+    """The (2, 2, 4, 4) joint observables of `plan`, [alice][bob], read-only."""
     joints = np.array([[_joint_observable(a, b) for b in plan.bob]
                        for a in plan.alice])
-    e = _correlation(mats[..., None, None, :, :], joints)
+    joints.setflags(write=False)
+    return joints
+
+
+def _chsh_S(mats: np.ndarray, plan: ChshPlan) -> tuple[np.ndarray, np.ndarray]:
+    """The (..., 2, 2) correlations and S of each state along the last two axes."""
+    e = _correlation(mats[..., None, None, :, :], _plan_joints(plan))
     return e, np.sum(SIGNS * e, axis=(-2, -1))
 
 
@@ -108,14 +115,23 @@ def chsh_S(rho: DensityMatrix, plan: ChshPlan = OPTIMAL_PLAN) -> ChshResult:
     return ChshResult(e, float(s_val), 0.0, plan)
 
 
-def _outcome_angles(a: float, b: float) -> list[tuple[float, float]]:
-    # Outcome order per pair: ++, +-, -+, --
+def _outcome_settings(a: float, b: float) -> tuple[MeasurementSetting, ...]:
+    """The settings of outcomes ++, +-, -+, -- at analyzer angles (a, b).
+
+    Built once per process: the settings are frozen and their kets
+    read-only. The cache key carries the signs of the angles, since 0.0
+    and -0.0 are equal but label differently (lin:0, lin:-0).
+    """
+    return _signed_outcome_settings(a, b, math.copysign(1.0, a),
+                                    math.copysign(1.0, b))
+
+
+@lru_cache(maxsize=64)
+def _signed_outcome_settings(a: float, b: float, sign_a: float,
+                             sign_b: float) -> tuple[MeasurementSetting, ...]:
     half_pi = np.pi / 2
-    return [(a, b), (a, b + half_pi), (a + half_pi, b), (a + half_pi, b + half_pi)]
-
-
-def _outcome_settings(a: float, b: float) -> list[MeasurementSetting]:
-    return [MeasurementSetting.of(x, y) for x, y in _outcome_angles(a, b)]
+    return tuple(MeasurementSetting.of(x, y)
+                 for x in (a, a + half_pi) for y in (b, b + half_pi))
 
 
 def _pair_angles(plan: ChshPlan) -> list[tuple[float, float]]:
@@ -159,8 +175,8 @@ def chsh_from_counts(records, plan: ChshPlan = OPTIMAL_PLAN) -> ChshResult:
     records = list(records)
     if len(records) != 16:
         raise ValueError(f"expected 16 outcome records, got {len(records)}")
-    expected = [(_format_label(x), _format_label(y)) for a, b in _pair_angles(plan)
-                for x, y in _outcome_angles(a, b)]
+    expected = [(s.label_1, s.label_2) for a, b in _pair_angles(plan)
+                for s in _outcome_settings(a, b)]
     for i, (rec, labels) in enumerate(zip(records, expected)):
         if (rec.setting.label_1, rec.setting.label_2) != labels:
             raise ValueError(f"record {i} is at setting {rec.setting.label_1}/"

@@ -463,13 +463,20 @@ def run_scenario(config: ScenarioConfig) -> ScenarioReport:
         "converged": result.converged,
     }
 
-    sim.records_to_csv(records, outdir / "counts.csv")
-    written = ["counts.csv",
-               _write_json(outdir / "density_matrix.json", result.rho.to_json_dict()),
-               _write_json(outdir / "tomography.json", result.to_json_dict()),
-               _write_json(outdir / "metrics.json", metrics_payload),
-               _write_chsh(outdir, chsh_result, chsh_model),
-               *_write_fringes(outdir, fringes)]
+    try:
+        sim.records_to_csv(records, outdir / "counts.csv")
+        written = ["counts.csv",
+                   _write_json(outdir / "density_matrix.json",
+                               result.rho.to_json_dict()),
+                   _write_json(outdir / "tomography.json", result.to_json_dict()),
+                   _write_json(outdir / "metrics.json", metrics_payload),
+                   _write_chsh(outdir, chsh_result, chsh_model),
+                   *_write_fringes(outdir, fringes)]
+    except BaseException:
+        # The files written so far belong to this run and the rest to an
+        # earlier one: no manifest may name that mixed set.
+        (outdir / "manifest.json").unlink(missing_ok=True)
+        raise
     manifest = {
         "scenario": config.name,
         "seed": config.seed,

@@ -31,12 +31,26 @@ PLAN_HVDR16 = "hvdr16"
 
 _PLAN_LABELS = ("H", "V", "D", "R")
 
+#: Entropy words below this fit one uint32 each.
+_WORD_LIMIT = 1 << 32
+
 
 def stream(seed: int, *key: int) -> np.random.Generator:
-    """Deterministic child generator for (seed, *key)."""
+    """Deterministic child generator for (seed, *key).
+
+    The entropy words [seed, *key] seed a `SeedSequence`, which seeds a
+    PCG64 generator, as `default_rng` would. Words that all fit in 32 bits
+    go in as one uint32 array, the same pool at about half the cost of the
+    list; any other words go in as the list, which raises on a negative
+    one. (The range is checked up front: numpy 1.24 wraps an out-of-range
+    int into uint32 with a warning instead of raising.)
+    """
     if seed < 0:
         raise ValueError("seed must be a non-negative integer")
-    return np.random.default_rng(np.random.SeedSequence([int(seed), *map(int, key)]))
+    words = [int(seed), *map(int, key)]
+    if all(0 <= word < _WORD_LIMIT for word in words):
+        words = np.array(words, dtype=np.uint32)
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(words)))
 
 
 def _format_label(which) -> str:

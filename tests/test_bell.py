@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from biphoton import bell
 from biphoton.bell import (ChshPlan, ChshResult, OPTIMAL_PLAN, SIGNS,
                            chsh_S, chsh_from_counts, correlation,
                            exact_chsh_counts, simulate_chsh_counts)
@@ -152,11 +153,16 @@ class TestChshFromCounts:
                               *records[4:]])
 
     def test_records_of_another_plan_rejected(self):
-        plan = ChshPlan((0.1, 0.9), (0.3, 1.2))
-        records = exact_chsh_counts(to_density(bell_state("phi+")), plan, 1000)
-        assert chsh_from_counts(records, plan).plan == plan
-        with pytest.raises(ValueError, match="record 0"):
-            chsh_from_counts(records)
+        # Each plan's expected labels come from its own cached settings.
+        rho = to_density(bell_state("phi+"))
+        plans = (ChshPlan((0.1, 0.9), (0.3, 1.2)), ChshPlan((0.2, 1.1), (0.5, 1.4)))
+        for plan, other in zip(plans, plans[::-1]):
+            records = exact_chsh_counts(rho, plan, 1000)
+            assert chsh_from_counts(records, plan).plan == plan
+            with pytest.raises(ValueError, match="record 0"):
+                chsh_from_counts(records)
+            with pytest.raises(ValueError, match="record 0"):
+                chsh_from_counts(records, other)
 
     def test_record_count_validation(self):
         with pytest.raises(ValueError, match="16"):
@@ -191,3 +197,25 @@ class TestChshFromCounts:
         assert payload["plan"]["alice"] == [0.0, np.pi / 4]
         assert isinstance(payload["E"], list)
         assert isinstance(result, ChshResult)
+
+
+class TestPlanCaches:
+    def test_outcome_settings_built_once(self):
+        first = bell._outcome_settings(0.1, 0.3)
+        assert bell._outcome_settings(0.1, 0.3) is first
+        assert isinstance(first, tuple) and len(first) == 4
+
+    def test_cached_kets_are_read_only(self):
+        for setting in bell._outcome_settings(*OPTIMAL_PLAN.alice):
+            for vec in (setting.ket_1, setting.ket_2):
+                with pytest.raises(ValueError, match="read-only"):
+                    vec[0] = 0.0
+
+    def test_signed_zero_keeps_its_label(self):
+        assert bell._outcome_settings(0.0, 0.3)[0].label_1 == "lin:0"
+        assert bell._outcome_settings(-0.0, 0.3)[0].label_1 == "lin:-0"
+
+    def test_plan_joints_built_once_and_read_only(self):
+        joints = bell._plan_joints(OPTIMAL_PLAN)
+        assert bell._plan_joints(OPTIMAL_PLAN) is joints
+        assert joints.shape == (2, 2, 4, 4) and not joints.flags.writeable

@@ -514,6 +514,32 @@ class TestCommandLine:
         assert artifact in err
         assert (target.read_bytes() if target.is_file() else None) == before
 
+    def test_failed_run_leaves_no_manifest(self, tmp_path, capsys):
+        # A run that fails part-way has rewritten some artifacts and not
+        # others; the earlier run's manifest may not stay to name that set.
+        path = tmp_path / "tiny.yaml"
+        path.write_text(yaml.safe_dump({
+            "name": "tiny", "source": "phi+", "noise_p": 0.05, "mean_pairs": 500,
+            "seed": 3, "outputs": str(tmp_path / "out"), "bootstrap_replicas": 0}))
+        outdir = tmp_path / "out"
+        assert cli.main(["run", str(path)]) == 0
+        assert json.loads((outdir / "manifest.json").read_text())["seed"] == 3
+        (outdir / "chsh.json").unlink()
+        (outdir / "chsh.json").mkdir()
+        capsys.readouterr()
+        assert cli.main(["run", str(path), "--seed", "5"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert not (outdir / "manifest.json").exists()
+        (outdir / "chsh.json").rmdir()
+        assert cli.main(["run", str(path), "--seed", "5"]) == 0
+        assert json.loads((outdir / "manifest.json").read_text())["seed"] == 5
+
+    def test_chsh_seed_beyond_32_bits(self, tmp_path):
+        assert cli.main(["chsh", "source", "--seed", str(2**32),
+                         "--outputs", str(tmp_path)]) == 0
+        assert (tmp_path / "chsh.json").is_file()
+
     def test_module_entry_point_runs_without_warnings(self):
         src = str(Path(cli.__file__).resolve().parents[1])
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))

@@ -1,6 +1,7 @@
 """Tests for coincidence probabilities, sampling and fringe generation."""
 
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -246,6 +247,33 @@ class TestTomographyAcquisition:
     def test_non_finite_rejected(self, counts, pairs, match):
         with pytest.raises(ValueError, match=match):
             CountRecord(MeasurementSetting.of("H", "H"), counts, pairs)
+
+
+class TestStream:
+    # Entropy words that all fit in 32 bits reach SeedSequence as one uint32
+    # array, others as a list; both must give default_rng's draws. Any
+    # warning fails, so numpy 1.24 may not wrap an out-of-range word.
+    @pytest.mark.parametrize("seed", [0, 7, 2**31 - 1, 2**32 - 1, 2**32, 2**64 + 3])
+    @pytest.mark.parametrize("tag", [sim._TOMO_STREAM, sim._FRINGE_STREAM,
+                                     sim._CHSH_STREAM, sim._BOOTSTRAP_STREAM])
+    def test_draws_equal_default_rng_of_the_entropy_list(self, seed, tag):
+        for index in (0, 1, 15, 2**32 - 1, 2**32):
+            oracle = np.random.default_rng(np.random.SeedSequence([seed, tag, index]))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                rng = stream(seed, tag, index)
+            assert rng.bit_generator.state == oracle.bit_generator.state
+            assert rng.poisson(1e3, 8).tolist() == oracle.poisson(1e3, 8).tolist()
+            assert rng.random(4).tolist() == oracle.random(4).tolist()
+
+    @pytest.mark.parametrize("seed, key, match", [
+        (-1, (1, 0), "seed must be a non-negative integer"),
+        (3, (1, -1), "non-negative"),
+        (3, (-(2**40), 0), "non-negative"),
+    ], ids=["negative-seed", "negative-index", "negative-tag"])
+    def test_negative_words_rejected(self, seed, key, match):
+        with pytest.raises(ValueError, match=match):
+            stream(seed, *key)
 
 
 class TestRecordCsv:
