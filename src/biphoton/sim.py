@@ -10,6 +10,7 @@ the outcome.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import os
 from dataclasses import dataclass
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from biphoton.optics import anisotropic_coupler
-from biphoton.qstate import DensityMatrix, ket, linear_ket
+from biphoton.qstate import DensityMatrix, _freeze, ket, linear_ket
 
 # Purpose tags for derived RNG streams; disjoint so that reusing one master
 # seed across activities never aliases streams.
@@ -97,10 +98,14 @@ class MeasurementSetting:
         return cls(ket(which_1), ket(which_2),
                    _format_label(which_1), _format_label(which_2))
 
+    @functools.cached_property
+    def pair(self) -> np.ndarray:
+        """The read-only product ket ket_1 x ket_2, built on first use."""
+        return _freeze(_pair_ket(self.ket_1, self.ket_2))
+
     def projector(self) -> np.ndarray:
         """Rank-1 coincidence projector P1 x P2 on the pair."""
-        pair = _pair_ket(self.ket_1, self.ket_2)
-        return np.outer(pair, pair.conj())
+        return np.outer(self.pair, self.pair.conj())
 
 
 @dataclass(frozen=True)
@@ -139,7 +144,7 @@ def tomography_plan(plan_id: str = PLAN_HVDR16) -> tuple:
 
 def coincidence_probability(rho: DensityMatrix, setting: MeasurementSetting) -> float:
     """Born-rule coincidence probability trace(rho (P1 x P2))."""
-    return _pair_probability(rho, _pair_ket(setting.ket_1, setting.ket_2))
+    return _pair_probability(rho, setting.pair)
 
 
 def _pair_probability(rho: DensityMatrix, pair: np.ndarray) -> float:

@@ -10,6 +10,7 @@ import sys
 from importlib import resources
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
@@ -17,9 +18,10 @@ from biphoton import cli
 from biphoton.cli import (ChannelSpec, ScenarioConfig, builtin_scenario,
                           efficiency_budget, fit_noise, load_scenario,
                           resolve_model, run_scenario)
-from biphoton.qstate import (DensityMatrix, bell_state, concurrence,
-                             fidelity_with_pure, to_density)
-from biphoton.optics import anisotropic_coupler, apply_channel
+from biphoton.qstate import (DensityMatrix, PureState, _depolarized_concurrence,
+                             bell_state, concurrence, fidelity_with_pure,
+                             random_density, to_density)
+from biphoton.optics import anisotropic_coupler, apply_chain, apply_channel, depolarize
 
 # The four experiments as measured: bare source, taper, taper-nanowire
 # junction (40.3% H transmission, H:V 1.78) and pump-compensated junction.
@@ -100,6 +102,8 @@ MALFORMED_SCENARIOS = [
      "waveplate retardance"),
     (None, "channel_chain:\n  - {kind: waveplate, retardance: 1.5, angle: -.inf}\n",
      "waveplate angle"),
+    ("bootstrap_replicas", f"bootstrap_replicas: {cli.MAX_BOOTSTRAP_REPLICAS + 1}\n",
+     "bootstrap_replicas"),
 ]
 MALFORMED_IDS = [
     "coupler-without-eta_h", "channel-without-kind", "yaml-syntax",
@@ -113,7 +117,7 @@ MALFORMED_IDS = [
     "noise_fit_concurrence-nan", "arm-not-an-integer", "name-a-list",
     "mean_pairs-infinite", "singles_extinction-below-1", "tomography_plan-unknown",
     "mean_pairs-too-large", "polarizer-angle-infinite", "waveplate-retardance-nan",
-    "waveplate-angle-minus-infinite"]
+    "waveplate-angle-minus-infinite", "bootstrap_replicas-too-large"]
 
 
 def malformed_scenario(dropped, text, outputs) -> str:
@@ -213,6 +217,94 @@ class TestEfficiencyBudget:
         assert a == pytest.approx(b, abs=1e-12)
 
 
+def reference_fit_noise(target_concurrence: float, base_state: DensityMatrix) -> float:
+    """The noise-fit bisection with every step on the exact concurrence of
+    the depolarized state, frozen as the bit-identity oracle of `fit_noise`."""
+    if target_concurrence < 0.0:
+        raise ValueError("target concurrence must be non-negative")
+    base_c = concurrence(base_state)
+    if target_concurrence > base_c + 1e-12:
+        raise ValueError(f"target concurrence {target_concurrence} exceeds the "
+                         f"base state's {base_c:.6f}")
+
+    def miss(p: float) -> float:
+        return concurrence(depolarize(base_state, p)) - target_concurrence
+
+    lo, hi = 0.0, 1.0
+    if miss(lo) <= 0.0:
+        return 0.0
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        gap = miss(mid)
+        if abs(gap) < 1e-6:
+            return mid
+        if gap > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def fit_outcome(fit, target: float, base: DensityMatrix) -> str:
+    """The fitted p as `float.hex`, or the text of the ValueError raised."""
+    try:
+        return fit(target, base).hex()
+    except ValueError as exc:
+        return f"error: {exc}"
+
+
+def channel_output(config: ScenarioConfig) -> DensityMatrix:
+    """The noiseless post-selected state that `resolve_model` fits noise to."""
+    channels = [cli.build_channel(spec) for spec in config.channel_chain]
+    return apply_chain(to_density(cli.source_state(config)), channels).state
+
+
+def sweep_configs(count: int, seed: int = 1313):
+    """`count` scenarios in the benchmark's model-sweep mix, cycling through
+    its 12 combinations: phi+, compensated or Schmidt source; noise fitted
+    or given; singles extinction or none. Coupler and source parameters and
+    the fitted target are drawn as that sweep draws them."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        ratio, eta_h = rng.uniform(1.0, 3.0), rng.uniform(0.2, 1.0)
+        chain = (ChannelSpec("coupler", {"eta_h": eta_h, "ratio": ratio},
+                             int(rng.integers(1, 3))),)
+        theta = rng.uniform(0.15, math.pi / 2 - 0.15)
+        source = ("phi+", "compensated", {"schmidt_theta": theta})[i % 3]
+        config = ScenarioConfig(name=f"sweep-{i}", source=source, channel_chain=chain,
+                                seed=i, singles_extinction=(
+                                    rng.uniform(5.0, 50.0) if i // 6 % 2 else None))
+        target = concurrence(channel_output(config)) * rng.uniform(0.2, 0.98)
+        if i // 3 % 2:
+            yield dataclasses.replace(config, noise_p=rng.uniform(0.0, 0.5)), target
+        else:
+            yield dataclasses.replace(config, noise_fit_concurrence=target), target
+
+
+def nearly_product_state(rng, eps: float) -> DensityMatrix:
+    """A random product pure state with a random admixture of size `eps`."""
+    kets = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
+    amps = np.kron(kets[0], kets[1]) + eps * np.concatenate(kets[1:])
+    return to_density(PureState(amps / np.linalg.norm(amps)))
+
+
+def fit_bases(seed: int, count: int):
+    """(base, targets) pairs: seeded Ginibre states of ranks 1-4 in turn, then
+    nearly product pure states, each with targets 0, its concurrence C and
+    u*C; every tenth also with a target just above C and a negative one."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        if i < count * 9 // 10:
+            base = random_density(rng, 1 + i % 4)
+        else:
+            base = nearly_product_state(rng, 10.0 ** rng.uniform(-9.0, -2.0))
+        c = concurrence(base)
+        targets = [0.0, c, c * rng.uniform()]
+        if i % 10 == 0:
+            targets += [c + 1e-9, -rng.uniform()]
+        yield base, targets
+
+
 class TestFitNoise:
     def test_target_equal_to_base_needs_no_noise(self):
         rho = to_density(bell_state("phi+"))
@@ -236,6 +328,90 @@ class TestFitNoise:
         p = fit_noise(0.0, rho)
         from biphoton.optics import depolarize
         assert concurrence(depolarize(rho, p)) == pytest.approx(0.0, abs=1e-6)
+
+    @pytest.mark.parametrize("name", cli.BUILTIN_SCENARIOS)
+    def test_builtin_fits_match_the_exact_bisection(self, name):
+        config = builtin_scenario(name)
+        want = reference_fit_noise(config.noise_fit_concurrence, channel_output(config))
+        assert resolve_model(config).noise_p.hex() == want.hex()
+
+    def test_sweep_fits_match_the_exact_bisection(self):
+        for config, target in sweep_configs(96):
+            base = channel_output(config)
+            assert fit_outcome(fit_noise, target, base) == fit_outcome(
+                reference_fit_noise, target, base), config
+            if config.noise_fit_concurrence is not None:
+                assert resolve_model(config).noise_p.hex() == fit_outcome(
+                    reference_fit_noise, target, base)
+
+    @pytest.mark.parametrize("seed", [21, 22, 23, 24])
+    def test_random_fits_match_the_exact_bisection(self, seed):
+        # 4 x 500 bases, each at targets 0, C and u*C (and a few that raise).
+        for base, targets in fit_bases(seed, 500):
+            for target in targets:
+                assert fit_outcome(fit_noise, target, base) == fit_outcome(
+                    reference_fit_noise, target, base), (base.matrix, target)
+
+    def test_close_call_at_the_first_mid_is_decided_exactly(self, monkeypatch):
+        # A base whose eigenbasis and exact concurrences at the first mid,
+        # p = 0.5, differ in their last bits, and a target that puts the
+        # exact gap just below the 1e-6 stop and the eigenbasis gap at or
+        # above it (or the other way round): only the exact one may decide.
+        rng = np.random.default_rng(17)
+        while True:
+            base = random_density(rng, 2)
+            exact = concurrence(depolarize(base, 0.5))
+            cheap = _depolarized_concurrence(base.matrix)(0.5)
+            if exact > 0.05 and cheap != exact:
+                break
+        candidates = [exact - 1e-6]
+        for _ in range(64):
+            candidates[:0] = [np.nextafter(candidates[0], -1.0)]
+            candidates.append(np.nextafter(candidates[-1], 2.0))
+        target = next(float(t) for t in candidates
+                      if (abs(exact - t) < 1e-6) != (abs(cheap - t) < 1e-6))
+        assert abs(abs(exact - target) - 1e-6) < 1e-12
+        want = reference_fit_noise(target, base)
+        assert fit_noise(target, base).hex() == want.hex()
+        # The eigenbasis gap alone takes the other branch at p = 0.5.
+        monkeypatch.setattr(cli, "_FIT_MARGIN", -1.0)
+        assert fit_noise(target, base) != want
+
+    def test_every_step_exact_keeps_the_bits(self, monkeypatch):
+        cases = [(c.noise_fit_concurrence, channel_output(c))
+                 for c in map(builtin_scenario, cli.BUILTIN_SCENARIOS)]
+        cases += [(t, b) for b, targets in fit_bases(31, 100) for t in targets]
+        want = [fit_outcome(fit_noise, t, b) for t, b in cases]
+        exact_steps = []
+
+        def counted(rho, p):
+            exact_steps.append(p)
+            return depolarize(rho, p)
+
+        monkeypatch.setattr(cli, "_FIT_MARGIN", 1.0)
+        monkeypatch.setattr(cli.optics, "depolarize", counted)
+        assert [fit_outcome(fit_noise, t, b) for t, b in cases] == want
+        # One exact evaluation at p = 0 per fit, then one at every mid.
+        assert len(exact_steps) > 5 * len(cases)
+
+    @pytest.mark.parametrize("offset", [0.9e-9, -0.9e-9])
+    def test_eigenbasis_error_below_the_margin_keeps_the_bits(self, monkeypatch,
+                                                              offset):
+        # Any eigenbasis concurrence within the margin of the exact one gives
+        # the same fit: steps it cannot decide go to the exact concurrence.
+        def shifted(mat):
+            at = _depolarized_concurrence(mat)
+            return lambda p: at(p) + offset
+
+        monkeypatch.setattr(cli, "_depolarized_concurrence", shifted)
+        for base, targets in fit_bases(41, 200):
+            # Exact gaps at the first mid just inside and outside the stop.
+            first = concurrence(depolarize(base, 0.5))
+            targets += [first + sign * (1e-6 + shift) for sign in (1.0, -1.0)
+                        for shift in (5e-10, -5e-10)]
+            for target in targets:
+                assert fit_outcome(fit_noise, target, base) == fit_outcome(
+                    reference_fit_noise, target, base), (base.matrix, target)
 
 
 class TestScenarioConfig:
@@ -281,6 +457,15 @@ class TestScenarioConfig:
     def test_noise_p_range(self):
         with pytest.raises(ValueError, match="noise_p"):
             ScenarioConfig(name="x", source="phi+", noise_p=1.5, seed=1)
+
+    def test_bootstrap_replicas_bound_is_accepted(self, tmp_path):
+        # Parsing only: a run at the bound fits for minutes.
+        path = tmp_path / "most.yaml"
+        path.write_text(yaml.safe_dump({
+            "name": "most", "source": "phi+", "seed": 3,
+            "bootstrap_replicas": cli.MAX_BOOTSTRAP_REPLICAS}))
+        config = load_scenario(path)
+        assert config.bootstrap_replicas == cli.MAX_BOOTSTRAP_REPLICAS
 
 
 class TestResolveModel:

@@ -66,6 +66,25 @@ class TestPairKet:
         for k1, k2 in pairs:
             assert sim._pair_ket(k1, k2).tobytes() == np.kron(k1, k2).tobytes()
 
+    def test_setting_builds_its_pair_once_on_first_use(self):
+        setting = MeasurementSetting.of("R", 0.3)
+        # Construction stays as cheap as before: no pair until one is asked for.
+        assert "pair" not in vars(setting)
+        pair = setting.pair
+        assert setting.pair is pair and not pair.flags.writeable
+        assert pair.tobytes() == np.kron(setting.ket_1, setting.ket_2).tobytes()
+        assert setting.projector().tobytes() == np.outer(pair, pair.conj()).tobytes()
+
+    def test_probabilities_from_the_cached_pair_are_bit_equal(self):
+        rng = np.random.default_rng(23)
+        settings = [*tomography_plan(),
+                    *(MeasurementSetting.of(*rng.uniform(0, np.pi, 2)) for _ in range(16))]
+        for _ in range(50):
+            rho = random_density(rng, 1 + int(rng.integers(4)))
+            for s in settings:
+                fresh = sim._pair_probability(rho, sim._pair_ket(s.ket_1, s.ket_2))
+                assert coincidence_probability(rho, s).hex() == fresh.hex()
+
 
 class TestSampleCounts:
     def test_zero_probability_always_zero(self):
