@@ -12,6 +12,12 @@ Four named scenarios ship with the package as YAML files under
 directly, through a fiber taper, through a taper-nanowire junction with
 anisotropic coupling, and through the same junction with the pump adjusted
 to pre-compensate that anisotropy.
+
+Importing this module and building the parser loads only the standard
+library and PyYAML. numpy and the physics modules (`qstate`, `optics`,
+`sim`, `bell`, `tomo`) load inside the functions that use them, so
+`--help`, argument errors and `budget` never load numpy, and `chsh` and
+`fringe` never load `tomo` or scipy.
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ import sys
 from dataclasses import dataclass, field, replace
 from importlib import resources
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 # One BLAS thread unless the environment names a count: the fits multiply
 # 4x4 matrices, and after the first L-BFGS-B call scipy's OpenBLAS keeps a
@@ -33,15 +40,11 @@ from pathlib import Path
 # OpenBLAS reads this when it loads, so it is set before numpy and scipy.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-import numpy as np  # noqa: E402
 import yaml  # noqa: E402
 
-from biphoton import bell, optics, sim, tomo  # noqa: E402
-from biphoton.qstate import (DensityMatrix, PureState,  # noqa: E402
-                             _depolarized_concurrence, bell_state, concurrence,
-                             eigen_hermitian, schmidt_pure, to_density)
-
-_FRINGE_GRID = np.deg2rad(np.arange(0.0, 180.0, 10.0))
+if TYPE_CHECKING:
+    from biphoton import bell, optics, tomo
+    from biphoton.qstate import DensityMatrix, PureState
 
 #: Largest accepted mean_pairs; numpy's Poisson sampler refuses means above
 #: about 9.2e18.
@@ -63,6 +66,23 @@ _FIT_MARGIN = 1e-9
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
+@functools.cache
+def _fringe_grid():
+    """The analyzer angles of every fringe, 0 to 170 degrees in steps of
+    10, in radians; built once per process, read-only."""
+    import numpy as np
+    grid = np.deg2rad(np.arange(0.0, 180.0, 10.0))
+    grid.setflags(write=False)
+    return grid
+
+
+def _default_plan() -> str:
+    """`sim.PLAN_HVDR16`, the default and only tomography plan, read when a
+    config is built."""
+    from biphoton import sim
+    return sim.PLAN_HVDR16
+
+
 @dataclass(frozen=True)
 class ChannelSpec:
     """One channel-chain entry: kind, parameters and the arm it acts on."""
@@ -81,7 +101,7 @@ class ScenarioConfig:
     noise_fit_concurrence: float | None = None
     fidelity_target: str | dict = "phi+"
     singles_extinction: float | None = None
-    tomography_plan: str = sim.PLAN_HVDR16
+    tomography_plan: str = field(default_factory=_default_plan)
     mean_pairs: float = 10_000
     seed: int = 0
     outputs: str = "out"
@@ -94,7 +114,7 @@ class ScenarioConfig:
             if not isinstance(getattr(self, key), (str, dict)):
                 raise ValueError(f"{key} must be a state name or a schmidt_theta "
                                  f"mapping, got {getattr(self, key)!r}")
-        if not isinstance(self.outputs, (str, os.PathLike)):
+        if not isinstance(self.outputs, (str, os.PathLike)) or self.outputs == "":
             raise ValueError(f"outputs must be a directory path, got {self.outputs!r}")
         for key in ("mean_pairs", "noise_p", "noise_fit_concurrence",
                     "singles_extinction"):
@@ -122,8 +142,9 @@ class ScenarioConfig:
         if self.singles_extinction is not None and not self.singles_extinction > 1:
             raise ValueError(f"singles_extinction must exceed 1, "
                              f"got {self.singles_extinction!r}")
-        if self.tomography_plan != sim.PLAN_HVDR16:
-            raise ValueError(f"tomography_plan must be {sim.PLAN_HVDR16!r}, "
+        plan = _default_plan()
+        if self.tomography_plan != plan:
+            raise ValueError(f"tomography_plan must be {plan!r}, "
                              f"got {self.tomography_plan!r}")
 
 
@@ -187,7 +208,7 @@ def efficiency_budget(stages, solve_total: float | None = None,
         named.append((str(name), eff))
     if not named:
         raise ValueError("budget needs at least one stage")
-    total = float(np.prod([eff for _, eff in named]))
+    total = math.prod(eff for _, eff in named)
     solved = None if solve_total is None else float(solve_total) / total
     if solved is not None and solved > 1.0:
         raise ValueError(f"--solve-total {float(solve_total)!r} over the stage product "
@@ -206,20 +227,21 @@ def fit_noise(target_concurrence: float, base_state: DensityMatrix) -> float:
     the 1e-6 stop. Outside that band both gaps take the same branch, so
     the result is bit-identical to a bisection on the exact concurrence.
     """
+    from biphoton import optics, qstate
     if target_concurrence < 0.0:
         raise ValueError("target concurrence must be non-negative")
-    base_c = concurrence(base_state)
+    base_c = qstate.concurrence(base_state)
     if target_concurrence > base_c + 1e-12:
         raise ValueError(f"target concurrence {target_concurrence} exceeds the "
                          f"base state's {base_c:.6f}")
 
     def miss(p: float) -> float:
-        return concurrence(optics.depolarize(base_state, p)) - target_concurrence
+        return qstate.concurrence(optics.depolarize(base_state, p)) - target_concurrence
 
     lo, hi = 0.0, 1.0
     if miss(lo) <= 0.0:
         return 0.0
-    cheap = _depolarized_concurrence(base_state.matrix)
+    cheap = qstate._depolarized_concurrence(base_state.matrix)
     for _ in range(80):
         mid = 0.5 * (lo + hi)
         gap = cheap(mid) - target_concurrence
@@ -274,6 +296,7 @@ def _pop_coupler_etas(params: dict) -> tuple[float, float]:
 
 
 def build_channel(spec: ChannelSpec) -> optics.KrausChannel:
+    from biphoton import optics
     params = dict(spec.params)
     if spec.kind == "coupler":
         eta_h, eta_v = _pop_coupler_etas(params)
@@ -308,14 +331,17 @@ def _coupler_etas(config: ScenarioConfig) -> tuple[float, float]:
 def _pure_state(spec, key: str) -> PureState:
     """The Bell state named by `spec`, or the Schmidt state of a
     {schmidt_theta: angle} mapping; `key` names the config entry."""
+    from biphoton import qstate
     if isinstance(spec, dict):
         if "schmidt_theta" not in spec:
             raise ValueError(f"{key} mapping needs schmidt_theta")
-        return schmidt_pure(_as_float(spec["schmidt_theta"], f"{key} schmidt_theta"))
-    return bell_state(spec)
+        return qstate.schmidt_pure(_as_float(spec["schmidt_theta"],
+                                             f"{key} schmidt_theta"))
+    return qstate.bell_state(spec)
 
 
 def source_state(config: ScenarioConfig) -> PureState:
+    from biphoton import optics
     if config.source == "compensated":
         eta_h, eta_v = _coupler_etas(config)
         if eta_h == eta_v == 1.0:
@@ -349,8 +375,9 @@ def resolve_model(config: ScenarioConfig) -> ScenarioModel:
     pair rate by the channel survival probability, which is what the
     analyzers actually receive.
     """
+    from biphoton import optics, qstate
     channels = [build_channel(spec) for spec in config.channel_chain]
-    outcome = optics.apply_chain(to_density(source_state(config)), channels)
+    outcome = optics.apply_chain(qstate.to_density(source_state(config)), channels)
     if config.noise_fit_concurrence is not None:
         noise_p = fit_noise(config.noise_fit_concurrence, outcome.state)
     else:
@@ -369,8 +396,9 @@ def resolve_model(config: ScenarioConfig) -> ScenarioModel:
 
 
 def _singles_input(config: ScenarioConfig, model: ScenarioModel):
+    from biphoton import qstate, sim
     if config.singles_extinction is None:
-        return np.array([1.0, 0.0], dtype=complex)
+        return qstate.ket("H")
     leak = sim.leak_fraction_for_extinction(config.singles_extinction,
                                             model.eta_h, model.eta_v)
     return sim.h_state_with_leak(leak)
@@ -378,13 +406,15 @@ def _singles_input(config: ScenarioConfig, model: ScenarioModel):
 
 def scenario_fringes(config: ScenarioConfig, model: ScenarioModel) -> dict:
     """The fringe set of one scenario: singles, transmission, two biphoton."""
+    from biphoton import optics, sim
+    grid = _fringe_grid()
     singles = sim.single_photon_fringe(_singles_input(config, model),
-                                       model.eta_h, model.eta_v, _FRINGE_GRID)
-    transmission = optics.transmission_fringe(model.eta_h, model.eta_v, _FRINGE_GRID)
-    bi_h = sim.biphoton_fringe(model.state, "H", _FRINGE_GRID,
+                                       model.eta_h, model.eta_v, grid)
+    transmission = optics.transmission_fringe(model.eta_h, model.eta_v, grid)
+    bi_h = sim.biphoton_fringe(model.state, "H", grid,
                                mean_pairs=model.effective_pairs,
                                seed=config.seed)
-    bi_d = sim.biphoton_fringe(model.state, "D", _FRINGE_GRID,
+    bi_d = sim.biphoton_fringe(model.state, "D", grid,
                                mean_pairs=model.effective_pairs,
                                seed=config.seed + 1)
     return {"single_photon": singles, "transmission": transmission,
@@ -412,24 +442,27 @@ def _output_dir(config: ScenarioConfig) -> Path:
 
 
 def _write_json(path: Path, payload: dict) -> str:
+    from biphoton import sim
     sim.write_artifact(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return path.name
 
 
 def _write_fringes(outdir: Path, fringes: dict) -> tuple:
     """The four fringe CSVs, one `angle_rad,value` row per grid angle."""
+    from biphoton import sim
     curves = {"fringe_single.csv": fringes["single_photon"].values,
               "fringe_transmission.csv": fringes["transmission"],
               "fringe_biphoton_h.csv": fringes["biphoton_h"].values,
               "fringe_biphoton_d.csv": fringes["biphoton_d"].values}
     for name, values in curves.items():
-        rows = [f"{float(a)!r},{float(v)!r}" for a, v in zip(_FRINGE_GRID, values)]
+        rows = [f"{float(a)!r},{float(v)!r}" for a, v in zip(_fringe_grid(), values)]
         sim.write_artifact(outdir / name, "\n".join(["angle_rad,value", *rows]) + "\n")
     return tuple(curves)
 
 
 def _chsh(config: ScenarioConfig, model: ScenarioModel):
     """CHSH from sampled counts and from the model state."""
+    from biphoton import bell
     records = bell.simulate_chsh_counts(model.state, bell.OPTIMAL_PLAN,
                                         model.effective_pairs, config.seed)
     return bell.chsh_from_counts(records), bell.chsh_S(model.state)
@@ -445,6 +478,7 @@ def run_scenario(config: ScenarioConfig) -> ScenarioReport:
     Tomography counts, the CHSH counts and the fringe samples all derive
     from the scenario seed, so reruns are byte-identical.
     """
+    from biphoton import qstate, sim, tomo
     model = resolve_model(config)
     plan = sim.tomography_plan(config.tomography_plan)
     records = sim.acquire_tomography(model.state, plan,
@@ -460,7 +494,7 @@ def run_scenario(config: ScenarioConfig) -> ScenarioReport:
     fringes = scenario_fringes(config, model)
     outdir = _output_dir(config)
 
-    _, evecs = eigen_hermitian(result.rho)
+    _, evecs = qstate.eigen_hermitian(result.rho)
     top = evecs[0].amplitudes
     metrics_payload = {
         "scenario": config.name,

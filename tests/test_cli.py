@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 import yaml
 
-from biphoton import cli
+from biphoton import cli, optics, qstate
 from biphoton.cli import (ChannelSpec, ScenarioConfig, builtin_scenario,
                           efficiency_budget, fit_noise, load_scenario,
                           resolve_model, run_scenario)
@@ -104,6 +104,7 @@ MALFORMED_SCENARIOS = [
      "waveplate angle"),
     ("bootstrap_replicas", f"bootstrap_replicas: {cli.MAX_BOOTSTRAP_REPLICAS + 1}\n",
      "bootstrap_replicas"),
+    ("outputs", "outputs: ''\n", "outputs"),
 ]
 MALFORMED_IDS = [
     "coupler-without-eta_h", "channel-without-kind", "yaml-syntax",
@@ -117,7 +118,7 @@ MALFORMED_IDS = [
     "noise_fit_concurrence-nan", "arm-not-an-integer", "name-a-list",
     "mean_pairs-infinite", "singles_extinction-below-1", "tomography_plan-unknown",
     "mean_pairs-too-large", "polarizer-angle-infinite", "waveplate-retardance-nan",
-    "waveplate-angle-minus-infinite", "bootstrap_replicas-too-large"]
+    "waveplate-angle-minus-infinite", "bootstrap_replicas-too-large", "outputs-empty"]
 
 
 def malformed_scenario(dropped, text, outputs) -> str:
@@ -319,7 +320,7 @@ class TestFitNoise:
 
     def test_unreachable_target_rejected(self):
         rho = to_density(bell_state("phi+"))
-        noisy = cli.optics.depolarize(rho, 0.5)
+        noisy = depolarize(rho, 0.5)
         with pytest.raises(ValueError, match="exceeds"):
             fit_noise(0.99, noisy)
 
@@ -389,7 +390,7 @@ class TestFitNoise:
             return depolarize(rho, p)
 
         monkeypatch.setattr(cli, "_FIT_MARGIN", 1.0)
-        monkeypatch.setattr(cli.optics, "depolarize", counted)
+        monkeypatch.setattr(optics, "depolarize", counted)
         assert [fit_outcome(fit_noise, t, b) for t, b in cases] == want
         # One exact evaluation at p = 0 per fit, then one at every mid.
         assert len(exact_steps) > 5 * len(cases)
@@ -403,7 +404,7 @@ class TestFitNoise:
             at = _depolarized_concurrence(mat)
             return lambda p: at(p) + offset
 
-        monkeypatch.setattr(cli, "_depolarized_concurrence", shifted)
+        monkeypatch.setattr(qstate, "_depolarized_concurrence", shifted)
         for base, targets in fit_bases(41, 200):
             # Exact gaps at the first mid just inside and outside the stop.
             first = concurrence(depolarize(base, 0.5))
@@ -554,6 +555,15 @@ class TestCommandLine:
         assert payload["solved_unknown"]["recomputed"] == pytest.approx(0.378, abs=5e-4)
         assert payload["solved_unknown"]["quoted"] == 0.403
 
+    def test_budget_total_is_bit_equal_to_numpy_s_product(self):
+        # math.prod and np.prod both multiply the stages left to right.
+        rng = random.Random(14)
+        for length in range(1, 65):
+            for _ in range(20):
+                stages = [1.0 - rng.random() for _ in range(length)]
+                assert (efficiency_budget(stages).total.hex()
+                        == float(np.prod(stages)).hex()), stages
+
     def test_budget_named_stages(self, capsys):
         code = cli.main(["budget", "objective=0.401", "confocal=0.705"])
         assert code == 0
@@ -593,6 +603,11 @@ class TestCommandLine:
         assert cli.main(["fringe", str(path)]) == 0
         assert (tmp_path / "out" / "fringe_biphoton_h.csv").exists()
         assert "visibility" in capsys.readouterr().out
+
+    def test_fringe_grid_is_built_once_and_read_only(self):
+        grid = cli._fringe_grid()
+        assert cli._fringe_grid() is grid and not grid.flags.writeable
+        assert grid.tobytes() == np.deg2rad(np.arange(0.0, 180.0, 10.0)).tobytes()
 
     def test_chsh_command(self, tmp_path, capsys):
         path = tmp_path / "tiny.yaml"
@@ -720,6 +735,17 @@ class TestCommandLine:
         assert cli.main(["run", str(path), "--seed", "5"]) == 0
         assert json.loads((outdir / "manifest.json").read_text())["seed"] == 5
 
+    @pytest.mark.parametrize("command", ["run", "fringe", "chsh"])
+    def test_empty_outputs_flag_exits_2(self, tmp_path, monkeypatch, capsys, command):
+        # An empty directory name would put the artifacts in the working
+        # directory.
+        monkeypatch.chdir(tmp_path)
+        assert cli.main([command, "source", "--outputs", ""]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: outputs must be a directory path, got ''\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_chsh_seed_beyond_32_bits(self, tmp_path):
         assert cli.main(["chsh", "source", "--seed", str(2**32),
                          "--outputs", str(tmp_path)]) == 0
@@ -844,9 +870,10 @@ class TestYamlLoaders:
 
 
 class TestStartUp:
-    """The fits load only scipy's compiled L-BFGS-B core, never the
-    `scipy.optimize` package, and share that core with `scipy.optimize`
-    when it is imported as well."""
+    """Importing the command line and building its parser loads no numpy,
+    and each command loads only the physics it runs. The fits load only
+    scipy's compiled L-BFGS-B core, never the `scipy.optimize` package, and
+    share that core with `scipy.optimize` when it is imported as well."""
 
     @pytest.mark.parametrize("command", [
         "cli.build_parser()",
@@ -858,6 +885,53 @@ class TestStartUp:
                  f"{command}\n"
                  "assert 'scipy.optimize' not in sys.modules\n")
         run_python(probe, str(tmp_path / "out"))
+
+    @pytest.mark.parametrize("argv, code", [
+        (None, None), (["--help"], 0), (["run", "source", "--no-such-flag"], 2),
+        (["budget", "0.9", "0.8", "--solve-total", "0.5"], 0),
+    ], ids=["parser", "help", "bad-flag", "budget"])
+    def test_parser_help_errors_and_budget_load_no_numpy(self, argv, code):
+        probe = ("import json, sys\n"
+                 "from biphoton import cli\n"
+                 "argv = json.loads(sys.argv[1])\n"
+                 "cli.build_parser()\n"
+                 "try:\n"
+                 "    code = None if argv is None else cli.main(argv)\n"
+                 "except SystemExit as exc:\n"
+                 "    code = exc.code\n"
+                 "print(json.dumps([code, sorted(set(sys.argv[2:]) & set(sys.modules))]))\n")
+        modules = ["numpy", *(f"biphoton.{m}" for m in
+                              ("qstate", "optics", "sim", "bell", "tomo"))]
+        out = run_python(probe, json.dumps(argv), *modules)
+        assert json.loads(out.splitlines()[-1]) == [code, []]
+
+    @pytest.mark.parametrize("command", ["chsh", "fringe"])
+    def test_chsh_and_fringe_load_no_tomography(self, tmp_path, command):
+        probe = ("import sys\n"
+                 "from biphoton import cli\n"
+                 f"assert cli.main(['{command}', 'nanowire', '--outputs', sys.argv[1]]) == 0\n"
+                 "print(sorted({'biphoton.tomo', 'scipy.optimize._lbfgsb'}"
+                 " & set(sys.modules)))\n")
+        assert run_python(probe, str(tmp_path / "out")).splitlines()[-1] == "[]"
+
+    @pytest.mark.parametrize("command", ["run", "chsh", "fringe", "budget"])
+    def test_commands_run_in_an_interpreter_without_numpy(self, tmp_path, command):
+        # As the `biphoton` script runs them: nothing imported beforehand, so
+        # every name a command uses must resolve from its own imports.
+        path = tmp_path / "tiny.yaml"
+        path.write_text(yaml.safe_dump({
+            "name": "tiny", "source": "phi+", "noise_fit_concurrence": 0.8,
+            "singles_extinction": 25.0, "mean_pairs": 500, "seed": 3,
+            "outputs": str(tmp_path / "out"), "bootstrap_replicas": 2}))
+        argv = (["budget", "0.9", "0.8"] if command == "budget"
+                else [command, str(path)])
+        probe = ("import sys\n"
+                 "from biphoton.cli import main\n"
+                 "assert 'numpy' not in sys.modules\n"
+                 "assert main(sys.argv[1:]) == 0\n")
+        run_python(probe, *argv)
+        if command != "budget":
+            assert any((tmp_path / "out").iterdir())
 
     @pytest.mark.parametrize("first", ["biphoton.tomo", "scipy.optimize"])
     def test_fits_and_minimize_share_one_core(self, first):
