@@ -16,8 +16,7 @@ from functools import lru_cache
 import numpy as np
 
 from biphoton.qstate import DensityMatrix, linear_ket
-from biphoton.sim import (CountRecord, MeasurementSetting, _CHSH_STREAM,
-                          coincidence_probability, sample_counts, stream)
+from biphoton.sim import CountRecord, MeasurementSetting, _CHSH_STREAM, _records
 
 #: Sign of each correlation in S, indexed [alice setting][bob setting].
 SIGNS = np.array([[1.0, -1.0], [1.0, 1.0]])
@@ -134,33 +133,23 @@ def _signed_outcome_settings(a: float, b: float, sign_a: float,
                  for x in (a, a + half_pi) for y in (b, b + half_pi))
 
 
-def _pair_angles(plan: ChshPlan) -> list[tuple[float, float]]:
-    return [(a, b) for a in plan.alice for b in plan.bob]
+def _plan_settings(plan: ChshPlan) -> list[MeasurementSetting]:
+    """The 16 outcome settings of `plan`: setting pairs (a1,b1), (a1,b2),
+    (a2,b1), (a2,b2), outcomes ++, +-, -+, -- within each pair."""
+    return [setting for a in plan.alice for b in plan.bob
+            for setting in _outcome_settings(a, b)]
 
 
 def exact_chsh_counts(rho: DensityMatrix, plan: ChshPlan,
                       mean_pairs: float) -> list[CountRecord]:
     """Expected (infinite-statistics) counts for the 16 outcome settings."""
-    records = []
-    for a, b in _pair_angles(plan):
-        for setting in _outcome_settings(a, b):
-            p = coincidence_probability(rho, setting)
-            records.append(CountRecord(setting, p * mean_pairs, float(mean_pairs)))
-    return records
+    return _records(rho, _plan_settings(plan), mean_pairs, None, _CHSH_STREAM)
 
 
 def simulate_chsh_counts(rho: DensityMatrix, plan: ChshPlan,
                          mean_pairs: float, seed: int) -> list[CountRecord]:
     """Poisson-sampled counts, `mean_pairs` pairs per setting pair."""
-    records = []
-    index = 0
-    for a, b in _pair_angles(plan):
-        for setting in _outcome_settings(a, b):
-            p = coincidence_probability(rho, setting)
-            n = sample_counts(p, mean_pairs, stream(seed, _CHSH_STREAM, index))
-            records.append(CountRecord(setting, float(n), float(mean_pairs)))
-            index += 1
-    return records
+    return _records(rho, _plan_settings(plan), mean_pairs, seed, _CHSH_STREAM)
 
 
 def chsh_from_counts(records, plan: ChshPlan = OPTIMAL_PLAN) -> ChshResult:
@@ -175,8 +164,7 @@ def chsh_from_counts(records, plan: ChshPlan = OPTIMAL_PLAN) -> ChshResult:
     records = list(records)
     if len(records) != 16:
         raise ValueError(f"expected 16 outcome records, got {len(records)}")
-    expected = [(s.label_1, s.label_2) for a, b in _pair_angles(plan)
-                for s in _outcome_settings(a, b)]
+    expected = [(s.label_1, s.label_2) for s in _plan_settings(plan)]
     for i, (rec, labels) in enumerate(zip(records, expected)):
         if (rec.setting.label_1, rec.setting.label_2) != labels:
             raise ValueError(f"record {i} is at setting {rec.setting.label_1}/"

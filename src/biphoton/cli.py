@@ -83,6 +83,21 @@ def _default_plan() -> str:
     return sim.PLAN_HVDR16
 
 
+def _number(value, what: str, finite: bool = False) -> float:
+    """`value` as a float if it is a real number: not a bool, a string, NaN,
+    an integer beyond float range or, with `finite`, an infinity. Anything
+    else raises a ValueError naming `what`."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    try:
+        number = float(value) if real else math.nan
+    except OverflowError:
+        raise ValueError(f"{what} lies beyond float range") from None
+    if math.isnan(number) or finite and math.isinf(number):
+        kind = "a finite number" if finite else "a number"
+        raise ValueError(f"{what} must be {kind}, got {value!r}")
+    return number
+
+
 @dataclass(frozen=True)
 class ChannelSpec:
     """One channel-chain entry: kind, parameters and the arm it acts on."""
@@ -118,11 +133,8 @@ class ScenarioConfig:
             raise ValueError(f"outputs must be a directory path, got {self.outputs!r}")
         for key in ("mean_pairs", "noise_p", "noise_fit_concurrence",
                     "singles_extinction"):
-            value = getattr(self, key)
-            if (value is not None or key == "mean_pairs") and (
-                    isinstance(value, bool) or not isinstance(value, numbers.Real)
-                    or math.isnan(value)):
-                raise ValueError(f"{key} must be a number, got {value!r}")
+            if getattr(self, key) is not None or key == "mean_pairs":
+                _number(getattr(self, key), key)
         if type(self.seed) is not int or self.seed < 0:
             raise ValueError(f"scenario needs a non-negative integer seed, "
                              f"got {self.seed!r}")
@@ -238,9 +250,10 @@ def fit_noise(target_concurrence: float, base_state: DensityMatrix) -> float:
     def miss(p: float) -> float:
         return qstate.concurrence(optics.depolarize(base_state, p)) - target_concurrence
 
-    lo, hi = 0.0, 1.0
-    if miss(lo) <= 0.0:
+    # depolarize(base, 0.0) has the base state's concurrence, bit for bit.
+    if base_c - target_concurrence <= 0.0:
         return 0.0
+    lo, hi = 0.0, 1.0
     cheap = qstate._depolarized_concurrence(base_state.matrix)
     for _ in range(80):
         mid = 0.5 * (lo + hi)
@@ -260,63 +273,53 @@ def fit_noise(target_concurrence: float, base_state: DensityMatrix) -> float:
 # Scenario assembly
 # ---------------------------------------------------------------------------
 
-def _as_float(value, what: str) -> float:
-    """`value` as a float (numeric strings included), or a ValueError
-    naming `what`."""
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ValueError(f"{what} must be a number, got {value!r}") from None
+#: Each channel kind's parameters and their defaults, None where required.
+#: A coupler's eta_v may be given instead as ratio = eta_h / eta_v > 0.
+#: Every channel acts on arm 1 or 2, an int.
+_CHANNEL_PARAMS = {
+    "coupler": {"eta_h": None, "eta_v": None},
+    "polarizer": {"angle": None},
+    "waveplate": {"retardance": None, "angle": 0.0},
+    "identity": {},
+}
 
 
-def _pop_param(params: dict, kind: str, key: str,
-               default: float | None = None) -> float:
-    """Remove the finite numeric parameter `key` of a `kind` channel from
-    `params`; without a `default` it is required."""
-    if key not in params and default is None:
-        raise ValueError(f"{kind} needs {key}")
-    value = _as_float(params.pop(key, default), f"{kind} {key}")
-    if not math.isfinite(value):
-        raise ValueError(f"{kind} {key} must be finite, got {value!r}")
-    return value
-
-
-def _pop_coupler_etas(params: dict) -> tuple[float, float]:
-    """Remove a coupler's eta_h and its ratio or eta_v from `params`;
-    return (eta_h, eta_v)."""
-    eta_h = _pop_param(params, "coupler", "eta_h")
-    if "ratio" in params:
-        ratio = _pop_param(params, "coupler", "ratio")
-        if not ratio > 0.0:
-            raise ValueError(f"coupler ratio must be positive, got {ratio!r}")
-        return eta_h, eta_h / ratio
-    if "eta_v" not in params:
-        raise ValueError("coupler needs ratio or eta_v")
-    return eta_h, _pop_param(params, "coupler", "eta_v")
+def _channel_params(spec: ChannelSpec) -> dict:
+    """The parameters of `spec` by `_CHANNEL_PARAMS`, each a finite float, a
+    coupler's ratio turned into eta_v; a ValueError names the first fault."""
+    kind = spec.kind
+    if not isinstance(kind, str) or kind not in _CHANNEL_PARAMS:
+        raise ValueError(f"unknown channel kind {kind!r}")
+    if type(spec.arm) is not int or spec.arm not in (1, 2):
+        raise ValueError(f"{kind} arm must be 1 or 2, got {spec.arm!r}")
+    given = dict(spec.params)
+    params = {}
+    for key, default in _CHANNEL_PARAMS[kind].items():
+        if kind == "coupler" and key == "eta_v" and "ratio" in given:
+            ratio = _number(given.pop("ratio"), "coupler ratio", finite=True)
+            if not ratio > 0.0:
+                raise ValueError(f"coupler ratio must be positive, got {ratio!r}")
+            params[key] = params["eta_h"] / ratio
+        elif key in given:
+            params[key] = _number(given.pop(key), f"{kind} {key}", finite=True)
+        elif default is None:
+            raise ValueError(f"{kind} needs {'ratio or eta_v' if key == 'eta_v' else key}")
+        else:
+            params[key] = default
+    if given:
+        raise ValueError(f"unexpected {kind} parameters: {sorted(given, key=str)}")
+    return params
 
 
 def build_channel(spec: ChannelSpec) -> optics.KrausChannel:
     from biphoton import optics
-    params = dict(spec.params)
+    params = _channel_params(spec)
     if spec.kind == "coupler":
-        eta_h, eta_v = _pop_coupler_etas(params)
-    elif spec.kind == "polarizer":
-        angle = _pop_param(params, "polarizer", "angle")
-    elif spec.kind == "waveplate":
-        retardance = _pop_param(params, "waveplate", "retardance")
-        angle = _pop_param(params, "waveplate", "angle", 0.0)
-    elif spec.kind == "identity":
-        pass
-    else:
-        raise ValueError(f"unknown channel kind {spec.kind!r}")
-    if params:
-        raise ValueError(f"unexpected {spec.kind} parameters: {sorted(params)}")
-    if spec.kind == "coupler":
-        return optics.anisotropic_coupler(eta_h, eta_v, spec.arm)
+        return optics.anisotropic_coupler(**params, arm=spec.arm)
     if spec.kind == "polarizer":
-        return optics.polarizer(angle, spec.arm)
+        return optics.polarizer(**params, arm=spec.arm)
     if spec.kind == "waveplate":
-        return optics.KrausChannel.from_jones(optics.waveplate(retardance, angle), spec.arm)
+        return optics.KrausChannel.from_jones(optics.waveplate(**params), spec.arm)
     return optics.KrausChannel.identity(spec.arm)
 
 
@@ -324,7 +327,8 @@ def _coupler_etas(config: ScenarioConfig) -> tuple[float, float]:
     """(eta_h, eta_v) of the first coupler in the chain; (1, 1) without one."""
     for spec in config.channel_chain:
         if spec.kind == "coupler":
-            return _pop_coupler_etas(dict(spec.params))
+            params = _channel_params(spec)
+            return params["eta_h"], params["eta_v"]
     return 1.0, 1.0
 
 
@@ -333,10 +337,11 @@ def _pure_state(spec, key: str) -> PureState:
     {schmidt_theta: angle} mapping; `key` names the config entry."""
     from biphoton import qstate
     if isinstance(spec, dict):
-        if "schmidt_theta" not in spec:
-            raise ValueError(f"{key} mapping needs schmidt_theta")
-        return qstate.schmidt_pure(_as_float(spec["schmidt_theta"],
-                                             f"{key} schmidt_theta"))
+        if list(spec) != ["schmidt_theta"]:
+            raise ValueError(f"{key} mapping must hold schmidt_theta alone, "
+                             f"got keys {sorted(spec, key=str)}")
+        return qstate.schmidt_pure(_number(spec["schmidt_theta"],
+                                           f"{key} schmidt_theta"))
     return qstate.bell_state(spec)
 
 
@@ -365,6 +370,7 @@ class ScenarioModel:
     eta_h: float
     eta_v: float
     target: PureState
+    singles_leak: float | None = None  # None: the singles probe is pure H
 
 
 def resolve_model(config: ScenarioConfig) -> ScenarioModel:
@@ -375,7 +381,7 @@ def resolve_model(config: ScenarioConfig) -> ScenarioModel:
     pair rate by the channel survival probability, which is what the
     analyzers actually receive.
     """
-    from biphoton import optics, qstate
+    from biphoton import optics, qstate, sim
     channels = [build_channel(spec) for spec in config.channel_chain]
     outcome = optics.apply_chain(qstate.to_density(source_state(config)), channels)
     if config.noise_fit_concurrence is not None:
@@ -384,6 +390,14 @@ def resolve_model(config: ScenarioConfig) -> ScenarioModel:
         noise_p = config.noise_p or 0.0
     state = optics.depolarize(outcome.state, noise_p)
     eta_h, eta_v = _coupler_etas(config)
+    leak = None
+    if config.singles_extinction is not None:
+        leak = sim.leak_fraction_for_extinction(config.singles_extinction,
+                                                eta_h, eta_v)
+        if not leak < 1.0:
+            raise ValueError(f"singles_extinction {config.singles_extinction!r} "
+                             f"cannot be reached behind a coupler with "
+                             f"eta_v {eta_v!r}")
     return ScenarioModel(
         state=state,
         success_probability=outcome.success_probability,
@@ -392,24 +406,17 @@ def resolve_model(config: ScenarioConfig) -> ScenarioModel:
         eta_h=eta_h,
         eta_v=eta_v,
         target=target_state(config),
+        singles_leak=leak,
     )
-
-
-def _singles_input(config: ScenarioConfig, model: ScenarioModel):
-    from biphoton import qstate, sim
-    if config.singles_extinction is None:
-        return qstate.ket("H")
-    leak = sim.leak_fraction_for_extinction(config.singles_extinction,
-                                            model.eta_h, model.eta_v)
-    return sim.h_state_with_leak(leak)
 
 
 def scenario_fringes(config: ScenarioConfig, model: ScenarioModel) -> dict:
     """The fringe set of one scenario: singles, transmission, two biphoton."""
-    from biphoton import optics, sim
+    from biphoton import optics, qstate, sim
     grid = _fringe_grid()
-    singles = sim.single_photon_fringe(_singles_input(config, model),
-                                       model.eta_h, model.eta_v, grid)
+    probe = (qstate.ket("H") if model.singles_leak is None
+             else sim.h_state_with_leak(model.singles_leak))
+    singles = sim.single_photon_fringe(probe, model.eta_h, model.eta_v, grid)
     transmission = optics.transmission_fringe(model.eta_h, model.eta_v, grid)
     bi_h = sim.biphoton_fringe(model.state, "H", grid,
                                mean_pairs=model.effective_pairs,
@@ -594,16 +601,12 @@ def load_scenario(path) -> ScenarioConfig:
         entry = dict(entry)
         if "kind" not in entry:
             raise ValueError(f"{path}: channel_chain entry {i} needs a kind")
-        kind = entry.pop("kind")
-        arm = entry.pop("arm", 1)
-        if isinstance(arm, bool) or not isinstance(arm, numbers.Integral):
-            raise ValueError(f"{path}: channel_chain entry {i} arm must be an "
-                             f"integer, got {arm!r}")
+        kind, arm = entry.pop("kind"), entry.pop("arm", 1)
         chain.append(ChannelSpec(kind, entry, arm))
     known = {f.name for f in ScenarioConfig.__dataclass_fields__.values()}
     unknown = set(raw) - known
     if unknown:
-        raise ValueError(f"{path}: unknown scenario keys {sorted(unknown)}")
+        raise ValueError(f"{path}: unknown scenario keys {sorted(unknown, key=str)}")
     return ScenarioConfig(channel_chain=tuple(chain), **raw)
 
 

@@ -318,6 +318,20 @@ def _check_plan(settings) -> tuple:
     return settings
 
 
+def _records(rho: DensityMatrix, settings, mean_pairs: float, seed, tag: int) -> list:
+    """One CountRecord per setting: a Poisson draw from the stream (seed,
+    tag, setting index), or the expected count when `seed` is None."""
+    records = []
+    for i, setting in enumerate(settings):
+        p = coincidence_probability(rho, setting)
+        if seed is None:
+            counts = p * mean_pairs
+        else:
+            counts = float(sample_counts(p, mean_pairs, stream(seed, tag, i)))
+        records.append(CountRecord(setting, counts, float(mean_pairs)))
+    return records
+
+
 def acquire_tomography(rho: DensityMatrix, settings, mean_pairs: float,
                        seed: int) -> list:
     """Sample one CountRecord per setting.
@@ -325,21 +339,12 @@ def acquire_tomography(rho: DensityMatrix, settings, mean_pairs: float,
     Each setting draws from its own stream (seed, tag, setting index), so
     records are reproducible and independent of evaluation order.
     """
-    settings = _check_plan(settings)
-    records = []
-    for i, setting in enumerate(settings):
-        p = coincidence_probability(rho, setting)
-        n = sample_counts(p, mean_pairs, stream(seed, _TOMO_STREAM, i))
-        records.append(CountRecord(setting, float(n), float(mean_pairs)))
-    return records
+    return _records(rho, _check_plan(settings), mean_pairs, seed, _TOMO_STREAM)
 
 
 def exact_tomography(rho: DensityMatrix, settings, mean_pairs: float) -> list:
     """Infinite-count records: counts equal probability * mean_pairs."""
-    settings = _check_plan(settings)
-    return [CountRecord(s, coincidence_probability(rho, s) * mean_pairs,
-                        float(mean_pairs))
-            for s in settings]
+    return _records(rho, _check_plan(settings), mean_pairs, None, _TOMO_STREAM)
 
 
 def _open_in_place(path, flags: int) -> int:

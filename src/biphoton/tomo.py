@@ -344,8 +344,7 @@ def _lbfgsb(fun, x0: np.ndarray, max_iterations: int):
                     continue
                 x_out[r] = x_s
                 f_out[r] = f[s]
-                converged[r] = (code == _TASK_CONVERGED
-                                and len(traces[r]) <= max_iterations)
+                converged[r] = code == _TASK_CONVERGED
                 r = next(waiting, None)
                 if r is None:
                     break

@@ -105,6 +105,20 @@ MALFORMED_SCENARIOS = [
     ("bootstrap_replicas", f"bootstrap_replicas: {cli.MAX_BOOTSTRAP_REPLICAS + 1}\n",
      "bootstrap_replicas"),
     ("outputs", "outputs: ''\n", "outputs"),
+    ("mean_pairs", f"mean_pairs: {'9' * 400}\n", "mean_pairs"),
+    (None, f"channel_chain:\n  - {{kind: coupler, eta_h: {'9' * 400}, ratio: 2}}\n",
+     "coupler eta_h"),
+    ("source", f"source: {{schmidt_theta: {'9' * 400}}}\n", "source schmidt_theta"),
+    (None, "channel_chain:\n  - {kind: polarizer, angle: true}\n", "polarizer angle"),
+    (None, "channel_chain:\n  - {kind: waveplate, retardance: '1.5'}\n",
+     "waveplate retardance"),
+    ("source", "source: {schmidt_theta: true}\n", "source schmidt_theta"),
+    ("source", "source: {schmidt_theta: 0.3, phase: 1}\n", "phase"),
+    (None, "singles_extinction: 25\n"
+           "channel_chain:\n  - {kind: coupler, eta_h: 0.4, eta_v: 0}\n",
+     "singles_extinction"),
+    (None, "1: 2\nwavelength: 808\n", "unknown scenario keys"),
+    (None, "channel_chain:\n  - {kind: identity, 1: 2, tilt: 3}\n", "unexpected"),
 ]
 MALFORMED_IDS = [
     "coupler-without-eta_h", "channel-without-kind", "yaml-syntax",
@@ -118,7 +132,12 @@ MALFORMED_IDS = [
     "noise_fit_concurrence-nan", "arm-not-an-integer", "name-a-list",
     "mean_pairs-infinite", "singles_extinction-below-1", "tomography_plan-unknown",
     "mean_pairs-too-large", "polarizer-angle-infinite", "waveplate-retardance-nan",
-    "waveplate-angle-minus-infinite", "bootstrap_replicas-too-large", "outputs-empty"]
+    "waveplate-angle-minus-infinite", "bootstrap_replicas-too-large", "outputs-empty",
+    "mean_pairs-beyond-float-range", "coupler-eta_h-beyond-float-range",
+    "schmidt_theta-beyond-float-range", "polarizer-angle-a-bool",
+    "waveplate-retardance-a-quoted-number", "schmidt_theta-a-bool",
+    "schmidt-mapping-with-another-key", "singles_extinction-behind-eta_v-zero",
+    "unknown-keys-of-two-types", "channel-parameters-of-two-types"]
 
 
 def malformed_scenario(dropped, text, outputs) -> str:
@@ -143,16 +162,30 @@ def assert_every_command_rejects(tmp_path, capsys, dropped, text, named):
 
 #: Values the fuzz writes over a key's value; 1e300 is a string in YAML 1.1.
 FUZZ_VALUES = (".inf", "-.inf", ".nan", "[1]", "{a: 1}", "true", "null", "1e300",
-               "1.0e+300", "-1.0e+300", "-1", "0", "'0.5'", "'abc'", '""')
+               "1.0e+300", "-1.0e+300", "-1", "0", "'0.5'", "'abc'", '""', "9" * 400)
+
+#: Scenario texts the fuzz mutates besides the built-ins, which hold only
+#: couplers: every other channel kind and a schmidt_theta mapping.
+FUZZ_SEED_TEXTS = (
+    "name: optics\nsource:\n  schmidt_theta: 0.6\nchannel_chain:\n"
+    "  - kind: waveplate\n    retardance: 3.14\n    angle: 0.4\n    arm: 2\n"
+    "  - kind: identity\n    arm: 1\nnoise_p: 0.05\nsingles_extinction: 25.0\n"
+    "mean_pairs: 2000\nseed: 3\noutputs: out/optics\n",
+    "name: polarizer\nsource: phi-\nchannel_chain:\n"
+    "  - kind: polarizer\n    angle: 0.7\n    arm: 1\n"
+    "  - kind: waveplate\n    retardance: 1.57\nfidelity_target:\n"
+    "  schmidt_theta: 0.3\nnoise_p: 0.1\nmean_pairs: 2000\nseed: 5\n"
+    "outputs: out/polarizer\n",
+)
 
 
 def scenario_mutants(count: int, seed: int = 2014):
-    """`count` texts of the built-in scenarios, each with one to three
-    lines dropped, duplicated, edited, given a new value or broken by a tab,
-    drawn from a fixed-seed generator."""
+    """`count` texts of the built-in scenarios and `FUZZ_SEED_TEXTS`, each
+    with one to three lines dropped, duplicated, edited, given a new value or
+    broken by a tab, drawn from a fixed-seed generator."""
     rng = random.Random(seed)
     texts = [(resources.files("biphoton") / "scenarios" / f"{name}.yaml").read_text()
-             for name in cli.BUILTIN_SCENARIOS]
+             for name in cli.BUILTIN_SCENARIOS] + list(FUZZ_SEED_TEXTS)
     for _ in range(count):
         lines = rng.choice(texts).splitlines()
         for _ in range(rng.randint(1, 3)):
@@ -392,7 +425,7 @@ class TestFitNoise:
         monkeypatch.setattr(cli, "_FIT_MARGIN", 1.0)
         monkeypatch.setattr(optics, "depolarize", counted)
         assert [fit_outcome(fit_noise, t, b) for t, b in cases] == want
-        # One exact evaluation at p = 0 per fit, then one at every mid.
+        # One exact evaluation at every mid.
         assert len(exact_steps) > 5 * len(cases)
 
     @pytest.mark.parametrize("offset", [0.9e-9, -0.9e-9])
@@ -496,6 +529,12 @@ class TestResolveModel:
         config = small_config(tmp_path,
                               channel_chain=(ChannelSpec("mirror", {}, 1),))
         with pytest.raises(ValueError, match="channel kind"):
+            resolve_model(config)
+
+    def test_bool_arm_rejected(self, tmp_path):
+        config = small_config(tmp_path,
+                              channel_chain=(ChannelSpec("identity", {}, True),))
+        with pytest.raises(ValueError, match="arm"):
             resolve_model(config)
 
     def test_unexpected_channel_params(self, tmp_path):
