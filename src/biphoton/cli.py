@@ -98,17 +98,90 @@ def _number(value, what: str, finite: bool = False) -> float:
     return number
 
 
+#: Each channel kind's parameters and their defaults, None where required.
+#: A coupler's eta_v may be given instead as ratio = eta_h / eta_v > 0, and
+#: its efficiencies lie in [0, 1]. Every channel acts on arm 1 or 2, an int.
+_CHANNEL_PARAMS = {
+    "coupler": {"eta_h": None, "eta_v": None},
+    "polarizer": {"angle": None},
+    "waveplate": {"retardance": None, "angle": 0.0},
+    "identity": {},
+}
+
+
 @dataclass(frozen=True)
 class ChannelSpec:
-    """One channel-chain entry: kind, parameters and the arm it acts on."""
+    """One channel-chain entry: kind, parameters and the arm it acts on,
+    checked by `_CHANNEL_PARAMS` when built. `params` keeps the parse, which
+    parses to itself: finite floats, defaults filled in, ratio as eta_v."""
 
     kind: str
     params: dict = field(default_factory=dict)
     arm: int = 1
 
+    def __post_init__(self):
+        kind = self.kind
+        if not isinstance(kind, str) or kind not in _CHANNEL_PARAMS:
+            raise ValueError(f"unknown channel kind {kind!r}")
+        if type(self.arm) is not int or self.arm not in (1, 2):
+            raise ValueError(f"{kind} arm must be 1 or 2, got {self.arm!r}")
+        given = dict(self.params)
+        params = {}
+        for key, default in _CHANNEL_PARAMS[kind].items():
+            if kind == "coupler" and key == "eta_v" and "ratio" in given:
+                ratio = _number(given.pop("ratio"), "coupler ratio", finite=True)
+                if not ratio > 0.0:
+                    raise ValueError(f"coupler ratio must be positive, got {ratio!r}")
+                params[key] = params["eta_h"] / ratio
+            elif key in given:
+                params[key] = _number(given.pop(key), f"{kind} {key}", finite=True)
+            elif default is None:
+                raise ValueError(f"{kind} needs {'ratio or eta_v' if key == 'eta_v' else key}")
+            else:
+                params[key] = default
+            if kind == "coupler" and not 0.0 <= params[key] <= 1.0:
+                raise ValueError(f"coupler {key} must lie in [0, 1], got {params[key]!r}")
+        if given:
+            raise ValueError(f"unexpected {kind} parameters: {sorted(given, key=str)}")
+        object.__setattr__(self, "params", params)
+
+
+def _state_test(key: str, *names):
+    """The range test of a state key: one of `names`, or a spec that
+    `_pure_state` builds (it raises naming `key` otherwise)."""
+    return lambda spec: spec in names or _pure_state(spec, key) is not None
+
+
+_STATE, _UNIT = "a state name or a schmidt_theta mapping", "a number in [0, 1]"
+
+#: Every scenario key but channel_chain: (accepted types, range test or None,
+#: the phrase its error gives, whether a scenario file must give it). A float
+#: key takes a real number by `_number`, an int key an int that is not a
+#: bool; None lets a key stay unset. A range test returns False or raises its
+#: own ValueError. The plan's phrase is a function: `sim` loads only on use.
+_KEYS = {
+    "name": ((str,), None, "a string", True),
+    "source": ((str, dict), _state_test("source", "compensated"), _STATE, True),
+    "fidelity_target": ((str, dict), _state_test("fidelity_target"), _STATE, False),
+    "outputs": ((str, os.PathLike), lambda v: v != "", "a directory path", False),
+    "seed": ((int,), lambda v: v >= 0, "a non-negative integer", True),
+    "bootstrap_replicas": ((int,), lambda v: v == 0 or 2 <= v <= MAX_BOOTSTRAP_REPLICAS,
+                           f"0 or an integer from 2 to {MAX_BOOTSTRAP_REPLICAS}", False),
+    "mean_pairs": ((float,), lambda v: 0 < v <= MAX_MEAN_PAIRS,
+                   f"a number in (0, {MAX_MEAN_PAIRS:g}]", False),
+    "noise_p": ((float, type(None)), lambda v: 0 <= v <= 1, _UNIT, False),
+    "noise_fit_concurrence": ((float, type(None)), lambda v: 0 <= v <= 1, _UNIT, False),
+    # An infinite extinction ratio is a polarizer that leaks nothing.
+    "singles_extinction": ((float, type(None)), lambda v: v > 1, "a number above 1", False),
+    "tomography_plan": ((str,), lambda v: v == _default_plan(),
+                        lambda: repr(_default_plan()), False),
+}
+
 
 @dataclass(frozen=True)
 class ScenarioConfig:
+    """One scenario; building it checks every key by its row of `_KEYS`."""
+
     name: str
     source: str | dict
     channel_chain: tuple = ()
@@ -123,41 +196,18 @@ class ScenarioConfig:
     bootstrap_replicas: int = 200
 
     def __post_init__(self):
-        if not isinstance(self.name, str):
-            raise ValueError(f"name must be a string, got {self.name!r}")
-        for key in ("source", "fidelity_target"):
-            if not isinstance(getattr(self, key), (str, dict)):
-                raise ValueError(f"{key} must be a state name or a schmidt_theta "
-                                 f"mapping, got {getattr(self, key)!r}")
-        if not isinstance(self.outputs, (str, os.PathLike)) or self.outputs == "":
-            raise ValueError(f"outputs must be a directory path, got {self.outputs!r}")
-        for key in ("mean_pairs", "noise_p", "noise_fit_concurrence",
-                    "singles_extinction"):
-            if getattr(self, key) is not None or key == "mean_pairs":
-                _number(getattr(self, key), key)
-        if type(self.seed) is not int or self.seed < 0:
-            raise ValueError(f"scenario needs a non-negative integer seed, "
-                             f"got {self.seed!r}")
-        replicas = self.bootstrap_replicas
-        if (type(replicas) is not int or replicas < 0 or replicas == 1
-                or replicas > MAX_BOOTSTRAP_REPLICAS):
-            raise ValueError(f"bootstrap_replicas must be 0 or an integer from 2 "
-                             f"to {MAX_BOOTSTRAP_REPLICAS}, got {replicas!r}")
-        if self.noise_p is not None and not 0.0 <= self.noise_p <= 1.0:
-            raise ValueError("noise_p must lie in [0, 1]")
+        for key, (types, test, phrase, _) in _KEYS.items():
+            value = getattr(self, key)
+            if value is None and type(None) in types:
+                continue
+            if float in types:
+                _number(value, key)
+            typed = float in types or isinstance(value, types) and not isinstance(value, bool)
+            if not typed or test is not None and not test(value):
+                phrase = phrase() if callable(phrase) else phrase
+                raise ValueError(f"{key} must be {phrase}, got {value!r}")
         if self.noise_p is not None and self.noise_fit_concurrence is not None:
             raise ValueError("give noise_p or noise_fit_concurrence, not both")
-        if not 0 < self.mean_pairs <= MAX_MEAN_PAIRS:
-            raise ValueError(f"mean_pairs must be positive and at most "
-                             f"{MAX_MEAN_PAIRS:g}, got {self.mean_pairs!r}")
-        # An infinite extinction ratio is a polarizer that leaks nothing.
-        if self.singles_extinction is not None and not self.singles_extinction > 1:
-            raise ValueError(f"singles_extinction must exceed 1, "
-                             f"got {self.singles_extinction!r}")
-        plan = _default_plan()
-        if self.tomography_plan != plan:
-            raise ValueError(f"tomography_plan must be {plan!r}, "
-                             f"got {self.tomography_plan!r}")
 
 
 @dataclass(frozen=True)
@@ -273,53 +323,14 @@ def fit_noise(target_concurrence: float, base_state: DensityMatrix) -> float:
 # Scenario assembly
 # ---------------------------------------------------------------------------
 
-#: Each channel kind's parameters and their defaults, None where required.
-#: A coupler's eta_v may be given instead as ratio = eta_h / eta_v > 0.
-#: Every channel acts on arm 1 or 2, an int.
-_CHANNEL_PARAMS = {
-    "coupler": {"eta_h": None, "eta_v": None},
-    "polarizer": {"angle": None},
-    "waveplate": {"retardance": None, "angle": 0.0},
-    "identity": {},
-}
-
-
-def _channel_params(spec: ChannelSpec) -> dict:
-    """The parameters of `spec` by `_CHANNEL_PARAMS`, each a finite float, a
-    coupler's ratio turned into eta_v; a ValueError names the first fault."""
-    kind = spec.kind
-    if not isinstance(kind, str) or kind not in _CHANNEL_PARAMS:
-        raise ValueError(f"unknown channel kind {kind!r}")
-    if type(spec.arm) is not int or spec.arm not in (1, 2):
-        raise ValueError(f"{kind} arm must be 1 or 2, got {spec.arm!r}")
-    given = dict(spec.params)
-    params = {}
-    for key, default in _CHANNEL_PARAMS[kind].items():
-        if kind == "coupler" and key == "eta_v" and "ratio" in given:
-            ratio = _number(given.pop("ratio"), "coupler ratio", finite=True)
-            if not ratio > 0.0:
-                raise ValueError(f"coupler ratio must be positive, got {ratio!r}")
-            params[key] = params["eta_h"] / ratio
-        elif key in given:
-            params[key] = _number(given.pop(key), f"{kind} {key}", finite=True)
-        elif default is None:
-            raise ValueError(f"{kind} needs {'ratio or eta_v' if key == 'eta_v' else key}")
-        else:
-            params[key] = default
-    if given:
-        raise ValueError(f"unexpected {kind} parameters: {sorted(given, key=str)}")
-    return params
-
-
 def build_channel(spec: ChannelSpec) -> optics.KrausChannel:
     from biphoton import optics
-    params = _channel_params(spec)
     if spec.kind == "coupler":
-        return optics.anisotropic_coupler(**params, arm=spec.arm)
+        return optics.anisotropic_coupler(**spec.params, arm=spec.arm)
     if spec.kind == "polarizer":
-        return optics.polarizer(**params, arm=spec.arm)
+        return optics.polarizer(**spec.params, arm=spec.arm)
     if spec.kind == "waveplate":
-        return optics.KrausChannel.from_jones(optics.waveplate(**params), spec.arm)
+        return optics.KrausChannel.from_jones(optics.waveplate(**spec.params), spec.arm)
     return optics.KrausChannel.identity(spec.arm)
 
 
@@ -327,8 +338,7 @@ def _coupler_etas(config: ScenarioConfig) -> tuple[float, float]:
     """(eta_h, eta_v) of the first coupler in the chain; (1, 1) without one."""
     for spec in config.channel_chain:
         if spec.kind == "coupler":
-            params = _channel_params(spec)
-            return params["eta_h"], params["eta_v"]
+            return spec.params["eta_h"], spec.params["eta_v"]
     return 1.0, 1.0
 
 
@@ -342,7 +352,15 @@ def _pure_state(spec, key: str) -> PureState:
                              f"got keys {sorted(spec, key=str)}")
         return qstate.schmidt_pure(_number(spec["schmidt_theta"],
                                            f"{key} schmidt_theta"))
-    return qstate.bell_state(spec)
+    return _bell_state(spec)
+
+
+@functools.lru_cache(maxsize=64)
+def _bell_state(label: str) -> PureState:
+    """`qstate.bell_state(label)`, built once: a PureState is read-only, so a
+    config's check and its model share one."""
+    from biphoton import qstate
+    return qstate.bell_state(label)
 
 
 def source_state(config: ScenarioConfig) -> PureState:
@@ -578,17 +596,36 @@ def builtin_scenario(name: str) -> ScenarioConfig:
     return load_scenario(resources.files("biphoton") / "scenarios" / f"{name}.yaml")
 
 
+@functools.cache
+def _strict_loader(base):
+    """The loader `base`, rejecting a mapping that gives one key twice where
+    PyYAML alone keeps the last value."""
+    class Loader(base):
+        def construct_mapping(self, node, deep=False):
+            keys = []
+            for key_node, _ in node.value:
+                if key_node.tag != "tag:yaml.org,2002:merge":
+                    key = self.construct_object(key_node, deep=deep)
+                    if key in keys:
+                        raise yaml.constructor.ConstructorError(
+                            None, None, f"repeated key {key!r}", key_node.start_mark)
+                    keys.append(key)
+            return super().construct_mapping(node, deep)
+    return Loader
+
+
 def load_scenario(path) -> ScenarioConfig:
     """Parse a YAML scenario file into a ScenarioConfig."""
     try:
         with open(path) as fh:
-            raw = yaml.load(fh, Loader=_YAML_LOADER)
-    except yaml.YAMLError as exc:
+            raw = yaml.load(fh, Loader=_strict_loader(_YAML_LOADER))
+    except (yaml.YAMLError, ValueError) as exc:
+        # ValueError: undecodable bytes, or an int past Python's digit limit.
         raise ValueError(f"{path}: invalid YAML: {' '.join(str(exc).split())}") from None
     if not isinstance(raw, dict):
         raise ValueError(f"{path}: scenario file must hold a mapping")
-    for key in ("name", "source", "seed"):
-        if key not in raw:
+    for key, (*_, required) in _KEYS.items():
+        if required and key not in raw:
             raise ValueError(f"{path}: scenario must specify a {key}")
     entries = raw.pop("channel_chain", None)
     if not isinstance(entries, (list, type(None))):
@@ -596,15 +633,11 @@ def load_scenario(path) -> ScenarioConfig:
                          f"got {entries!r}")
     chain = []
     for i, entry in enumerate(entries or []):
-        if not isinstance(entry, dict):
-            raise ValueError(f"{path}: channel_chain entry {i} must be a mapping")
-        entry = dict(entry)
-        if "kind" not in entry:
-            raise ValueError(f"{path}: channel_chain entry {i} needs a kind")
-        kind, arm = entry.pop("kind"), entry.pop("arm", 1)
-        chain.append(ChannelSpec(kind, entry, arm))
-    known = {f.name for f in ScenarioConfig.__dataclass_fields__.values()}
-    unknown = set(raw) - known
+        if not isinstance(entry, dict) or "kind" not in entry:
+            raise ValueError(f"{path}: channel_chain entry {i} must be a mapping with a kind")
+        params = {k: v for k, v in entry.items() if k not in ("kind", "arm")}
+        chain.append(ChannelSpec(entry["kind"], params, entry.get("arm", 1)))
+    unknown = set(raw) - set(_KEYS)
     if unknown:
         raise ValueError(f"{path}: unknown scenario keys {sorted(unknown, key=str)}")
     return ScenarioConfig(channel_chain=tuple(chain), **raw)
@@ -612,8 +645,8 @@ def load_scenario(path) -> ScenarioConfig:
 
 def _resolve_config(arg: str, seed: int | None, outputs: str | None) -> ScenarioConfig:
     config = builtin_scenario(arg) if arg in BUILTIN_SCENARIOS else load_scenario(arg)
-    overrides = {"seed": seed, "outputs": outputs}
-    return replace(config, **{k: v for k, v in overrides.items() if v is not None})
+    overrides = {k: v for k, v in (("seed", seed), ("outputs", outputs)) if v is not None}
+    return replace(config, **overrides) if overrides else config
 
 
 # ---------------------------------------------------------------------------

@@ -119,6 +119,11 @@ MALFORMED_SCENARIOS = [
      "singles_extinction"),
     (None, "1: 2\nwavelength: 808\n", "unknown scenario keys"),
     (None, "channel_chain:\n  - {kind: identity, 1: 2, tilt: 3}\n", "unexpected"),
+    (None, "seed: 9\n", "seed"),
+    (None, "channel_chain:\n  - {kind: polarizer, angle: 0.1, angle: 0.2}\n", "angle"),
+    ("mean_pairs", f"mean_pairs: {'9' * 5000}\n", "bad.yaml"),
+    (None, "noise_fit_concurrence: -0.5\n", "noise_fit_concurrence"),
+    (None, "noise_fit_concurrence: 1.5\n", "noise_fit_concurrence"),
 ]
 MALFORMED_IDS = [
     "coupler-without-eta_h", "channel-without-kind", "yaml-syntax",
@@ -137,7 +142,15 @@ MALFORMED_IDS = [
     "schmidt_theta-beyond-float-range", "polarizer-angle-a-bool",
     "waveplate-retardance-a-quoted-number", "schmidt_theta-a-bool",
     "schmidt-mapping-with-another-key", "singles_extinction-behind-eta_v-zero",
-    "unknown-keys-of-two-types", "channel-parameters-of-two-types"]
+    "unknown-keys-of-two-types", "channel-parameters-of-two-types", "seed-repeated",
+    "polarizer-angle-repeated", "mean_pairs-beyond-the-int-digit-limit",
+    "noise_fit_concurrence-negative", "noise_fit_concurrence-above-1"]
+
+
+#: The malformed cases whose fault shows only in the resolved model: a
+#: singles extinction that the channel chain puts out of reach.
+PHYSICS_FAULTS = [(None, "singles_extinction: 25\n"
+                         "channel_chain:\n  - {kind: coupler, eta_h: 0.4, eta_v: 0}\n")]
 
 
 def malformed_scenario(dropped, text, outputs) -> str:
@@ -492,6 +505,14 @@ class TestScenarioConfig:
         with pytest.raises(ValueError, match="noise_p"):
             ScenarioConfig(name="x", source="phi+", noise_p=1.5, seed=1)
 
+    def test_checked_bell_states_are_shared_read_only(self):
+        # The config's check and its model share each built Bell state.
+        config = ScenarioConfig(name="x", source="phi+", fidelity_target="psi-", seed=1)
+        target = cli._pure_state("psi-", "fidelity_target")
+        assert resolve_model(config).target is target
+        assert cli.source_state(config) is cli._pure_state("phi+", "source")
+        assert not target.amplitudes.flags.writeable
+
     def test_bootstrap_replicas_bound_is_accepted(self, tmp_path):
         # Parsing only: a run at the bound fits for minutes.
         path = tmp_path / "most.yaml"
@@ -526,22 +547,55 @@ class TestResolveModel:
             config.mean_pairs * model.success_probability, rel=1e-12)
 
     def test_invalid_channel_kind(self, tmp_path):
-        config = small_config(tmp_path,
-                              channel_chain=(ChannelSpec("mirror", {}, 1),))
         with pytest.raises(ValueError, match="channel kind"):
+            config = small_config(tmp_path,
+                                  channel_chain=(ChannelSpec("mirror", {}, 1),))
             resolve_model(config)
 
     def test_bool_arm_rejected(self, tmp_path):
-        config = small_config(tmp_path,
-                              channel_chain=(ChannelSpec("identity", {}, True),))
         with pytest.raises(ValueError, match="arm"):
+            config = small_config(tmp_path,
+                                  channel_chain=(ChannelSpec("identity", {}, True),))
             resolve_model(config)
 
     def test_unexpected_channel_params(self, tmp_path):
-        spec = ChannelSpec("coupler", {"eta_h": 0.4, "eta_v": 0.3, "tilt": 1}, 1)
-        config = small_config(tmp_path, channel_chain=(spec,))
         with pytest.raises(ValueError, match="unexpected"):
+            spec = ChannelSpec("coupler", {"eta_h": 0.4, "eta_v": 0.3, "tilt": 1}, 1)
+            config = small_config(tmp_path, channel_chain=(spec,))
             resolve_model(config)
+
+
+class TestChannelSpec:
+    @pytest.mark.parametrize("kind, params, parsed", [
+        ("coupler", {"eta_h": 0.403, "ratio": 1.78}, {"eta_h": 0.403, "eta_v": 0.403 / 1.78}),
+        ("coupler", {"eta_h": 1, "eta_v": 0}, {"eta_h": 1.0, "eta_v": 0.0}),
+        ("polarizer", {"angle": 0.7}, {"angle": 0.7}),
+        ("waveplate", {"retardance": 3}, {"retardance": 3.0, "angle": 0.0}),
+        ("identity", {}, {})])
+    def test_a_built_spec_holds_its_parsed_params_and_parses_to_itself(
+            self, kind, params, parsed):
+        spec = ChannelSpec(kind, params, 2)
+        assert spec.params == parsed
+        assert [type(v) for v in spec.params.values()] == [float] * len(parsed)
+        assert dataclasses.replace(spec) == spec
+        assert ChannelSpec(kind, spec.params, 2).params == parsed
+
+    @pytest.mark.parametrize("eta_h, ratio", [(1.5, 2.0), (0.9, 0.5), (-0.1, 1.0)])
+    def test_coupler_efficiencies_outside_0_1_rejected(self, eta_h, ratio):
+        with pytest.raises(ValueError, match=r"coupler eta_[hv] must lie in \[0, 1\]"):
+            ChannelSpec("coupler", {"eta_h": eta_h, "ratio": ratio})
+
+    def test_resolving_a_model_parses_no_channel(self, monkeypatch):
+        config = builtin_scenario("nanowire-compensated")
+        want = resolve_model(config)
+
+        def no_parse(*args, **kwargs):
+            raise AssertionError("a channel parameter was parsed again")
+
+        monkeypatch.setattr(cli, "_number", no_parse)
+        got = resolve_model(config)
+        assert (got.state.matrix.tobytes(), got.noise_p, got.eta_v) == (
+            want.state.matrix.tobytes(), want.noise_p, want.eta_v)
 
 
 EXPECTED_ARTIFACTS = sorted([
@@ -693,6 +747,22 @@ class TestCommandLine:
         # The loader of a PyYAML built without libyaml.
         monkeypatch.setattr(cli, "_YAML_LOADER", yaml.SafeLoader)
         assert_every_command_rejects(tmp_path, capsys, dropped, text, named)
+
+    @pytest.mark.parametrize("dropped, text, named", MALFORMED_SCENARIOS,
+                             ids=MALFORMED_IDS)
+    def test_malformed_scenario_fails_to_load(self, tmp_path, dropped, text, named):
+        # Every fault but one that depends on the resolved physics is found
+        # when the file is loaded, before any model is built.
+        path = tmp_path / "bad.yaml"
+        path.write_text(malformed_scenario(dropped, text, tmp_path / "out"))
+        if (dropped, text) in PHYSICS_FAULTS:
+            config = load_scenario(path)
+            with pytest.raises(ValueError, match=named):
+                resolve_model(config)
+            return
+        with pytest.raises(ValueError) as raised:
+            load_scenario(path)
+        assert named in str(raised.value).replace(str(tmp_path), "")
 
     def test_repeated_main_calls_are_independent(self, tmp_path):
         # The parser is built once per process; one call's options must not
@@ -863,10 +933,11 @@ class TestScenarioFuzz:
 
 
 def load_or_none(text: str, loader):
-    """repr of the YAML `text` loaded with `loader`, None if it does not parse."""
+    """repr of the YAML `text` loaded with `loader`, None if it does not parse
+    (a ValueError: an int past Python's digit limit)."""
     try:
         return repr(yaml.load(text, Loader=loader))
-    except yaml.YAMLError:
+    except (yaml.YAMLError, ValueError):
         return None
 
 

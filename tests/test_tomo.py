@@ -562,6 +562,27 @@ class TestMatchesMinimize:
         records = sampled_records(random_density(rng), 3000, 5)
         assert_matches_reference(records, init=random_density(rng))
 
+    def test_evaluation_limit_stops_where_minimize_does(self):
+        # sum sqrt(|x|) has its kinks at the minimum, so the line searches
+        # take many evaluations and the 10 * max_iterations limit binds
+        # before the iteration cap: minimize stops at nit 4, nfev 52.
+        def objective(x):
+            return (np.sqrt(np.abs(x) + 1e-12).sum(),
+                    np.sign(x) / (2.0 * np.sqrt(np.abs(x) + 1e-12)))
+
+        def stacked(xs, rows):
+            values, grads = zip(*map(objective, xs))
+            return np.array(values), np.array(grads)
+
+        x0 = np.random.default_rng(7).standard_normal(16)
+        res = minimize(objective, x0, jac=True, method="L-BFGS-B",
+                       options={"maxiter": 5, "maxfun": 50, "ftol": 1e-9,
+                                "gtol": 1e-10})
+        assert "EVALUATIONS EXCEEDS LIMIT" in res.message and res.nit < 5
+        x, _, iterations, converged, _ = tomo._lbfgsb(stacked, x0[None, :], 5)
+        assert x[0].tobytes() == res.x.tobytes()
+        assert iterations == [res.nit] and converged == [False]
+
 
 class TestMleReconstruct:
     def test_round_trip_fidelity(self):
