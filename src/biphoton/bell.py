@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from biphoton.qstate import DensityMatrix, linear_ket
+from biphoton.qstate import DensityMatrix, _freeze, _frozen, linear_ket
 from biphoton.sim import CountRecord, MeasurementSetting, _CHSH_STREAM, _records
 
 #: Sign of each correlation in S, indexed [alice setting][bob setting].
@@ -34,7 +34,8 @@ class ChshPlan:
         bob = tuple(float(b) for b in self.bob)
         if len(alice) != 2 or len(bob) != 2:
             raise ValueError("each party needs exactly two analyzer angles")
-        if abs(alice[0] - alice[1]) < 1e-12 or abs(bob[0] - bob[1]) < 1e-12:
+        # Written so that NaN fails the comparison and is rejected too.
+        if not (abs(alice[0] - alice[1]) >= 1e-12 and abs(bob[0] - bob[1]) >= 1e-12):
             raise ValueError("analyzer angles must be distinct within a party")
         object.__setattr__(self, "alice", alice)
         object.__setattr__(self, "bob", bob)
@@ -57,13 +58,9 @@ class ChshResult:
     plan: ChshPlan
 
     def __post_init__(self):
-        e = np.asarray(self.E, dtype=float)
-        if e.shape != (2, 2):
-            raise ValueError("E must be 2x2")
-        e.setflags(write=False)
-        object.__setattr__(self, "E", e)
-        if self.sigma_S < 0:
-            raise ValueError("sigma_S must be non-negative")
+        object.__setattr__(self, "E", _frozen(self.E, float, (2, 2), "E"))
+        if not self.sigma_S >= 0:
+            raise ValueError(f"sigma_S must be non-negative, got {self.sigma_S!r}")
 
     def to_json_dict(self) -> dict:
         return {
@@ -78,9 +75,7 @@ class ChshResult:
 def _joint_observable(a: float, b: float) -> np.ndarray:
     """The joint +/-1 observable at analyzer angles (a, b), read-only."""
     kets = (linear_ket(a), linear_ket(b))
-    joint = np.kron(*(2.0 * np.outer(k, k.conj()) - np.eye(2) for k in kets))
-    joint.setflags(write=False)
-    return joint
+    return _freeze(np.kron(*(2.0 * np.outer(k, k.conj()) - np.eye(2) for k in kets)))
 
 
 def _correlation(mats: np.ndarray, joints: np.ndarray) -> np.ndarray:
@@ -96,10 +91,8 @@ def correlation(rho: DensityMatrix, a: float, b: float) -> float:
 @lru_cache(maxsize=16)
 def _plan_joints(plan: ChshPlan) -> np.ndarray:
     """The (2, 2, 4, 4) joint observables of `plan`, [alice][bob], read-only."""
-    joints = np.array([[_joint_observable(a, b) for b in plan.bob]
-                       for a in plan.alice])
-    joints.setflags(write=False)
-    return joints
+    return _freeze(np.array([[_joint_observable(a, b) for b in plan.bob]
+                             for a in plan.alice]))
 
 
 def _chsh_S(mats: np.ndarray, plan: ChshPlan) -> tuple[np.ndarray, np.ndarray]:

@@ -71,9 +71,8 @@ def _fringe_grid():
     """The analyzer angles of every fringe, 0 to 170 degrees in steps of
     10, in radians; built once per process, read-only."""
     import numpy as np
-    grid = np.deg2rad(np.arange(0.0, 180.0, 10.0))
-    grid.setflags(write=False)
-    return grid
+    from biphoton.qstate import _freeze
+    return _freeze(np.deg2rad(np.arange(0.0, 180.0, 10.0)))
 
 
 def _default_plan() -> str:
@@ -344,15 +343,20 @@ def _coupler_etas(config: ScenarioConfig) -> tuple[float, float]:
 
 def _pure_state(spec, key: str) -> PureState:
     """The Bell state named by `spec`, or the Schmidt state of a
-    {schmidt_theta: angle} mapping; `key` names the config entry."""
+    {schmidt_theta: angle} mapping; `key` names the config entry, and
+    every error names it."""
     from biphoton import qstate
+    build = _bell_state
     if isinstance(spec, dict):
         if list(spec) != ["schmidt_theta"]:
             raise ValueError(f"{key} mapping must hold schmidt_theta alone, "
                              f"got keys {sorted(spec, key=str)}")
-        return qstate.schmidt_pure(_number(spec["schmidt_theta"],
-                                           f"{key} schmidt_theta"))
-    return _bell_state(spec)
+        key = f"{key} schmidt_theta"
+        build, spec = qstate.schmidt_pure, _number(spec["schmidt_theta"], key)
+    try:
+        return build(spec)
+    except ValueError as exc:
+        raise ValueError(f"{key}: {exc}") from None
 
 
 @functools.lru_cache(maxsize=64)
@@ -621,7 +625,9 @@ def load_scenario(path) -> ScenarioConfig:
             raw = yaml.load(fh, Loader=_strict_loader(_YAML_LOADER))
     except (yaml.YAMLError, ValueError) as exc:
         # ValueError: undecodable bytes, or an int past Python's digit limit.
-        raise ValueError(f"{path}: invalid YAML: {' '.join(str(exc).split())}") from None
+        # PyYAML's marks name the file too; the prefix alone names it here.
+        message = " ".join(str(exc).split()).replace(f' in "{path}"', "")
+        raise ValueError(f"{path}: invalid YAML: {message}") from None
     if not isinstance(raw, dict):
         raise ValueError(f"{path}: scenario file must hold a mapping")
     for key, (*_, required) in _KEYS.items():

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from biphoton.qstate import DensityMatrix, PureState, linear_ket, schmidt_pure
+from biphoton.qstate import DensityMatrix, PureState, _frozen, linear_ket, schmidt_pure
 
 _UNITARY_TOL = 1e-12
 _CP_TOL = 1e-10
@@ -36,12 +36,8 @@ class JonesOperator:
     matrix: np.ndarray
 
     def __post_init__(self):
-        mat = np.asarray(self.matrix, dtype=complex)
-        if mat.shape != (2, 2):
-            raise ValueError("Jones operator must be 2x2")
-        mat = mat.copy()
-        mat.setflags(write=False)
-        object.__setattr__(self, "matrix", mat)
+        object.__setattr__(self, "matrix",
+                           _frozen(self.matrix, complex, (2, 2), "Jones operator"))
 
     def is_unitary(self, tol: float = _UNITARY_TOL) -> bool:
         return bool(np.max(np.abs(self.matrix @ self.matrix.conj().T - np.eye(2))) <= tol)
@@ -70,18 +66,15 @@ class KrausChannel:
     arm: int = 1
 
     def __post_init__(self):
-        ops = tuple(np.asarray(op, dtype=complex) for op in self.operators)
+        ops = tuple(_frozen(op, complex, (2, 2), "Kraus operator") for op in self.operators)
         if not ops:
             raise ValueError("channel needs at least one Kraus operator")
-        for op in ops:
-            if op.shape != (2, 2):
-                raise ValueError("Kraus operators must be 2x2")
-            op.setflags(write=False)
         if self.arm not in (1, 2):
             raise ValueError(f"arm must be 1 or 2, got {self.arm!r}")
         total = sum(op.conj().T @ op for op in ops)
         slack = np.linalg.eigvalsh(np.eye(2) - total)
-        if float(slack.min()) < -_CP_TOL:
+        # Written so that NaN fails the comparison and is rejected too.
+        if not float(slack.min()) >= -_CP_TOL:
             raise ValueError("Kraus operators exceed trace preservation "
                              "(sum K^H K > I)")
         object.__setattr__(self, "operators", ops)

@@ -3,7 +3,9 @@
 States are expressed in the product basis (HH, HV, VH, VV), where H/V are
 the horizontal/vertical single-photon kets. All functions are pure and
 operate on immutable value objects, so they are safe to share across
-threads.
+threads. A value object checks its arrays when built and keeps read-only
+copies of them (`_frozen`), so a later write to the caller's array leaves
+it unchanged.
 """
 
 from __future__ import annotations
@@ -64,6 +66,27 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _frozen(value, dtype, shape: tuple, what: str) -> np.ndarray:
+    """A read-only copy of `value` as `dtype`, flattened when `shape` has
+    one axis; a ValueError naming `what` when its shape is not `shape`."""
+    arr = np.array(value, dtype=dtype)
+    if len(shape) == 1:
+        arr = arr.reshape(-1)
+    if arr.shape != shape:
+        raise ValueError(f"{what} must have shape {shape}, got {arr.shape}")
+    return _freeze(arr)
+
+
+def _unit_ket(value, size: int, what: str) -> np.ndarray:
+    """`_frozen` ket of `size` complex amplitudes whose squared norm is 1
+    within 1e-12; NaN fails the check."""
+    vec = _frozen(value, complex, (size,), what)
+    norm_sq = np.vdot(vec, vec).real
+    if not abs(norm_sq - 1.0) <= _NORM_TOL:
+        raise ValueError(f"{what} not normalized: |psi|^2 = {float(norm_sq)!r}")
+    return vec
+
+
 @dataclass(frozen=True, eq=False)
 class PureState:
     """Normalized two-qubit pure state, amplitudes ordered as `BASIS`."""
@@ -71,13 +94,7 @@ class PureState:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
-        if amps.shape != (4,):
-            raise ValueError("pure state needs exactly 4 amplitudes")
-        norm_sq = float(np.sum(np.abs(amps) ** 2))
-        if abs(norm_sq - 1.0) > _NORM_TOL:
-            raise ValueError(f"amplitudes not normalized: |psi|^2 = {norm_sq!r}")
-        object.__setattr__(self, "amplitudes", _freeze(amps))
+        object.__setattr__(self, "amplitudes", _unit_ket(self.amplitudes, 4, "amplitudes"))
 
     def overlap(self, other: "PureState") -> complex:
         """Inner product <self|other>."""
@@ -86,12 +103,12 @@ class PureState:
 
 def _checked_density(mats: np.ndarray) -> np.ndarray:
     """The Hermitian part of each 4x4 matrix along the last two axes, once
-    all of them pass the `DensityMatrix` checks."""
+    all of them pass the `DensityMatrix` checks; NaN fails them."""
     adjoint = mats.conj().swapaxes(-1, -2)
-    if (np.abs(mats - adjoint) > _HERM_TOL).any():
+    if not (np.abs(mats - adjoint) <= _HERM_TOL).all():
         raise ValueError("density matrix is not Hermitian")
     traces = mats.trace(axis1=-2, axis2=-1)
-    off = abs(traces - 1.0) > _TRACE_TOL
+    off = ~(abs(traces - 1.0) <= _TRACE_TOL)
     if off.any():
         tr = complex(np.ravel(traces)[np.argmax(off)])
         raise ValueError(f"density matrix trace {tr!r} != 1")
@@ -114,9 +131,7 @@ class DensityMatrix:
     matrix: np.ndarray
 
     def __post_init__(self):
-        mat = np.asarray(self.matrix, dtype=complex)
-        if mat.shape != (4, 4):
-            raise ValueError("density matrix must be 4x4")
+        mat = _frozen(self.matrix, complex, (4, 4), "density matrix")
         object.__setattr__(self, "matrix", _freeze(_checked_density(mat)))
 
     def to_json_dict(self) -> dict:
@@ -200,7 +215,7 @@ def _as_matrix(rho) -> np.ndarray:
     if isinstance(rho, DensityMatrix):
         return rho.matrix
     # Validate raw arrays through the DensityMatrix invariants.
-    return DensityMatrix(np.asarray(rho, dtype=complex)).matrix
+    return DensityMatrix(rho).matrix
 
 
 def concurrence(rho) -> float:

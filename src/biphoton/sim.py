@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from biphoton.optics import anisotropic_coupler
-from biphoton.qstate import DensityMatrix, _freeze, ket, linear_ket
+from biphoton.qstate import DensityMatrix, _freeze, _frozen, _unit_ket, ket, linear_ket
 
 # Purpose tags for derived RNG streams; disjoint so that reusing one master
 # seed across activities never aliases streams.
@@ -84,13 +84,7 @@ class MeasurementSetting:
 
     def __post_init__(self):
         for name in ("ket_1", "ket_2"):
-            vec = np.asarray(getattr(self, name), dtype=complex).reshape(-1)
-            if vec.shape != (2,):
-                raise ValueError(f"{name} must be a single-photon ket")
-            if abs(np.linalg.norm(vec) - 1.0) > 1e-12:
-                raise ValueError(f"{name} is not normalized")
-            vec.setflags(write=False)
-            object.__setattr__(self, name, vec)
+            object.__setattr__(self, name, _unit_ket(getattr(self, name), 2, name))
 
     @classmethod
     def of(cls, which_1, which_2) -> "MeasurementSetting":
@@ -198,10 +192,9 @@ class FringeCurve:
     visibility: float
 
     def __post_init__(self):
-        for name in ("angles", "values"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        angles = _frozen(self.angles, float, (np.size(self.angles),), "angles")
+        object.__setattr__(self, "angles", angles)
+        object.__setattr__(self, "values", _frozen(self.values, float, angles.shape, "values"))
 
     @property
     def fitted_phase(self) -> float:
@@ -244,21 +237,13 @@ def h_state_with_leak(leak: float) -> np.ndarray:
     return np.diag([1.0 - leak, leak]).astype(complex)
 
 
-def _qubit_ket(state) -> np.ndarray:
-    vec = np.asarray(state, dtype=complex).reshape(-1)
-    if vec.shape != (2,):
-        raise ValueError("expected a single-photon ket")
-    if abs(np.linalg.norm(vec) - 1.0) > 1e-12:
-        raise ValueError("single-photon ket is not normalized")
-    return vec
-
-
 def _qubit_density(state) -> np.ndarray:
     arr = np.asarray(state, dtype=complex)
     if arr.shape == (2,):
-        return np.outer(_qubit_ket(arr), arr.conj())
+        return np.outer(_unit_ket(arr, 2, "single-photon ket"), arr.conj())
     if arr.shape == (2, 2):
-        if abs(np.trace(arr).real - 1.0) > 1e-12:
+        # Written so that NaN fails the comparison and is rejected too.
+        if not abs(np.trace(arr).real - 1.0) <= 1e-12:
             raise ValueError("single-photon density matrix must have trace 1")
         return arr
     raise ValueError("single-photon state must be a 2-ket or a 2x2 matrix")
@@ -291,7 +276,7 @@ def biphoton_fringe(rho: DensityMatrix, fixed, scan_angles,
     otherwise it holds exact probabilities, the infinite-count limit. The
     fringe phase reference is the fixed analyzer's orientation.
     """
-    fixed_ket = ket(fixed) if isinstance(fixed, str) else _qubit_ket(fixed)
+    fixed_ket = ket(fixed) if isinstance(fixed, str) else _unit_ket(fixed, 2, "fixed ket")
     theta = np.asarray(scan_angles, dtype=float)
     probs = np.array([_pair_probability(rho, _pair_ket(fixed_ket, linear_ket(ang)))
                       for ang in theta])

@@ -20,8 +20,8 @@ import numpy as np
 from biphoton import bell
 from biphoton.qstate import (PAULI_X, PAULI_Y, PAULI_Z, DensityMatrix,
                              MetricReport, PureState, _checked_density,
-                             _concurrence, _fidelity_with_pure, bell_state,
-                             metric_report)
+                             _concurrence, _fidelity_with_pure, _frozen,
+                             bell_state, metric_report)
 from biphoton.sim import _BOOTSTRAP_STREAM, stream
 
 _PROB_FLOOR = 1e-12
@@ -91,11 +91,7 @@ class CholeskyParams:
     t: np.ndarray
 
     def __post_init__(self):
-        t = np.asarray(self.t, dtype=float).reshape(-1)
-        if t.shape != (16,):
-            raise ValueError("Cholesky parameterization needs 16 reals")
-        t.setflags(write=False)
-        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "t", _frozen(self.t, float, (16,), "Cholesky parameters"))
 
     def density(self) -> DensityMatrix:
         return DensityMatrix(_density_from_params(self.t))
@@ -419,16 +415,15 @@ def mle_reconstruct(records, init=None, *, target: PureState | None = None,
 
 
 def bootstrap_errors(records, replicas: int = 200, seed: int = 0, *,
-                     resample: bool = True, target: PureState | None = None,
-                     plan: "bell.ChshPlan | None" = None) -> dict:
+                     resample: bool = True, target: PureState | None = None) -> dict:
     """Standard deviations of concurrence, fidelity and S over resampled data.
 
     Each replica redraws every count as Poisson(n_v) (stream derived from
     (seed, replica index)), re-runs the reconstruction from its own
     linear-inversion start and recomputes the metrics; `resample=False`
     replays the original counts, which must give identically zero spread.
-    The CHSH statistic is evaluated on each replica's state at `plan`
-    (default: the optimal analyzer set). All replicas go to one
+    The CHSH statistic is evaluated on each replica's state at the
+    optimal analyzer set, `bell.OPTIMAL_PLAN`. All replicas go to one
     `_lbfgsb` call, `_FIT_SLOTS` in flight at a time; each fit equals the
     replica's own `mle_reconstruct` fit.
     """
@@ -438,8 +433,6 @@ def bootstrap_errors(records, replicas: int = 200, seed: int = 0, *,
     design = _design_matrix(projectors)
     if target is None:
         target = bell_state("phi+")
-    if plan is None:
-        plan = bell.OPTIMAL_PLAN
     draws = np.array([stream(seed, _BOOTSTRAP_STREAM, r).poisson(counts)
                       if resample else counts for r in range(replicas)], dtype=float)
     starts = _params_from_densities(_linear_start(design, draws, pairs))
@@ -447,6 +440,6 @@ def bootstrap_errors(records, replicas: int = 200, seed: int = 0, *,
         t, draws[rows], pairs, projectors), starts, 10_000)[0]
     rhos = _checked_density(_density_from_params(fits))
     metrics = (_concurrence(rhos), _fidelity_with_pure(rhos, target.amplitudes),
-               bell._chsh_S(rhos, plan)[1])
+               bell._chsh_S(rhos, bell.OPTIMAL_PLAN)[1])
     return {name: float(np.std(values, ddof=1))
             for name, values in zip(("concurrence", "fidelity", "S"), metrics)}

@@ -32,6 +32,20 @@ class TestPlan:
         with pytest.raises(ValueError, match="distinct"):
             ChshPlan((0.1, 0.1), (0.0, 1.0))
 
+    @pytest.mark.parametrize("alice, bob", [((0.1, np.nan), (0.0, 1.0)),
+                                            ((0.0, 1.0), (np.nan, np.nan))])
+    def test_nan_angle_rejected(self, alice, bob):
+        with pytest.raises(ValueError, match="distinct"):
+            ChshPlan(alice, bob)
+
+    def test_one_angle_rejected(self):
+        with pytest.raises(ValueError, match="two analyzer angles"):
+            ChshPlan((0.1,), (0.0, 1.0))
+
+    def test_nan_sigma_rejected(self):
+        with pytest.raises(ValueError, match="sigma_S"):
+            ChshResult(np.zeros((2, 2)), 0.0, np.nan, OPTIMAL_PLAN)
+
 
 class TestCorrelation:
     def test_phi_plus_parallel(self):

@@ -124,6 +124,8 @@ MALFORMED_SCENARIOS = [
     ("mean_pairs", f"mean_pairs: {'9' * 5000}\n", "bad.yaml"),
     (None, "noise_fit_concurrence: -0.5\n", "noise_fit_concurrence"),
     (None, "noise_fit_concurrence: 1.5\n", "noise_fit_concurrence"),
+    ("source", "source: xyz\n", "source"),
+    (None, "fidelity_target: {schmidt_theta: 9}\n", "fidelity_target schmidt_theta"),
 ]
 MALFORMED_IDS = [
     "coupler-without-eta_h", "channel-without-kind", "yaml-syntax",
@@ -144,7 +146,8 @@ MALFORMED_IDS = [
     "schmidt-mapping-with-another-key", "singles_extinction-behind-eta_v-zero",
     "unknown-keys-of-two-types", "channel-parameters-of-two-types", "seed-repeated",
     "polarizer-angle-repeated", "mean_pairs-beyond-the-int-digit-limit",
-    "noise_fit_concurrence-negative", "noise_fit_concurrence-above-1"]
+    "noise_fit_concurrence-negative", "noise_fit_concurrence-above-1",
+    "source-unknown-bell-label", "fidelity_target-theta-out-of-range"]
 
 
 #: The malformed cases whose fault shows only in the resolved model: a
@@ -763,6 +766,21 @@ class TestCommandLine:
         with pytest.raises(ValueError) as raised:
             load_scenario(path)
         assert named in str(raised.value).replace(str(tmp_path), "")
+
+    @pytest.mark.parametrize("loader", [cli._YAML_LOADER, yaml.SafeLoader],
+                             ids=["default-loader", "pure-python-loader"])
+    @pytest.mark.parametrize("text", ["seed: 9\n", "noise_p: [0.1\n"],
+                             ids=["repeated-key", "yaml-syntax"])
+    def test_yaml_error_names_the_file_once(self, monkeypatch, tmp_path, capsys,
+                                            loader, text):
+        # PyYAML's marks name the file as well; the line names it once.
+        monkeypatch.setattr(cli, "_YAML_LOADER", loader)
+        path = tmp_path / "bad.yaml"
+        path.write_text(malformed_scenario(None, text, tmp_path / "out"))
+        assert cli.main(["chsh", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: invalid YAML: ") and "line" in err
+        assert err.count(str(path)) == 1 and err.count("\n") == 1
 
     def test_repeated_main_calls_are_independent(self, tmp_path):
         # The parser is built once per process; one call's options must not

@@ -96,6 +96,10 @@ class TestPolarizerAndCoupler:
         with pytest.raises(ValueError, match="arm"):
             KrausChannel((np.eye(2),), arm=3)
 
+    def test_channel_without_operators_rejected(self):
+        with pytest.raises(ValueError, match="at least one"):
+            KrausChannel(())
+
     def test_trace_increasing_kraus_rejected(self):
         with pytest.raises(ValueError, match="trace"):
             KrausChannel((1.2 * np.eye(2),))
@@ -121,6 +125,19 @@ class TestApplyChannel:
         outcome = apply_channel(rho, anisotropic_coupler(0.5, 0.0, arm=2))
         np.testing.assert_allclose(outcome.state.matrix, np.diag([1.0, 0, 0, 0]),
                                    atol=1e-12)
+
+    @pytest.mark.parametrize("plate_arm", [1, 2])
+    def test_each_arm_acts_on_its_own_photon(self, plate_arm):
+        # A polarizer at 0 on arm 1 leaves |HH>, which is exchange-symmetric;
+        # a half-wave plate at pi/8 then turns only its own arm's photon to D.
+        plate = waveplate(HWP, np.pi / 8)
+        outcome = apply_chain(to_density(bell_state("phi+")),
+                              [polarizer(0.0, arm=1), KrausChannel.from_jones(plate, plate_arm)])
+        pair = [ket("H"), ket("H")]
+        pair[plate_arm - 1] = plate.matrix @ ket("H")
+        expected = np.kron(*pair)
+        np.testing.assert_allclose(outcome.state.matrix,
+                                   np.outer(expected, expected.conj()), atol=1e-12)
 
     def test_preserves_hermiticity_and_psd(self):
         rng = np.random.default_rng(101)

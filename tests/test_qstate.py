@@ -5,13 +5,16 @@ import math
 import numpy as np
 import pytest
 
-from biphoton.optics import depolarize
+from biphoton.bell import OPTIMAL_PLAN, ChshResult
+from biphoton.optics import JonesOperator, KrausChannel, depolarize
 from biphoton.qstate import (BASIS, DensityMatrix, MetricReport, PureState,
                              _depolarized_concurrence, bell_state, concurrence, eigen_hermitian,
                              fidelity_with_pure, ket, linear_ket,
                              maximally_mixed, metric_report, purity,
                              random_density, random_pure, schmidt_pure,
                              to_density)
+from biphoton.sim import FringeCurve, MeasurementSetting
+from biphoton.tomo import CholeskyParams
 
 # Normalizing the (0.801, 0.594) Schmidt pair gives these amplitudes; the
 # frozen metric values below follow from 2*a*d and ((a+d)/sqrt(2))^2.
@@ -232,6 +235,18 @@ class TestInvariantsAndTypes:
         with pytest.raises(ValueError, match="negative eigenvalue"):
             DensityMatrix(np.diag([0.6, 0.4 + 5e-9, 0.0, -5e-9]))
 
+    @pytest.mark.parametrize("part, row, col", [("re", 0, 0), ("re", 1, 2), ("im", 3, 1)])
+    def test_json_with_nan_rejected(self, part, row, col):
+        payload = maximally_mixed().to_json_dict()
+        payload[part][row][col] = math.nan
+        with pytest.raises(ValueError, match="Hermitian"):
+            DensityMatrix.from_json_dict(payload)
+
+    @pytest.mark.parametrize("rank", [0, 5])
+    def test_random_density_rank_range(self, rank):
+        with pytest.raises(ValueError, match="rank"):
+            random_density(np.random.default_rng(1), rank)
+
     def test_json_round_trip(self):
         rng = np.random.default_rng(31)
         rho = random_density(rng)
@@ -248,3 +263,50 @@ class TestInvariantsAndTypes:
 
     def test_basis_order(self):
         assert BASIS == ("HH", "HV", "VH", "VV")
+
+
+#: Every value object that builds an array through `qstate._frozen`: how to
+#: build one from an array, the array it keeps, a valid array, one of the
+#: wrong shape, and whether a tolerance check applies, which NaN must fail.
+VALUE_OBJECTS = {
+    "PureState": (PureState, lambda obj: obj.amplitudes,
+                  np.array([1, 0, 0, 1], dtype=complex) / math.sqrt(2.0),
+                  np.ones(3, dtype=complex) / math.sqrt(3.0), True),
+    "DensityMatrix": (DensityMatrix, lambda obj: obj.matrix,
+                      np.eye(4, dtype=complex) / 4.0, np.eye(3, dtype=complex) / 3.0, True),
+    "MeasurementSetting": (lambda arr: MeasurementSetting(arr, ket("H"), "x", "H"),
+                           lambda obj: obj.ket_1, linear_ket(0.3),
+                           np.ones(4, dtype=complex) / 2.0, True),
+    "JonesOperator": (JonesOperator, lambda obj: obj.matrix,
+                      np.array([[0, 1], [1, 0]], dtype=complex), np.eye(3, dtype=complex),
+                      False),
+    "KrausChannel": (lambda arr: KrausChannel((arr,)), lambda obj: obj.operators[0],
+                     np.diag([1.0, 0.5]).astype(complex), np.eye(3, dtype=complex), True),
+    "ChshResult": (lambda arr: ChshResult(arr, 2.0, 0.1, OPTIMAL_PLAN), lambda obj: obj.E,
+                   np.array([[0.7, -0.7], [0.7, 0.7]]), np.zeros(4), False),
+    "CholeskyParams": (CholeskyParams, lambda obj: obj.t, np.arange(16.0), np.arange(15.0),
+                       False),
+    "FringeCurve": (lambda arr: FringeCurve(np.arange(4.0), arr, 1.0, 0.0, 0.0, 0.0, 0.0),
+                    lambda obj: obj.values, np.arange(4.0), np.arange(5.0), False),
+}
+
+
+@pytest.mark.parametrize("name", VALUE_OBJECTS)
+def test_value_object_keeps_a_checked_read_only_copy(name):
+    build, kept, valid, wrong_shape, tolerance = VALUE_OBJECTS[name]
+    with pytest.raises(ValueError, match="shape"):
+        build(wrong_shape)
+    if tolerance:
+        with_nan = valid.copy()
+        with_nan.flat[0] = np.nan
+        with pytest.raises(ValueError):
+            build(with_nan)
+    if valid.ndim == 1:
+        # A column of the right length is flattened.
+        assert kept(build(valid.reshape(-1, 1))).tobytes() == valid.tobytes()
+    given = valid.copy()
+    obj = build(given)
+    assert given.flags.writeable and not kept(obj).flags.writeable
+    before = kept(obj).tobytes()
+    given[...] = 5.0
+    assert kept(obj).tobytes() == before

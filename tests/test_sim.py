@@ -103,6 +103,10 @@ class TestSampleCounts:
         with pytest.raises(ValueError):
             sample_counts(1.5, 100, 0)
 
+    def test_negative_mean_pairs_rejected(self):
+        with pytest.raises(ValueError, match="mean_pairs"):
+            sample_counts(0.5, -1.0, 0)
+
 
 class TestFringeFit:
     def test_recovers_synthetic_sinusoid(self):
@@ -119,6 +123,15 @@ class TestFringeFit:
         values = 1.0 + 0.8 * np.sin(2 * angles)
         curve = FringeCurve.fit(angles, values, phase_ref=np.pi / 4)
         assert curve.visibility == pytest.approx(0.8, abs=1e-12)
+
+    def test_needs_three_points(self):
+        # Three points fix the three coefficients; two leave them open.
+        angles = np.array([0.0, 0.5, 1.0])
+        curve = FringeCurve.fit(angles, 1.0 + 0.5 * np.cos(2 * angles))
+        assert curve.offset == pytest.approx(1.0, abs=1e-12)
+        assert curve.amp_cos == pytest.approx(0.5, abs=1e-12)
+        with pytest.raises(ValueError, match="length >= 3"):
+            FringeCurve.fit(angles[:2], [1.0, 1.2])
 
     def test_polarization_angle(self):
         assert polarization_angle(ket("H")) == pytest.approx(0.0, abs=1e-12)
@@ -144,6 +157,18 @@ class TestSinglePhotonFringe:
         # A ratio of 1 is no fringe at all: the leak would be 1/2.
         with pytest.raises(ValueError, match="exceed 1"):
             leak_fraction_for_extinction(1.0)
+
+    def test_leak_of_1_rejected(self):
+        with pytest.raises(ValueError, match="leak fraction"):
+            h_state_with_leak(1.0)
+
+    def test_state_of_another_shape_rejected(self):
+        with pytest.raises(ValueError, match="2-ket or a 2x2"):
+            single_photon_fringe(np.ones(4) / 2.0, 1.0, 1.0, [0.0, 0.5, 1.0])
+
+    def test_nan_density_matrix_rejected(self):
+        with pytest.raises(ValueError, match="trace 1"):
+            single_photon_fringe(np.diag([np.nan, 0.0]), 1.0, 1.0, [0.0, 0.5, 1.0])
 
     def test_extinction_accounts_for_coupler(self):
         eta_h, eta_v = 0.403, 0.403 / 1.78
@@ -210,6 +235,13 @@ class TestBiphotonFringe:
         a = biphoton_fringe(rho, "H", angles, mean_pairs=500, seed=5)
         b = biphoton_fringe(rho, "H", angles, mean_pairs=500, seed=5)
         np.testing.assert_array_equal(a.values, b.values)
+
+
+class TestCountRecord:
+    @pytest.mark.parametrize("pairs", [0.0, -1.0, np.inf, np.nan])
+    def test_expected_pairs_must_be_finite_and_positive(self, pairs):
+        with pytest.raises(ValueError, match="expected_pairs"):
+            CountRecord(MeasurementSetting.of("H", "H"), 5.0, pairs)
 
 
 class TestTomographyAcquisition:
@@ -332,7 +364,9 @@ class TestRecordCsv:
                       "['A', 'D', 'H', 'L', 'R', 'V']"),
         ("lin:x,H,5,100", "could not convert string to float: 'x'"),
         ("H,H,-5,100", "counts must be finite and non-negative"),
-    ], ids=["counts-not-a-number", "unknown-label", "bad-angle", "negative-counts"])
+        ("lin:nan,H,5,100", "ket_1 not normalized: |psi|^2 = nan"),
+    ], ids=["counts-not-a-number", "unknown-label", "bad-angle", "negative-counts",
+            "nan-angle"])
     def test_bad_row_names_file_and_line(self, tmp_path, row, message):
         path = tmp_path / "counts.csv"
         path.write_text("setting_1,setting_2,counts,expected_pairs\n"
@@ -340,6 +374,16 @@ class TestRecordCsv:
         with pytest.raises(ValueError) as info:
             records_from_csv(path)
         assert str(info.value) == f"{path}, line 3: {message}"
+
+    @pytest.mark.parametrize("text", [
+        "", "H,H,5,100\nV,V,2,100\n",
+        "setting_1,setting_2,counts,pairs\nH,H,5,100\n"],
+        ids=["empty", "no-header", "renamed-column"])
+    def test_wrong_header_rejected(self, tmp_path, text):
+        path = tmp_path / "counts.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match="not a count-record CSV"):
+            records_from_csv(path)
 
     def test_non_finite_count_rejected(self, tmp_path):
         path = tmp_path / "counts.csv"

@@ -1,6 +1,7 @@
 """Tests for linear inversion, MLE reconstruction and bootstrap errors."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -239,6 +240,17 @@ class TestLinearInversion:
         design = np.real(np.einsum("nij,kji->nk", projectors, tomo._HERM_BASIS))
         singulars = np.linalg.svd(design, compute_uv=False)
         return singulars[0] / singulars[-1]
+
+    def test_zero_singular_value_rejected_before_the_condition_number(self):
+        # Sixteen HH settings leave a smallest singular value of exactly 0.0,
+        # which must be rejected without dividing by it.
+        setting = MeasurementSetting.of("H", "H")
+        projectors, _, _ = record_arrays([CountRecord(setting, 100.0, 1000.0)] * 16)
+        design = np.real(np.einsum("nij,kji->nk", projectors, tomo._HERM_BASIS))
+        assert np.linalg.svd(design, compute_uv=False)[-1] == 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert tomo._design_matrix(projectors) is None
 
     def test_plan_just_below_the_condition_limit_accepted(self):
         records = self.tilted_plan_records(6.6e-6)
@@ -562,29 +574,48 @@ class TestMatchesMinimize:
         records = sampled_records(random_density(rng), 3000, 5)
         assert_matches_reference(records, init=random_density(rng))
 
-    def test_evaluation_limit_stops_where_minimize_does(self):
-        # sum sqrt(|x|) has its kinks at the minimum, so the line searches
-        # take many evaluations and the 10 * max_iterations limit binds
-        # before the iteration cap: minimize stops at nit 4, nfev 52.
-        def objective(x):
-            return (np.sqrt(np.abs(x) + 1e-12).sum(),
-                    np.sign(x) / (2.0 * np.sqrt(np.abs(x) + 1e-12)))
+    @staticmethod
+    def kinked(x):
+        """sum sqrt(|x|) and its gradient: the kinks sit at the minimum, so
+        the line searches take many evaluations."""
+        return (np.sqrt(np.abs(x) + 1e-12).sum(),
+                np.sign(x) / (2.0 * np.sqrt(np.abs(x) + 1e-12)))
 
+    def kinked_fit(self, max_iterations):
+        """`minimize` and `_lbfgsb` on `kinked` from the default_rng(7) start."""
         def stacked(xs, rows):
-            values, grads = zip(*map(objective, xs))
+            values, grads = zip(*map(self.kinked, xs))
             return np.array(values), np.array(grads)
 
         x0 = np.random.default_rng(7).standard_normal(16)
-        res = minimize(objective, x0, jac=True, method="L-BFGS-B",
-                       options={"maxiter": 5, "maxfun": 50, "ftol": 1e-9,
-                                "gtol": 1e-10})
+        res = minimize(self.kinked, x0, jac=True, method="L-BFGS-B",
+                       options={"maxiter": max_iterations, "maxfun": 10 * max_iterations,
+                                "ftol": 1e-9, "gtol": 1e-10})
+        return res, tomo._lbfgsb(stacked, x0[None, :], max_iterations)
+
+    def test_evaluation_limit_stops_where_minimize_does(self):
+        # The 10 * max_iterations limit binds before the iteration cap:
+        # minimize stops at nit 4, nfev 52.
+        res, (x, _, iterations, converged, _) = self.kinked_fit(5)
         assert "EVALUATIONS EXCEEDS LIMIT" in res.message and res.nit < 5
-        x, _, iterations, converged, _ = tomo._lbfgsb(stacked, x0[None, :], 5)
         assert x[0].tobytes() == res.x.tobytes()
         assert iterations == [res.nit] and converged == [False]
 
+    def test_evaluation_limit_is_exceeded_not_reached(self):
+        # At max_iterations 6 an iteration ends at exactly maxfun = 60
+        # evaluations; minimize stops only above the limit, so this fit runs
+        # on to its iteration cap.
+        res, (x, _, iterations, converged, _) = self.kinked_fit(6)
+        assert "ITERATIONS REACHED LIMIT" in res.message and res.nfev > 60
+        assert x[0].tobytes() == res.x.tobytes()
+        assert iterations == [res.nit] == [6] and converged == [False]
+
 
 class TestMleReconstruct:
+    def test_no_records_rejected(self):
+        with pytest.raises(ValueError, match="no records"):
+            mle_reconstruct([])
+
     def test_round_trip_fidelity(self):
         rho = to_density(bell_state("phi+"))
         result = mle_reconstruct(sampled_records(rho, 10000, 21))
