@@ -4,11 +4,12 @@ Subpackages cover state representation and entanglement metrics
 (:mod:`~biphoton.qstate`), polarization optics and lossy couplers
 (:mod:`~biphoton.optics`), Monte-Carlo coincidence counting
 (:mod:`~biphoton.sim`), maximum-likelihood state reconstruction
-(:mod:`~biphoton.tomo`), CHSH estimation (:mod:`~biphoton.bell`) and the
-scenario runner / command line interface (:mod:`~biphoton.cli`).
+(:mod:`~biphoton.tomo`), CHSH estimation (:mod:`~biphoton.bell`), scenario
+configuration (:mod:`~biphoton.scenario`) and the scenario runner / command
+line interface (:mod:`~biphoton.cli`).
 
 Importing the package loads none of them: each submodule loads on first
-use, and importing :mod:`~biphoton.cli` loads no numpy.
+use, and importing :mod:`~biphoton.cli` loads no numpy or PyYAML.
 """
 
 import importlib

@@ -13,23 +13,21 @@ directly, through a fiber taper, through a taper-nanowire junction with
 anisotropic coupling, and through the same junction with the pump adjusted
 to pre-compensate that anisotropy.
 
-Importing this module and building the parser loads only the standard
-library and PyYAML. numpy and the physics modules (`qstate`, `optics`,
-`sim`, `bell`, `tomo`) load inside the functions that use them, so
-`--help`, argument errors and `budget` never load numpy, and `chsh` and
-`fringe` never load `tomo` or scipy.
+Importing this module and building the parser loads `argparse` and little
+else. `json`, `dataclasses`, PyYAML, the scenario value types
+(`biphoton.scenario`), numpy and the physics modules (`qstate`, `optics`,
+`sim`, `bell`, `tomo`) load inside the functions that use them. So `--help`
+and argument errors load none of them, `budget` loads no PyYAML or numpy,
+and `chsh` and `fringe` never load `tomo` or scipy.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
-import numbers
 import os
 import sys
-from dataclasses import dataclass, field, replace
 from importlib import resources
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -40,30 +38,16 @@ from typing import TYPE_CHECKING
 # OpenBLAS reads this when it loads, so it is set before numpy and scipy.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-import yaml  # noqa: E402
-
 if TYPE_CHECKING:
-    from biphoton import bell, optics, tomo
+    from biphoton import bell, optics
     from biphoton.qstate import DensityMatrix, PureState
-
-#: Largest accepted mean_pairs; numpy's Poisson sampler refuses means above
-#: about 9.2e18.
-MAX_MEAN_PAIRS = 1e18
-
-#: Largest accepted bootstrap_replicas, a few minutes of fitting. The
-#: replicas' 16 counts each are all drawn before the first fit, so a far
-#: larger count could exhaust memory before any fit runs.
-MAX_BOOTSTRAP_REPLICAS = 100_000
+    from biphoton.scenario import (ChannelSpec, EfficiencyBudget, ScenarioConfig,
+                                   ScenarioModel, ScenarioReport)
 
 #: `fit_noise` steps whose eigenbasis gap lies this close to the 1e-6 stop
 #: are decided by the exact concurrence; the two gaps differ by about 1e-14
 #: at most.
 _FIT_MARGIN = 1e-9
-
-# libyaml's loader where PyYAML was built with it: the same safe constructor
-# and resolver as yaml.SafeLoader, several times faster. Unlike the pure-Python
-# scanner, libyaml also accepts tabs as separators ("seed:\t7").
-_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
 @functools.cache
@@ -75,173 +59,6 @@ def _fringe_grid():
     return _freeze(np.deg2rad(np.arange(0.0, 180.0, 10.0)))
 
 
-def _default_plan() -> str:
-    """`sim.PLAN_HVDR16`, the default and only tomography plan, read when a
-    config is built."""
-    from biphoton import sim
-    return sim.PLAN_HVDR16
-
-
-def _number(value, what: str, finite: bool = False) -> float:
-    """`value` as a float if it is a real number: not a bool, a string, NaN,
-    an integer beyond float range or, with `finite`, an infinity. Anything
-    else raises a ValueError naming `what`."""
-    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
-    try:
-        number = float(value) if real else math.nan
-    except OverflowError:
-        raise ValueError(f"{what} lies beyond float range") from None
-    if math.isnan(number) or finite and math.isinf(number):
-        kind = "a finite number" if finite else "a number"
-        raise ValueError(f"{what} must be {kind}, got {value!r}")
-    return number
-
-
-#: Each channel kind's parameters and their defaults, None where required.
-#: A coupler's eta_v may be given instead as ratio = eta_h / eta_v > 0, and
-#: its efficiencies lie in [0, 1]. Every channel acts on arm 1 or 2, an int.
-_CHANNEL_PARAMS = {
-    "coupler": {"eta_h": None, "eta_v": None},
-    "polarizer": {"angle": None},
-    "waveplate": {"retardance": None, "angle": 0.0},
-    "identity": {},
-}
-
-
-@dataclass(frozen=True)
-class ChannelSpec:
-    """One channel-chain entry: kind, parameters and the arm it acts on,
-    checked by `_CHANNEL_PARAMS` when built. `params` keeps the parse, which
-    parses to itself: finite floats, defaults filled in, ratio as eta_v."""
-
-    kind: str
-    params: dict = field(default_factory=dict)
-    arm: int = 1
-
-    def __post_init__(self):
-        kind = self.kind
-        if not isinstance(kind, str) or kind not in _CHANNEL_PARAMS:
-            raise ValueError(f"unknown channel kind {kind!r}")
-        if type(self.arm) is not int or self.arm not in (1, 2):
-            raise ValueError(f"{kind} arm must be 1 or 2, got {self.arm!r}")
-        given = dict(self.params)
-        params = {}
-        for key, default in _CHANNEL_PARAMS[kind].items():
-            if kind == "coupler" and key == "eta_v" and "ratio" in given:
-                ratio = _number(given.pop("ratio"), "coupler ratio", finite=True)
-                if not ratio > 0.0:
-                    raise ValueError(f"coupler ratio must be positive, got {ratio!r}")
-                params[key] = params["eta_h"] / ratio
-            elif key in given:
-                params[key] = _number(given.pop(key), f"{kind} {key}", finite=True)
-            elif default is None:
-                raise ValueError(f"{kind} needs {'ratio or eta_v' if key == 'eta_v' else key}")
-            else:
-                params[key] = default
-            if kind == "coupler" and not 0.0 <= params[key] <= 1.0:
-                raise ValueError(f"coupler {key} must lie in [0, 1], got {params[key]!r}")
-        if given:
-            raise ValueError(f"unexpected {kind} parameters: {sorted(given, key=str)}")
-        object.__setattr__(self, "params", params)
-
-
-def _state_test(key: str, *names):
-    """The range test of a state key: one of `names`, or a spec that
-    `_pure_state` builds (it raises naming `key` otherwise)."""
-    return lambda spec: spec in names or _pure_state(spec, key) is not None
-
-
-_STATE, _UNIT = "a state name or a schmidt_theta mapping", "a number in [0, 1]"
-
-#: Every scenario key but channel_chain: (accepted types, range test or None,
-#: the phrase its error gives, whether a scenario file must give it). A float
-#: key takes a real number by `_number`, an int key an int that is not a
-#: bool; None lets a key stay unset. A range test returns False or raises its
-#: own ValueError. The plan's phrase is a function: `sim` loads only on use.
-_KEYS = {
-    "name": ((str,), None, "a string", True),
-    "source": ((str, dict), _state_test("source", "compensated"), _STATE, True),
-    "fidelity_target": ((str, dict), _state_test("fidelity_target"), _STATE, False),
-    "outputs": ((str, os.PathLike), lambda v: v != "", "a directory path", False),
-    "seed": ((int,), lambda v: v >= 0, "a non-negative integer", True),
-    "bootstrap_replicas": ((int,), lambda v: v == 0 or 2 <= v <= MAX_BOOTSTRAP_REPLICAS,
-                           f"0 or an integer from 2 to {MAX_BOOTSTRAP_REPLICAS}", False),
-    "mean_pairs": ((float,), lambda v: 0 < v <= MAX_MEAN_PAIRS,
-                   f"a number in (0, {MAX_MEAN_PAIRS:g}]", False),
-    "noise_p": ((float, type(None)), lambda v: 0 <= v <= 1, _UNIT, False),
-    "noise_fit_concurrence": ((float, type(None)), lambda v: 0 <= v <= 1, _UNIT, False),
-    # An infinite extinction ratio is a polarizer that leaks nothing.
-    "singles_extinction": ((float, type(None)), lambda v: v > 1, "a number above 1", False),
-    "tomography_plan": ((str,), lambda v: v == _default_plan(),
-                        lambda: repr(_default_plan()), False),
-}
-
-
-@dataclass(frozen=True)
-class ScenarioConfig:
-    """One scenario; building it checks every key by its row of `_KEYS`."""
-
-    name: str
-    source: str | dict
-    channel_chain: tuple = ()
-    noise_p: float | None = None
-    noise_fit_concurrence: float | None = None
-    fidelity_target: str | dict = "phi+"
-    singles_extinction: float | None = None
-    tomography_plan: str = field(default_factory=_default_plan)
-    mean_pairs: float = 10_000
-    seed: int = 0
-    outputs: str = "out"
-    bootstrap_replicas: int = 200
-
-    def __post_init__(self):
-        for key, (types, test, phrase, _) in _KEYS.items():
-            value = getattr(self, key)
-            if value is None and type(None) in types:
-                continue
-            if float in types:
-                _number(value, key)
-            typed = float in types or isinstance(value, types) and not isinstance(value, bool)
-            if not typed or test is not None and not test(value):
-                phrase = phrase() if callable(phrase) else phrase
-                raise ValueError(f"{key} must be {phrase}, got {value!r}")
-        if self.noise_p is not None and self.noise_fit_concurrence is not None:
-            raise ValueError("give noise_p or noise_fit_concurrence, not both")
-
-
-@dataclass(frozen=True)
-class EfficiencyBudget:
-    """Product of per-stage efficiencies, with an optional solved unknown.
-
-    When a quoted value for the unknown stage is supplied, the report keeps
-    the recomputed and quoted numbers side by side instead of reconciling
-    them.
-    """
-
-    stages: tuple
-    total: float
-    solved_unknown: float | None = None
-    quoted_unknown: float | None = None
-
-    @property
-    def quoted_gap(self) -> float | None:
-        if self.solved_unknown is None or self.quoted_unknown is None:
-            return None
-        return self.solved_unknown - self.quoted_unknown
-
-    def to_json_dict(self) -> dict:
-        payload = {
-            "stages": [{"name": name, "efficiency": eff} for name, eff in self.stages],
-            "total": self.total,
-        }
-        if self.solved_unknown is not None:
-            payload["solved_unknown"] = {"recomputed": self.solved_unknown}
-            if self.quoted_unknown is not None:
-                payload["solved_unknown"]["quoted"] = self.quoted_unknown
-                payload["solved_unknown"]["recomputed_minus_quoted"] = self.quoted_gap
-        return payload
-
-
 def efficiency_budget(stages, solve_total: float | None = None,
                       quoted_unknown: float | None = None) -> EfficiencyBudget:
     """Multiply stage efficiencies; optionally solve for one missing stage.
@@ -251,6 +68,7 @@ def efficiency_budget(stages, solve_total: float | None = None,
     is reported next to `quoted_unknown` when one is given. Both lie in
     (0, 1], as must the solved stage, and `quoted_unknown` needs `solve_total`.
     """
+    from biphoton import scenario
     for flag, value in (("--solve-total", solve_total),
                         ("--quoted-unknown", quoted_unknown)):
         if value is not None and not 0.0 < float(value) <= 1.0:
@@ -274,7 +92,7 @@ def efficiency_budget(stages, solve_total: float | None = None,
     if solved is not None and solved > 1.0:
         raise ValueError(f"--solve-total {float(solve_total)!r} over the stage product "
                          f"{total!r} puts the unknown stage at {solved!r} > 1")
-    return EfficiencyBudget(tuple(named), total, solved, quoted_unknown)
+    return scenario.EfficiencyBudget(tuple(named), total, solved, quoted_unknown)
 
 
 def fit_noise(target_concurrence: float, base_state: DensityMatrix) -> float:
@@ -341,58 +159,19 @@ def _coupler_etas(config: ScenarioConfig) -> tuple[float, float]:
     return 1.0, 1.0
 
 
-def _pure_state(spec, key: str) -> PureState:
-    """The Bell state named by `spec`, or the Schmidt state of a
-    {schmidt_theta: angle} mapping; `key` names the config entry, and
-    every error names it."""
-    from biphoton import qstate
-    build = _bell_state
-    if isinstance(spec, dict):
-        if list(spec) != ["schmidt_theta"]:
-            raise ValueError(f"{key} mapping must hold schmidt_theta alone, "
-                             f"got keys {sorted(spec, key=str)}")
-        key = f"{key} schmidt_theta"
-        build, spec = qstate.schmidt_pure, _number(spec["schmidt_theta"], key)
-    try:
-        return build(spec)
-    except ValueError as exc:
-        raise ValueError(f"{key}: {exc}") from None
-
-
-@functools.lru_cache(maxsize=64)
-def _bell_state(label: str) -> PureState:
-    """`qstate.bell_state(label)`, built once: a PureState is read-only, so a
-    config's check and its model share one."""
-    from biphoton import qstate
-    return qstate.bell_state(label)
-
-
 def source_state(config: ScenarioConfig) -> PureState:
-    from biphoton import optics
+    from biphoton import optics, scenario
     if config.source == "compensated":
         eta_h, eta_v = _coupler_etas(config)
         if eta_h == eta_v == 1.0:
             raise ValueError("'compensated' source needs a coupler in the chain")
         return optics.compensated_source(eta_h, eta_v)
-    return _pure_state(config.source, "source")
+    return scenario._pure_state(config.source, "source")
 
 
 def target_state(config: ScenarioConfig) -> PureState:
-    return _pure_state(config.fidelity_target, "fidelity_target")
-
-
-@dataclass(frozen=True)
-class ScenarioModel:
-    """Resolved physical model of a scenario before any sampling."""
-
-    state: DensityMatrix
-    success_probability: float
-    noise_p: float
-    effective_pairs: float
-    eta_h: float
-    eta_v: float
-    target: PureState
-    singles_leak: float | None = None  # None: the singles probe is pure H
+    from biphoton import scenario
+    return scenario._pure_state(config.fidelity_target, "fidelity_target")
 
 
 def resolve_model(config: ScenarioConfig) -> ScenarioModel:
@@ -403,7 +182,7 @@ def resolve_model(config: ScenarioConfig) -> ScenarioModel:
     pair rate by the channel survival probability, which is what the
     analyzers actually receive.
     """
-    from biphoton import optics, qstate, sim
+    from biphoton import optics, qstate, scenario, sim
     channels = [build_channel(spec) for spec in config.channel_chain]
     outcome = optics.apply_chain(qstate.to_density(source_state(config)), channels)
     if config.noise_fit_concurrence is not None:
@@ -420,7 +199,7 @@ def resolve_model(config: ScenarioConfig) -> ScenarioModel:
             raise ValueError(f"singles_extinction {config.singles_extinction!r} "
                              f"cannot be reached behind a coupler with "
                              f"eta_v {eta_v!r}")
-    return ScenarioModel(
+    return scenario.ScenarioModel(
         state=state,
         success_probability=outcome.success_probability,
         noise_p=noise_p,
@@ -450,17 +229,6 @@ def scenario_fringes(config: ScenarioConfig, model: ScenarioModel) -> dict:
             "biphoton_h": bi_h, "biphoton_d": bi_d}
 
 
-@dataclass(frozen=True)
-class ScenarioReport:
-    config: ScenarioConfig
-    model: ScenarioModel
-    tomography: tomo.TomographyResult
-    chsh: bell.ChshResult
-    chsh_model: bell.ChshResult
-    fringes: dict
-    artifacts: tuple
-
-
 def _output_dir(config: ScenarioConfig) -> Path:
     outdir = Path(config.outputs)
     try:
@@ -471,6 +239,7 @@ def _output_dir(config: ScenarioConfig) -> Path:
 
 
 def _write_json(path: Path, payload: dict) -> str:
+    import json
     from biphoton import sim
     sim.write_artifact(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return path.name
@@ -507,7 +276,7 @@ def run_scenario(config: ScenarioConfig) -> ScenarioReport:
     Tomography counts, the CHSH counts and the fringe samples all derive
     from the scenario seed, so reruns are byte-identical.
     """
-    from biphoton import qstate, sim, tomo
+    from biphoton import qstate, scenario, sim, tomo
     model = resolve_model(config)
     plan = sim.tomography_plan(config.tomography_plan)
     records = sim.acquire_tomography(model.state, plan,
@@ -517,6 +286,7 @@ def run_scenario(config: ScenarioConfig) -> ScenarioReport:
     if config.bootstrap_replicas >= 2:
         errors = tomo.bootstrap_errors(records, config.bootstrap_replicas,
                                        config.seed, target=model.target)
+        from dataclasses import replace
         result = replace(result, uncertainties=errors)
 
     chsh_result, chsh_model = _chsh(config, model)
@@ -581,8 +351,8 @@ def run_scenario(config: ScenarioConfig) -> ScenarioReport:
     print(f"  S (model)            {chsh_model.S:.4f}")
     if not result.converged:
         print("  WARNING: reconstruction hit the iteration cap", file=sys.stderr)
-    return ScenarioReport(config, model, result, chsh_result, chsh_model,
-                          fringes, artifact_paths)
+    return scenario.ScenarioReport(config, model, result, chsh_result, chsh_model,
+                                   fringes, artifact_paths)
 
 
 # ---------------------------------------------------------------------------
@@ -600,29 +370,13 @@ def builtin_scenario(name: str) -> ScenarioConfig:
     return load_scenario(resources.files("biphoton") / "scenarios" / f"{name}.yaml")
 
 
-@functools.cache
-def _strict_loader(base):
-    """The loader `base`, rejecting a mapping that gives one key twice where
-    PyYAML alone keeps the last value."""
-    class Loader(base):
-        def construct_mapping(self, node, deep=False):
-            keys = []
-            for key_node, _ in node.value:
-                if key_node.tag != "tag:yaml.org,2002:merge":
-                    key = self.construct_object(key_node, deep=deep)
-                    if key in keys:
-                        raise yaml.constructor.ConstructorError(
-                            None, None, f"repeated key {key!r}", key_node.start_mark)
-                    keys.append(key)
-            return super().construct_mapping(node, deep)
-    return Loader
-
-
 def load_scenario(path) -> ScenarioConfig:
     """Parse a YAML scenario file into a ScenarioConfig."""
+    import yaml
+    from biphoton import scenario
     try:
         with open(path) as fh:
-            raw = yaml.load(fh, Loader=_strict_loader(_YAML_LOADER))
+            raw = yaml.load(fh, Loader=scenario._strict_loader(scenario._YAML_LOADER))
     except (yaml.YAMLError, ValueError) as exc:
         # ValueError: undecodable bytes, or an int past Python's digit limit.
         # PyYAML's marks name the file too; the prefix alone names it here.
@@ -630,7 +384,7 @@ def load_scenario(path) -> ScenarioConfig:
         raise ValueError(f"{path}: invalid YAML: {message}") from None
     if not isinstance(raw, dict):
         raise ValueError(f"{path}: scenario file must hold a mapping")
-    for key, (*_, required) in _KEYS.items():
+    for key, (*_, required) in scenario._KEYS.items():
         if required and key not in raw:
             raise ValueError(f"{path}: scenario must specify a {key}")
     entries = raw.pop("channel_chain", None)
@@ -642,17 +396,20 @@ def load_scenario(path) -> ScenarioConfig:
         if not isinstance(entry, dict) or "kind" not in entry:
             raise ValueError(f"{path}: channel_chain entry {i} must be a mapping with a kind")
         params = {k: v for k, v in entry.items() if k not in ("kind", "arm")}
-        chain.append(ChannelSpec(entry["kind"], params, entry.get("arm", 1)))
-    unknown = set(raw) - set(_KEYS)
+        chain.append(scenario.ChannelSpec(entry["kind"], params, entry.get("arm", 1)))
+    unknown = set(raw) - set(scenario._KEYS)
     if unknown:
         raise ValueError(f"{path}: unknown scenario keys {sorted(unknown, key=str)}")
-    return ScenarioConfig(channel_chain=tuple(chain), **raw)
+    return scenario.ScenarioConfig(channel_chain=tuple(chain), **raw)
 
 
 def _resolve_config(arg: str, seed: int | None, outputs: str | None) -> ScenarioConfig:
     config = builtin_scenario(arg) if arg in BUILTIN_SCENARIOS else load_scenario(arg)
     overrides = {k: v for k, v in (("seed", seed), ("outputs", outputs)) if v is not None}
-    return replace(config, **overrides) if overrides else config
+    if not overrides:
+        return config
+    from dataclasses import replace
+    return replace(config, **overrides)
 
 
 # ---------------------------------------------------------------------------
@@ -667,6 +424,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_budget(args) -> int:
+    import json
     stages = []
     for token in args.stages:
         if "=" in token:

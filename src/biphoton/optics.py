@@ -69,7 +69,7 @@ class KrausChannel:
         ops = tuple(_frozen(op, complex, (2, 2), "Kraus operator") for op in self.operators)
         if not ops:
             raise ValueError("channel needs at least one Kraus operator")
-        if self.arm not in (1, 2):
+        if isinstance(self.arm, bool) or self.arm not in (1, 2):
             raise ValueError(f"arm must be 1 or 2, got {self.arm!r}")
         total = sum(op.conj().T @ op for op in ops)
         slack = np.linalg.eigvalsh(np.eye(2) - total)

@@ -1,0 +1,282 @@
+"""Scenario configuration: the value types of a scenario and the checks
+they run when built.
+
+A `ScenarioConfig` checks every key by its row of `_KEYS`, and each
+`ChannelSpec` parses its parameters by `_CHANNEL_PARAMS`, so a faulty
+scenario is rejected when it is built. `ScenarioModel` holds a resolved
+model, `ScenarioReport` a finished run and `EfficiencyBudget` the result of
+the `budget` command. `_strict_loader` is the YAML dialect of scenario
+files: libyaml's loader where PyYAML has it, with repeated keys rejected.
+
+Importing this module loads neither numpy nor PyYAML: the state checks load
+`qstate` on first use, the plan check loads `sim`, and PyYAML loads when
+the first scenario file is parsed.
+"""
+
+from __future__ import annotations
+
+import functools
+import math
+import numbers
+import os
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from biphoton import bell, tomo
+    from biphoton.qstate import DensityMatrix, PureState
+
+#: Largest accepted mean_pairs; numpy's Poisson sampler refuses means above
+#: about 9.2e18.
+MAX_MEAN_PAIRS = 1e18
+
+#: Largest accepted bootstrap_replicas, a few minutes of fitting. The
+#: replicas' 16 counts each are all drawn before the first fit, so a far
+#: larger count could exhaust memory before any fit runs.
+MAX_BOOTSTRAP_REPLICAS = 100_000
+
+#: The loader scenario files are parsed with; None picks libyaml's loader
+#: where PyYAML was built with it: the same safe constructor and resolver as
+#: yaml.SafeLoader, several times faster. Unlike the pure-Python scanner,
+#: libyaml also accepts tabs as separators ("seed:\t7").
+_YAML_LOADER = None
+
+
+def _default_plan() -> str:
+    """`sim.PLAN_HVDR16`, the default and only tomography plan, read when a
+    config is built."""
+    from biphoton import sim
+    return sim.PLAN_HVDR16
+
+
+def _number(value, what: str, finite: bool = False) -> float:
+    """`value` as a float if it is a real number: not a bool, a string, NaN,
+    an integer beyond float range or, with `finite`, an infinity. Anything
+    else raises a ValueError naming `what`."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    try:
+        number = float(value) if real else math.nan
+    except OverflowError:
+        raise ValueError(f"{what} lies beyond float range") from None
+    if math.isnan(number) or finite and math.isinf(number):
+        kind = "a finite number" if finite else "a number"
+        raise ValueError(f"{what} must be {kind}, got {value!r}")
+    return number
+
+
+#: Each channel kind's parameters and their defaults, None where required.
+#: A coupler's eta_v may be given instead as ratio = eta_h / eta_v > 0, and
+#: its efficiencies lie in [0, 1]. Every channel acts on arm 1 or 2, an int.
+_CHANNEL_PARAMS = {
+    "coupler": {"eta_h": None, "eta_v": None},
+    "polarizer": {"angle": None},
+    "waveplate": {"retardance": None, "angle": 0.0},
+    "identity": {},
+}
+
+
+@dataclass(frozen=True)
+class ChannelSpec:
+    """One channel-chain entry: kind, parameters and the arm it acts on,
+    checked by `_CHANNEL_PARAMS` when built. `params` keeps the parse, which
+    parses to itself: finite floats, defaults filled in, ratio as eta_v."""
+
+    kind: str
+    params: dict = field(default_factory=dict)
+    arm: int = 1
+
+    def __post_init__(self):
+        kind = self.kind
+        if not isinstance(kind, str) or kind not in _CHANNEL_PARAMS:
+            raise ValueError(f"unknown channel kind {kind!r}")
+        if type(self.arm) is not int or self.arm not in (1, 2):
+            raise ValueError(f"{kind} arm must be 1 or 2, got {self.arm!r}")
+        given = dict(self.params)
+        params = {}
+        for key, default in _CHANNEL_PARAMS[kind].items():
+            if kind == "coupler" and key == "eta_v" and "ratio" in given:
+                ratio = _number(given.pop("ratio"), "coupler ratio", finite=True)
+                if not ratio > 0.0:
+                    raise ValueError(f"coupler ratio must be positive, got {ratio!r}")
+                params[key] = params["eta_h"] / ratio
+            elif key in given:
+                params[key] = _number(given.pop(key), f"{kind} {key}", finite=True)
+            elif default is None:
+                raise ValueError(f"{kind} needs {'ratio or eta_v' if key == 'eta_v' else key}")
+            else:
+                params[key] = default
+            if kind == "coupler" and not 0.0 <= params[key] <= 1.0:
+                raise ValueError(f"coupler {key} must lie in [0, 1], got {params[key]!r}")
+        if given:
+            raise ValueError(f"unexpected {kind} parameters: {sorted(given, key=str)}")
+        object.__setattr__(self, "params", params)
+
+
+def _state_test(key: str, *names):
+    """The range test of a state key: one of `names`, or a spec that
+    `_pure_state` builds (it raises naming `key` otherwise)."""
+    return lambda spec: spec in names or _pure_state(spec, key) is not None
+
+
+_STATE, _UNIT = "a state name or a schmidt_theta mapping", "a number in [0, 1]"
+
+#: Every scenario key but channel_chain: (accepted types, range test or None,
+#: the phrase its error gives, whether a scenario file must give it). A float
+#: key takes a real number by `_number`, an int key an int that is not a
+#: bool; None lets a key stay unset. A range test returns False or raises its
+#: own ValueError. The plan's phrase is a function: `sim` loads only on use.
+_KEYS = {
+    "name": ((str,), None, "a string", True),
+    "source": ((str, dict), _state_test("source", "compensated"), _STATE, True),
+    "fidelity_target": ((str, dict), _state_test("fidelity_target"), _STATE, False),
+    "outputs": ((str, os.PathLike), lambda v: v != "", "a directory path", False),
+    "seed": ((int,), lambda v: v >= 0, "a non-negative integer", True),
+    "bootstrap_replicas": ((int,), lambda v: v == 0 or 2 <= v <= MAX_BOOTSTRAP_REPLICAS,
+                           f"0 or an integer from 2 to {MAX_BOOTSTRAP_REPLICAS}", False),
+    "mean_pairs": ((float,), lambda v: 0 < v <= MAX_MEAN_PAIRS,
+                   f"a number in (0, {MAX_MEAN_PAIRS:g}]", False),
+    "noise_p": ((float, type(None)), lambda v: 0 <= v <= 1, _UNIT, False),
+    "noise_fit_concurrence": ((float, type(None)), lambda v: 0 <= v <= 1, _UNIT, False),
+    # An infinite extinction ratio is a polarizer that leaks nothing.
+    "singles_extinction": ((float, type(None)), lambda v: v > 1, "a number above 1", False),
+    "tomography_plan": ((str,), lambda v: v == _default_plan(),
+                        lambda: repr(_default_plan()), False),
+}
+
+
+@dataclass(frozen=True)
+class ScenarioConfig:
+    """One scenario; building it checks every key by its row of `_KEYS`."""
+
+    name: str
+    source: str | dict
+    channel_chain: tuple = ()
+    noise_p: float | None = None
+    noise_fit_concurrence: float | None = None
+    fidelity_target: str | dict = "phi+"
+    singles_extinction: float | None = None
+    tomography_plan: str = field(default_factory=_default_plan)
+    mean_pairs: float = 10_000
+    seed: int = 0
+    outputs: str = "out"
+    bootstrap_replicas: int = 200
+
+    def __post_init__(self):
+        for key, (types, test, phrase, _) in _KEYS.items():
+            value = getattr(self, key)
+            if value is None and type(None) in types:
+                continue
+            if float in types:
+                _number(value, key)
+            typed = float in types or isinstance(value, types) and not isinstance(value, bool)
+            if not typed or test is not None and not test(value):
+                phrase = phrase() if callable(phrase) else phrase
+                raise ValueError(f"{key} must be {phrase}, got {value!r}")
+        if self.noise_p is not None and self.noise_fit_concurrence is not None:
+            raise ValueError("give noise_p or noise_fit_concurrence, not both")
+
+
+@dataclass(frozen=True)
+class EfficiencyBudget:
+    """Product of per-stage efficiencies, with an optional solved unknown.
+
+    When a quoted value for the unknown stage is supplied, the report keeps
+    the recomputed and quoted numbers side by side instead of reconciling
+    them.
+    """
+
+    stages: tuple
+    total: float
+    solved_unknown: float | None = None
+    quoted_unknown: float | None = None
+
+    @property
+    def quoted_gap(self) -> float | None:
+        if self.solved_unknown is None or self.quoted_unknown is None:
+            return None
+        return self.solved_unknown - self.quoted_unknown
+
+    def to_json_dict(self) -> dict:
+        payload = {
+            "stages": [{"name": name, "efficiency": eff} for name, eff in self.stages],
+            "total": self.total,
+        }
+        if self.solved_unknown is not None:
+            payload["solved_unknown"] = {"recomputed": self.solved_unknown}
+            if self.quoted_unknown is not None:
+                payload["solved_unknown"]["quoted"] = self.quoted_unknown
+                payload["solved_unknown"]["recomputed_minus_quoted"] = self.quoted_gap
+        return payload
+
+
+def _pure_state(spec, key: str) -> PureState:
+    """The Bell state named by `spec`, or the Schmidt state of a
+    {schmidt_theta: angle} mapping; `key` names the config entry, and
+    every error names it."""
+    from biphoton import qstate
+    build = _bell_state
+    if isinstance(spec, dict):
+        if list(spec) != ["schmidt_theta"]:
+            raise ValueError(f"{key} mapping must hold schmidt_theta alone, "
+                             f"got keys {sorted(spec, key=str)}")
+        key = f"{key} schmidt_theta"
+        build, spec = qstate.schmidt_pure, _number(spec["schmidt_theta"], key)
+    try:
+        return build(spec)
+    except ValueError as exc:
+        raise ValueError(f"{key}: {exc}") from None
+
+
+@functools.lru_cache(maxsize=64)
+def _bell_state(label: str) -> PureState:
+    """`qstate.bell_state(label)`, built once: a PureState is read-only, so a
+    config's check and its model share one."""
+    from biphoton import qstate
+    return qstate.bell_state(label)
+
+
+@dataclass(frozen=True)
+class ScenarioModel:
+    """Resolved physical model of a scenario before any sampling."""
+
+    state: DensityMatrix
+    success_probability: float
+    noise_p: float
+    effective_pairs: float
+    eta_h: float
+    eta_v: float
+    target: PureState
+    singles_leak: float | None = None  # None: the singles probe is pure H
+
+
+@dataclass(frozen=True)
+class ScenarioReport:
+    config: ScenarioConfig
+    model: ScenarioModel
+    tomography: tomo.TomographyResult
+    chsh: bell.ChshResult
+    chsh_model: bell.ChshResult
+    fringes: dict
+    artifacts: tuple
+
+
+@functools.cache
+def _strict_loader(base):
+    """The loader `base` (None: see `_YAML_LOADER`), rejecting a mapping
+    that gives one key twice where PyYAML alone keeps the last value."""
+    import yaml
+    if base is None:
+        base = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+    class Loader(base):
+        def construct_mapping(self, node, deep=False):
+            keys = []
+            for key_node, _ in node.value:
+                if key_node.tag != "tag:yaml.org,2002:merge":
+                    key = self.construct_object(key_node, deep=deep)
+                    if key in keys:
+                        raise yaml.constructor.ConstructorError(
+                            None, None, f"repeated key {key!r}", key_node.start_mark)
+                    keys.append(key)
+            return super().construct_mapping(node, deep)
+    return Loader

@@ -1,5 +1,6 @@
 """Tests for scenario configuration, the runner and the command line."""
 
+import ast
 import dataclasses
 import json
 import math
@@ -14,10 +15,10 @@ import numpy as np
 import pytest
 import yaml
 
-from biphoton import cli, optics, qstate
-from biphoton.cli import (ChannelSpec, ScenarioConfig, builtin_scenario,
-                          efficiency_budget, fit_noise, load_scenario,
-                          resolve_model, run_scenario)
+from biphoton import cli, optics, qstate, scenario
+from biphoton.cli import (builtin_scenario, efficiency_budget, fit_noise,
+                          load_scenario, resolve_model, run_scenario)
+from biphoton.scenario import ChannelSpec, ScenarioConfig
 from biphoton.qstate import (DensityMatrix, PureState, _depolarized_concurrence,
                              bell_state, concurrence, fidelity_with_pure,
                              random_density, to_density)
@@ -102,7 +103,7 @@ MALFORMED_SCENARIOS = [
      "waveplate retardance"),
     (None, "channel_chain:\n  - {kind: waveplate, retardance: 1.5, angle: -.inf}\n",
      "waveplate angle"),
-    ("bootstrap_replicas", f"bootstrap_replicas: {cli.MAX_BOOTSTRAP_REPLICAS + 1}\n",
+    ("bootstrap_replicas", f"bootstrap_replicas: {scenario.MAX_BOOTSTRAP_REPLICAS + 1}\n",
      "bootstrap_replicas"),
     ("outputs", "outputs: ''\n", "outputs"),
     ("mean_pairs", f"mean_pairs: {'9' * 400}\n", "mean_pairs"),
@@ -511,9 +512,9 @@ class TestScenarioConfig:
     def test_checked_bell_states_are_shared_read_only(self):
         # The config's check and its model share each built Bell state.
         config = ScenarioConfig(name="x", source="phi+", fidelity_target="psi-", seed=1)
-        target = cli._pure_state("psi-", "fidelity_target")
+        target = scenario._pure_state("psi-", "fidelity_target")
         assert resolve_model(config).target is target
-        assert cli.source_state(config) is cli._pure_state("phi+", "source")
+        assert cli.source_state(config) is scenario._pure_state("phi+", "source")
         assert not target.amplitudes.flags.writeable
 
     def test_bootstrap_replicas_bound_is_accepted(self, tmp_path):
@@ -521,9 +522,9 @@ class TestScenarioConfig:
         path = tmp_path / "most.yaml"
         path.write_text(yaml.safe_dump({
             "name": "most", "source": "phi+", "seed": 3,
-            "bootstrap_replicas": cli.MAX_BOOTSTRAP_REPLICAS}))
+            "bootstrap_replicas": scenario.MAX_BOOTSTRAP_REPLICAS}))
         config = load_scenario(path)
-        assert config.bootstrap_replicas == cli.MAX_BOOTSTRAP_REPLICAS
+        assert config.bootstrap_replicas == scenario.MAX_BOOTSTRAP_REPLICAS
 
 
 class TestResolveModel:
@@ -595,7 +596,7 @@ class TestChannelSpec:
         def no_parse(*args, **kwargs):
             raise AssertionError("a channel parameter was parsed again")
 
-        monkeypatch.setattr(cli, "_number", no_parse)
+        monkeypatch.setattr(scenario, "_number", no_parse)
         got = resolve_model(config)
         assert (got.state.matrix.tobytes(), got.noise_p, got.eta_v) == (
             want.state.matrix.tobytes(), want.noise_p, want.eta_v)
@@ -727,11 +728,11 @@ class TestCommandLine:
         ("bootstrap_replicas", -3), ("bootstrap_replicas", 1),
         ("bootstrap_replicas", 2.5)])
     def test_invalid_config_value_exits_2(self, tmp_path, capsys, key, value):
-        scenario = {"name": "x", "source": "phi+", "mean_pairs": 500, "seed": 3,
-                    "outputs": str(tmp_path / "out"), "bootstrap_replicas": 0}
-        scenario[key] = value
+        fields = {"name": "x", "source": "phi+", "mean_pairs": 500, "seed": 3,
+                  "outputs": str(tmp_path / "out"), "bootstrap_replicas": 0}
+        fields[key] = value
         path = tmp_path / "bad.yaml"
-        path.write_text(yaml.safe_dump(scenario))
+        path.write_text(yaml.safe_dump(fields))
         assert cli.main(["run", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and key in err and err.count("\n") == 1
@@ -748,7 +749,7 @@ class TestCommandLine:
     def test_malformed_scenario_exits_2_with_pure_python_yaml(
             self, monkeypatch, tmp_path, capsys, dropped, text, named):
         # The loader of a PyYAML built without libyaml.
-        monkeypatch.setattr(cli, "_YAML_LOADER", yaml.SafeLoader)
+        monkeypatch.setattr(scenario, "_YAML_LOADER", yaml.SafeLoader)
         assert_every_command_rejects(tmp_path, capsys, dropped, text, named)
 
     @pytest.mark.parametrize("dropped, text, named", MALFORMED_SCENARIOS,
@@ -767,14 +768,14 @@ class TestCommandLine:
             load_scenario(path)
         assert named in str(raised.value).replace(str(tmp_path), "")
 
-    @pytest.mark.parametrize("loader", [cli._YAML_LOADER, yaml.SafeLoader],
+    @pytest.mark.parametrize("loader", [scenario._YAML_LOADER, yaml.SafeLoader],
                              ids=["default-loader", "pure-python-loader"])
     @pytest.mark.parametrize("text", ["seed: 9\n", "noise_p: [0.1\n"],
                              ids=["repeated-key", "yaml-syntax"])
     def test_yaml_error_names_the_file_once(self, monkeypatch, tmp_path, capsys,
                                             loader, text):
         # PyYAML's marks name the file as well; the line names it once.
-        monkeypatch.setattr(cli, "_YAML_LOADER", loader)
+        monkeypatch.setattr(scenario, "_YAML_LOADER", loader)
         path = tmp_path / "bad.yaml"
         path.write_text(malformed_scenario(None, text, tmp_path / "out"))
         assert cli.main(["chsh", str(path)]) == 2
@@ -965,7 +966,8 @@ class TestYamlLoaders:
     SafeLoader's constructor and resolver; SafeLoader is the fallback."""
 
     def test_cli_parses_with_libyaml(self):
-        assert cli._YAML_LOADER is yaml.CSafeLoader
+        loader = scenario._strict_loader(scenario._YAML_LOADER)
+        assert loader.__bases__ == (yaml.CSafeLoader,)
 
     def test_loaders_never_return_different_objects(self, tmp_path):
         packaged = resources.files("biphoton") / "scenarios"
@@ -992,16 +994,17 @@ class TestYamlLoaders:
         path = tmp_path / "tab.yaml"
         path.write_text("name: x\nsource: phi+\nseed:\t7\n")
         assert load_scenario(path).seed == 7
-        monkeypatch.setattr(cli, "_YAML_LOADER", yaml.SafeLoader)
+        monkeypatch.setattr(scenario, "_YAML_LOADER", yaml.SafeLoader)
         with pytest.raises(ValueError, match="invalid YAML"):
             load_scenario(path)
 
 
 class TestStartUp:
     """Importing the command line and building its parser loads no numpy,
-    and each command loads only the physics it runs. The fits load only
-    scipy's compiled L-BFGS-B core, never the `scipy.optimize` package, and
-    share that core with `scipy.optimize` when it is imported as well."""
+    PyYAML, json or dataclasses, and each command loads only what it runs.
+    The fits load only scipy's compiled L-BFGS-B core, never the
+    `scipy.optimize` package, and share that core with `scipy.optimize`
+    when it is imported as well."""
 
     @pytest.mark.parametrize("command", [
         "cli.build_parser()",
@@ -1019,26 +1022,29 @@ class TestStartUp:
         (["budget", "0.9", "0.8", "--solve-total", "0.5"], 0),
     ], ids=["parser", "help", "bad-flag", "budget"])
     def test_parser_help_errors_and_budget_load_no_numpy(self, argv, code):
-        probe = ("import json, sys\n"
+        # No PyYAML either; only budget builds a value object and prints JSON.
+        probe = ("import ast, sys\n"
                  "from biphoton import cli\n"
-                 "argv = json.loads(sys.argv[1])\n"
+                 "argv = ast.literal_eval(sys.argv[1])\n"
                  "cli.build_parser()\n"
                  "try:\n"
                  "    code = None if argv is None else cli.main(argv)\n"
                  "except SystemExit as exc:\n"
                  "    code = exc.code\n"
-                 "print(json.dumps([code, sorted(set(sys.argv[2:]) & set(sys.modules))]))\n")
-        modules = ["numpy", *(f"biphoton.{m}" for m in
-                              ("qstate", "optics", "sim", "bell", "tomo"))]
-        out = run_python(probe, json.dumps(argv), *modules)
-        assert json.loads(out.splitlines()[-1]) == [code, []]
+                 "print(repr([code, sorted(set(sys.argv[2:]) & set(sys.modules))]))\n")
+        modules = ["numpy", "yaml", *(f"biphoton.{m}" for m in
+                                      ("qstate", "optics", "sim", "bell", "tomo"))]
+        if argv is None or argv[0] != "budget":
+            modules += ["json", "dataclasses", "biphoton.scenario"]
+        out = run_python(probe, repr(argv), *modules)
+        assert ast.literal_eval(out.splitlines()[-1]) == [code, []]
 
     @pytest.mark.parametrize("command", ["chsh", "fringe"])
     def test_chsh_and_fringe_load_no_tomography(self, tmp_path, command):
         probe = ("import sys\n"
                  "from biphoton import cli\n"
                  f"assert cli.main(['{command}', 'nanowire', '--outputs', sys.argv[1]]) == 0\n"
-                 "print(sorted({'biphoton.tomo', 'scipy.optimize._lbfgsb'}"
+                 "print(sorted({'biphoton.tomo', 'scipy', 'scipy.optimize._lbfgsb'}"
                  " & set(sys.modules)))\n")
         assert run_python(probe, str(tmp_path / "out")).splitlines()[-1] == "[]"
 

@@ -96,6 +96,11 @@ class TestPolarizerAndCoupler:
         with pytest.raises(ValueError, match="arm"):
             KrausChannel((np.eye(2),), arm=3)
 
+    def test_bool_arm_rejected(self):
+        # True == 1, so only the type check keeps a bool out of `arm`.
+        with pytest.raises(ValueError, match="arm must be 1 or 2, got True"):
+            KrausChannel((np.eye(2),), arm=True)
+
     def test_channel_without_operators_rejected(self):
         with pytest.raises(ValueError, match="at least one"):
             KrausChannel(())

@@ -170,6 +170,45 @@ class TestSinglePhotonFringe:
         with pytest.raises(ValueError, match="trace 1"):
             single_photon_fringe(np.diag([np.nan, 0.0]), 1.0, 1.0, [0.0, 0.5, 1.0])
 
+    @pytest.mark.parametrize("state, fault", [
+        ([[1.0, 5.0], [0.0, 0.0]], "not Hermitian"),
+        (np.diag([2.0, -1.0]), "negative eigenvalue"),
+        ([[0.5 + 1e-3j, 0.0], [0.0, 0.5 - 1e-3j]], "not Hermitian"),
+        ([[0.5, 0.6], [0.6, 0.5]], "negative eigenvalue")],
+        ids=["skew", "negative", "imaginary-diagonal", "negative-off-diagonal"])
+    def test_unphysical_density_matrix_rejected(self, state, fault):
+        # The first two once gave transmitted "probabilities" below 0 and
+        # above 1.
+        with pytest.raises(ValueError, match=fault):
+            single_photon_fringe(np.array(state), 1.0, 1.0, [0.0, 0.5, 1.0])
+
+    def test_density_matrix_within_tolerance_is_used_unchanged(self):
+        rho = h_state_with_leak(0.04)
+        rho[0, 1] = 1e-11
+        rho[0, 0] -= 1e-10
+        rho[1, 1] += 1e-10
+        assert sim._qubit_density(rho) is rho
+
+    def test_positivity_check_agrees_with_eigvalsh(self):
+        # Unit-trace Hermitian 2x2 matrices with the smaller eigenvalue
+        # spread across the 1e-9 floor, on either side of it.
+        rng = np.random.default_rng(11)
+        lows = np.concatenate([-rng.uniform(0.0, 2e-9, 200), rng.uniform(-0.5, 0.5, 50)])
+        for low in lows:
+            basis = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0]
+            rho = basis @ np.diag([1.0 - low, low]) @ basis.conj().T
+            rho = 0.5 * (rho + rho.conj().T)
+            rho[np.diag_indices(2)] += (1.0 - np.trace(rho).real) / 2.0
+            lowest = np.linalg.eigvalsh(rho)[0]
+            if abs(lowest + 1e-9) < 1e-14:
+                continue  # too close to the floor for either form to decide
+            try:
+                sim._qubit_density(rho)
+            except ValueError:
+                assert lowest < -1e-9, rho
+            else:
+                assert lowest >= -1e-9, rho
+
     def test_extinction_accounts_for_coupler(self):
         eta_h, eta_v = 0.403, 0.403 / 1.78
         leak = leak_fraction_for_extinction(25.0, eta_h, eta_v)
