@@ -102,7 +102,7 @@ class PureState:
 
 
 def _checked_density(mats: np.ndarray) -> np.ndarray:
-    """The Hermitian part of each 4x4 matrix along the last two axes, once
+    """The Hermitian part of each square matrix along the last two axes, once
     all of them pass the `DensityMatrix` checks; NaN fails them."""
     adjoint = mats.conj().swapaxes(-1, -2)
     if not (np.abs(mats - adjoint) <= _HERM_TOL).all():

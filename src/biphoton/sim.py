@@ -12,14 +12,13 @@ from __future__ import annotations
 import csv
 import functools
 import io
-import math
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from biphoton.optics import anisotropic_coupler
-from biphoton.qstate import (_HERM_TOL, _PSD_TOL, DensityMatrix, _freeze, _frozen,
+from biphoton.qstate import (DensityMatrix, _checked_density, _freeze, _frozen,
                              _unit_ket, ket, linear_ket)
 
 # Purpose tags for derived RNG streams; disjoint so that reusing one master
@@ -244,22 +243,10 @@ def _qubit_density(state) -> np.ndarray:
     if arr.shape == (2,):
         return np.outer(_unit_ket(arr, 2, "single-photon ket"), arr.conj())
     if arr.shape == (2, 2):
-        # Written so that NaN fails the comparisons and is rejected too.
+        # Written so that NaN fails the comparison and is rejected too.
         if not abs(np.trace(arr).real - 1.0) <= 1e-12:
             raise ValueError("single-photon density matrix must have trace 1")
-        # DensityMatrix's checks and tolerances, on Python scalars (about a
-        # tenth of the cost of numpy calls on a 2x2): each entry within
-        # _HERM_TOL of its adjoint's, and the smaller eigenvalue of the
-        # Hermitian matrix that eigvalsh would read (the real diagonal and
-        # the lower triangle) no lower than -_PSD_TOL.
-        (hh, hv), (vh, vv) = arr.tolist()
-        pairs = ((hh, hh), (hv, vh), (vv, vv))
-        if not all(abs(x - y.conjugate()) <= _HERM_TOL for x, y in pairs):
-            raise ValueError("single-photon density matrix is not Hermitian")
-        mean, half_gap = 0.5 * (hh.real + vv.real), 0.5 * (hh.real - vv.real)
-        if mean - math.hypot(half_gap, abs(vh)) < -_PSD_TOL:
-            raise ValueError("single-photon density matrix has a negative "
-                             "eigenvalue beyond tolerance")
+        _checked_density(arr)  # DensityMatrix's checks; arr is used as given
         return arr
     raise ValueError("single-photon state must be a 2-ket or a 2x2 matrix")
 

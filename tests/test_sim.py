@@ -189,26 +189,6 @@ class TestSinglePhotonFringe:
         rho[1, 1] += 1e-10
         assert sim._qubit_density(rho) is rho
 
-    def test_positivity_check_agrees_with_eigvalsh(self):
-        # Unit-trace Hermitian 2x2 matrices with the smaller eigenvalue
-        # spread across the 1e-9 floor, on either side of it.
-        rng = np.random.default_rng(11)
-        lows = np.concatenate([-rng.uniform(0.0, 2e-9, 200), rng.uniform(-0.5, 0.5, 50)])
-        for low in lows:
-            basis = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0]
-            rho = basis @ np.diag([1.0 - low, low]) @ basis.conj().T
-            rho = 0.5 * (rho + rho.conj().T)
-            rho[np.diag_indices(2)] += (1.0 - np.trace(rho).real) / 2.0
-            lowest = np.linalg.eigvalsh(rho)[0]
-            if abs(lowest + 1e-9) < 1e-14:
-                continue  # too close to the floor for either form to decide
-            try:
-                sim._qubit_density(rho)
-            except ValueError:
-                assert lowest < -1e-9, rho
-            else:
-                assert lowest >= -1e-9, rho
-
     def test_extinction_accounts_for_coupler(self):
         eta_h, eta_v = 0.403, 0.403 / 1.78
         leak = leak_fraction_for_extinction(25.0, eta_h, eta_v)
