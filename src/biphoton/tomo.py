@@ -12,6 +12,7 @@ from __future__ import annotations
 import importlib.machinery
 import importlib.util
 import os
+import signal
 import sys
 from dataclasses import dataclass
 
@@ -414,8 +415,62 @@ def mle_reconstruct(records, init=None, *, target: PureState | None = None,
     )
 
 
+def _blocks(rows: int, jobs: int) -> list[tuple[int, int]]:
+    """`jobs` contiguous (lo, hi) blocks of `range(rows)`, sizes within one."""
+    if not 1 <= jobs <= rows:
+        raise ValueError(f"jobs must lie in 1..{rows} (the replica count), got {jobs!r}")
+    edges = [rows * k // jobs for k in range(jobs + 1)]
+    return list(zip(edges, edges[1:]))
+
+
+def _fit_blocks(fit, blocks) -> np.ndarray:
+    """`fit(lo, hi)` of every block, in block order: the first fitted here,
+    each other in a forked child (this process runs no thread: the command
+    line pins OpenBLAS to one) that sends back its array's bytes, or its
+    exception's repr with exit status 1, through a pipe. A child that fails
+    or dies raises RuntimeError; on every path each child is reaped and
+    each pipe closed."""
+    pids, readers = [], []
+    try:
+        for lo, hi in blocks[1:]:
+            read_fd, write_fd = os.pipe()
+            readers.append(open(read_fd, "rb"))
+            with open(write_fd, "wb") as writer:
+                pid = os.fork()
+                if pid == 0:  # the child: never returns into the caller's code
+                    code = 1
+                    try:
+                        writer.write(fit(lo, hi).tobytes())
+                        writer.flush()
+                        code = 0
+                    except Exception as exc:
+                        writer.write(repr(exc).encode())
+                        writer.flush()
+                    finally:
+                        os._exit(code)
+            pids.append(pid)
+        parts = [fit(*blocks[0])]
+        sent = [reader.read() for reader in readers]
+    except BaseException:
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for reader in readers:
+            reader.close()
+        codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
+    for (lo, hi), data, code in zip(blocks[1:], sent, codes):
+        if code:
+            why = (f"killed by signal {-code}" if code < 0
+                   else data.decode(errors="replace") or f"exit status {code}")
+            raise RuntimeError(f"bootstrap worker for replicas {lo}-{hi - 1} failed: {why}")
+        parts.append(np.frombuffer(data).reshape(hi - lo, -1))
+    return np.concatenate(parts)
+
+
 def bootstrap_errors(records, replicas: int = 200, seed: int = 0, *,
-                     resample: bool = True, target: PureState | None = None) -> dict:
+                     resample: bool = True, target: PureState | None = None,
+                     jobs: int = 1) -> dict:
     """Standard deviations of concurrence, fidelity and S over resampled data.
 
     Each replica redraws every count as Poisson(n_v) (stream derived from
@@ -423,12 +478,16 @@ def bootstrap_errors(records, replicas: int = 200, seed: int = 0, *,
     linear-inversion start and recomputes the metrics; `resample=False`
     replays the original counts, which must give identically zero spread.
     The CHSH statistic is evaluated on each replica's state at the
-    optimal analyzer set, `bell.OPTIMAL_PLAN`. All replicas go to one
-    `_lbfgsb` call, `_FIT_SLOTS` in flight at a time; each fit equals the
-    replica's own `mle_reconstruct` fit.
+    optimal analyzer set, `bell.OPTIMAL_PLAN`. The replicas are split into
+    `jobs` (1 to `replicas`) contiguous blocks, each fitted by one
+    `_lbfgsb` call, `_FIT_SLOTS` in flight at a time, all but the first in
+    forked processes (`_fit_blocks`); `jobs=1` forks nothing. Each fit
+    equals the replica's own `mle_reconstruct` fit, so every `jobs` gives
+    the same bytes.
     """
     if replicas < 2:
         raise ValueError("bootstrap needs at least 2 replicas")
+    blocks = _blocks(replicas, jobs)
     projectors, counts, pairs = record_arrays(list(records))
     design = _design_matrix(projectors)
     if target is None:
@@ -436,8 +495,12 @@ def bootstrap_errors(records, replicas: int = 200, seed: int = 0, *,
     draws = np.array([stream(seed, _BOOTSTRAP_STREAM, r).poisson(counts)
                       if resample else counts for r in range(replicas)], dtype=float)
     starts = _params_from_densities(_linear_start(design, draws, pairs))
-    fits = _lbfgsb(lambda t, rows: objective_and_gradient(
-        t, draws[rows], pairs, projectors), starts, 10_000)[0]
+
+    def fit(lo, hi):
+        return _lbfgsb(lambda t, rows: objective_and_gradient(
+            t, draws[lo:hi][rows], pairs, projectors), starts[lo:hi], 10_000)[0]
+
+    fits = _fit_blocks(fit, blocks)
     rhos = _checked_density(_density_from_params(fits))
     metrics = (_concurrence(rhos), _fidelity_with_pure(rhos, target.amplitudes),
                bell._chsh_S(rhos, bell.OPTIMAL_PLAN)[1])

@@ -1,13 +1,17 @@
 """Tests for scenario configuration, the runner and the command line."""
 
 import ast
+import contextlib
 import dataclasses
 import json
 import math
 import os
 import random
+import signal
 import subprocess
 import sys
+import time
+import warnings
 from importlib import resources
 from pathlib import Path
 
@@ -15,7 +19,7 @@ import numpy as np
 import pytest
 import yaml
 
-from biphoton import cli, optics, qstate, scenario
+from biphoton import cli, optics, qstate, scenario, tomo
 from biphoton.cli import (builtin_scenario, efficiency_budget, fit_noise,
                           load_scenario, resolve_model, run_scenario)
 from biphoton.scenario import ChannelSpec, ScenarioConfig
@@ -1081,3 +1085,136 @@ class TestStartUp:
                  "assert core.setulb is tomo.setulb\n"
                  "assert core is tomo.setulb.__self__\n")
         run_python(probe)
+
+
+def parallel_scenario(tmp_path, monkeypatch, replicas=2, cpus=(0, 1)):
+    """A small scenario file whose `run` splits its `replicas` bootstrap
+    replicas over one process per CPU in `cpus`: one fit slot makes every
+    replica a full set of slots."""
+    monkeypatch.setattr(tomo, "_FIT_SLOTS", 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(cpus))
+    path = tmp_path / "parallel.yaml"
+    path.write_text(yaml.safe_dump({
+        "name": "parallel", "source": "phi+", "noise_p": 0.05, "mean_pairs": 500,
+        "seed": 3, "outputs": str(tmp_path / "out"), "bootstrap_replicas": replicas}))
+    return path
+
+
+@contextlib.contextmanager
+def pipes_closed():
+    """Asserts that the block leaves no file descriptor open and lets none
+    be closed by the garbage collector (a ResourceWarning)."""
+    fds = len(os.listdir("/dev/fd"))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        yield
+    assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+    assert len(os.listdir("/dev/fd")) == fds
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestParallelBootstrap:
+    """`run` splits the bootstrap replicas over forked workers, one per
+    usable CPU; a worker's failure is the run's, and no worker, zombie or
+    pipe outlives the run."""
+
+    @pytest.mark.parametrize("cpus, replicas, jobs", [
+        ({0}, 200, 1), ({0, 1, 2, 3}, 127, 1), ({0, 1}, 128, 2), ({0, 1}, 200, 2),
+        ({0, 1, 2, 3}, 200, 3), (set(range(8)), 100_000, 8)])
+    def test_one_worker_per_cpu_none_under_one_set_of_slots(self, monkeypatch, cpus,
+                                                            replicas, jobs):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+        assert cli._bootstrap_jobs(replicas) == jobs
+
+    def test_serial_without_sched_getaffinity(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert cli._bootstrap_jobs(100_000) == 1
+
+    @pytest.mark.parametrize("cpus, forks", [
+        ((0,), 0), (None, 0), ((0, 1), 1), ((0, 1, 2, 3), 3)],
+        ids=["one-cpu", "no-sched_getaffinity", "two-cpus", "four-cpus"])
+    def test_run_forks_one_worker_per_extra_cpu_and_writes_the_same_bytes(
+            self, tmp_path, monkeypatch, cpus, forks):
+        path = parallel_scenario(tmp_path, monkeypatch, replicas=5, cpus=(0,))
+        assert cli.main(["run", str(path), "--outputs", str(tmp_path / "serial")]) == 0
+        if cpus is None:
+            monkeypatch.delattr(os, "sched_getaffinity")
+        else:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(cpus))
+        calls = []
+        fork = os.fork
+
+        def counted():
+            calls.append(1)
+            return fork()
+
+        monkeypatch.setattr(os, "fork", counted)
+        with pipes_closed():
+            assert cli.main(["run", str(path)]) == 0
+        assert len(calls) == forks
+        names = sorted(p.name for p in (tmp_path / "serial").iterdir())
+        assert names == EXPECTED_ARTIFACTS
+        for name in names:
+            assert ((tmp_path / "out" / name).read_bytes()
+                    == (tmp_path / "serial" / name).read_bytes()), name
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("fault, why", [
+        ("raises", "failed: ValueError('no fit for this row')"),
+        ("dies", f"failed: killed by signal {int(signal.SIGKILL)}")])
+    def test_failed_worker_exits_2_and_leaves_no_process(self, tmp_path, monkeypatch,
+                                                         capsys, fault, why):
+        parent = os.getpid()
+        objective = tomo.objective_and_gradient
+
+        def failing(*args):
+            if os.getpid() != parent:  # in the worker of block 1
+                if fault == "raises":
+                    raise ValueError("no fit for this row")
+                os.kill(os.getpid(), signal.SIGKILL)
+            return objective(*args)
+
+        monkeypatch.setattr(tomo, "objective_and_gradient", failing)
+        path = parallel_scenario(tmp_path, monkeypatch)
+        capsys.readouterr()
+        with pipes_closed():
+            assert cli.main(["run", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: bootstrap worker for replicas 1-1 ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert err.rstrip().endswith(why)
+        assert not (tmp_path / "out" / "manifest.json").exists()
+        assert_no_child_left()
+
+    def test_interrupt_while_waiting_kills_and_reaps_every_worker(self, tmp_path,
+                                                                  monkeypatch):
+        parent = os.getpid()
+        objective = tomo.objective_and_gradient
+
+        def stalled(*args):
+            if os.getpid() != parent:
+                time.sleep(600)
+            return objective(*args)
+
+        def interrupt(*_):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(tomo, "objective_and_gradient", stalled)
+        path = parallel_scenario(tmp_path, monkeypatch, replicas=4, cpus=(0, 1, 2, 3))
+        previous = signal.signal(signal.SIGALRM, interrupt)
+        start = time.monotonic()
+        try:
+            # The parent's own block is one replica; by then it waits on the
+            # three stalled workers.
+            signal.setitimer(signal.ITIMER_REAL, 1.0)
+            with pipes_closed(), pytest.raises(KeyboardInterrupt):
+                cli.main(["run", str(path)])
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0.0)
+            signal.signal(signal.SIGALRM, previous)
+        assert time.monotonic() - start < 60.0
+        assert_no_child_left()

@@ -3,6 +3,8 @@
 `tests/golden/artifacts.json` holds the sha256 of every file these commands
 write, and of their stdout, for the four built-in scenarios at seed 7 with
 the shipped settings and at seed 0 with `SEED0_REPLICAS` bootstrap replicas.
+`run` at the shipped settings must write the same bytes whether its
+bootstrap replicas are fitted in one process or split over several.
 
 The bytes that derive from the tomography fit depend on the exact
 floating-point path of numpy and scipy (einsum order, LAPACK). On the
@@ -19,10 +21,12 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
+import pytest
 import scipy
 import yaml
 
@@ -110,6 +114,19 @@ def test_outputs_match_golden(tmp_path):
     golden = json.loads(GOLDEN.read_text())
     same = golden["toolchain"] == toolchain()
     assert differences(golden, produce(tmp_path), same) == []
+
+
+@pytest.mark.parametrize("cpus", [{0}, {0, 1, 2}], ids=["one-cpu", "three-cpus"])
+def test_run_at_shipped_settings_matches_golden_serial_and_split(tmp_path, monkeypatch,
+                                                                 cpus):
+    # The 200 bootstrap replicas fitted in this process alone, as under
+    # `taskset -c 0`, or split over three processes.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+    golden = json.loads(GOLDEN.read_text())
+    cases = {f"run {name} seed 7": _invoke(["run", name, "--seed", "7"], tmp_path / name)
+             for name in cli.BUILTIN_SCENARIOS}
+    want = {**golden, "cases": {case: golden["cases"][case] for case in cases}}
+    assert differences(want, cases, golden["toolchain"] == toolchain()) == []
 
 
 def test_golden_covers_every_command_and_builtin():

@@ -1,6 +1,7 @@
 """Tests for linear inversion, MLE reconstruction and bootstrap errors."""
 
 import dataclasses
+import os
 import warnings
 
 import numpy as np
@@ -846,6 +847,107 @@ class TestBootstrapErrors:
         clone = dataclasses.replace(rec, counts=15.0)
         assert clone.setting is rec.setting
         assert clone.counts == 15.0
+
+
+def fork_record_sets():
+    """20 seeded record sets: mixed states from 5e2 to 1e4 pairs per
+    setting, low-count Bell states and pure HH, whose fits reach the
+    probability floor."""
+    rng = np.random.default_rng(2019)
+    sets = [(f"mixed-{k}", random_density(rng), (5e2, 2e3, 1e4)[k % 3], k)
+            for k in range(14)]
+    sets += [(f"low-{name}", to_density(bell_state(name)), 5e2, 20 + k)
+             for k, name in enumerate(("phi+", "phi-", "psi+", "psi-"))]
+    sets.append(("depolarized-phi+", depolarize(to_density(bell_state("phi+")), 0.2),
+                 1e4, 30))
+    sets.append(("floored-HH", to_density(PureState(np.array([1, 0, 0, 0], dtype=complex))),
+                 1e9, 31))
+    return sets
+
+
+FORK_RECORD_SETS = fork_record_sets()
+
+
+class TestForkedBootstrap:
+    """The replicas split over `jobs` processes against the serial fits (one
+    `_lbfgsb` call over every replica), byte for byte."""
+
+    @staticmethod
+    def fits_and_errors(monkeypatch, records, replicas, seed, jobs, target=None):
+        """`bootstrap_errors(..., jobs=jobs)` and the stacked fits it took
+        its metrics from."""
+        seen = []
+        fit_blocks = tomo._fit_blocks
+
+        def spy(fit, blocks):
+            seen.append((blocks, fit_blocks(fit, blocks)))
+            return seen[-1][1]
+
+        monkeypatch.setattr(tomo, "_fit_blocks", spy)
+        errors = bootstrap_errors(records, replicas, seed, target=target, jobs=jobs)
+        [(blocks, fits)] = seen
+        assert blocks == tomo._blocks(replicas, jobs)
+        return fits, errors
+
+    def assert_every_split_matches(self, monkeypatch, records, replicas, seed,
+                                   target=None):
+        forks = []
+        fork = os.fork
+
+        def counted():
+            forks.append(1)
+            return fork()
+
+        monkeypatch.setattr(os, "fork", counted)
+        serial, errors = self.fits_and_errors(monkeypatch, records, replicas, seed, 1,
+                                              target)
+        assert not forks
+        assert serial.shape == (replicas, 16)
+        for jobs in range(2, min(4, replicas) + 1):
+            fits, split_errors = self.fits_and_errors(monkeypatch, records, replicas,
+                                                      seed, jobs, target)
+            assert fits.tobytes() == serial.tobytes(), jobs
+            assert split_errors == errors, jobs
+        assert len(forks) == sum(range(1, min(4, replicas)))
+
+    @pytest.mark.parametrize("name", BUILTIN_SCENARIOS)
+    @pytest.mark.parametrize("replicas", [2, 3, 65, 200])
+    def test_builtins(self, monkeypatch, name, replicas):
+        config = builtin_scenario(name)
+        model = resolve_model(config)
+        records = acquire_tomography(model.state, tomography_plan(config.tomography_plan),
+                                     model.effective_pairs, config.seed)
+        self.assert_every_split_matches(monkeypatch, records, replicas, config.seed,
+                                        model.target)
+
+    @pytest.mark.parametrize("name, rho, mean_pairs, seed", FORK_RECORD_SETS,
+                             ids=[s[0] for s in FORK_RECORD_SETS])
+    def test_seeded_record_sets(self, monkeypatch, name, rho, mean_pairs, seed):
+        records = sampled_records(rho, mean_pairs, seed)
+        for replicas in (2, 3):
+            self.assert_every_split_matches(monkeypatch, records, replicas, seed)
+
+    @pytest.mark.parametrize("name", ["mixed-0", "low-psi-", "floored-HH"])
+    def test_seeded_record_sets_past_one_set_of_slots(self, monkeypatch, name):
+        [(_, rho, mean_pairs, seed)] = [s for s in FORK_RECORD_SETS if s[0] == name]
+        self.assert_every_split_matches(monkeypatch, sampled_records(rho, mean_pairs, seed),
+                                        65, seed)
+
+    @pytest.mark.parametrize("rows", [2, 3, 64, 65, 200])
+    def test_blocks_are_contiguous_and_even(self, rows):
+        for jobs in range(1, min(4, rows) + 1):
+            blocks = tomo._blocks(rows, jobs)
+            assert len(blocks) == jobs
+            assert [r for lo, hi in blocks for r in range(lo, hi)] == list(range(rows))
+            sizes = [hi - lo for lo, hi in blocks]
+            assert max(sizes) - min(sizes) <= 1
+
+    @pytest.mark.parametrize("replicas, jobs", [(2, 3), (3, 4), (65, 66), (5, 0), (5, -1)])
+    def test_jobs_outside_1_to_replicas_rejected(self, monkeypatch, replicas, jobs):
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
+        records = sampled_records(to_density(bell_state("phi+")), 1000, 2)
+        with pytest.raises(ValueError, match="jobs must lie in 1"):
+            bootstrap_errors(records, replicas=replicas, seed=0, jobs=jobs)
 
 
 LOW_COUNT_STATES = {
