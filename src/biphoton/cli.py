@@ -270,16 +270,6 @@ def _write_chsh(outdir: Path, result: bell.ChshResult, exact: bell.ChshResult) -
     return _write_json(outdir / "chsh.json", {**result.to_json_dict(), "S_model": exact.S})
 
 
-def _bootstrap_jobs(replicas: int) -> int:
-    """Processes to fit `replicas` bootstrap replicas in: one per usable CPU
-    (`taskset -c 0` gives one), none with under one full set of fit slots;
-    one where the platform does not tell which CPUs are usable."""
-    from biphoton import tomo
-    if not hasattr(os, "sched_getaffinity"):
-        return 1
-    return max(1, min(len(os.sched_getaffinity(0)), replicas // tomo._FIT_SLOTS))
-
-
 def run_scenario(config: ScenarioConfig) -> ScenarioReport:
     """Execute a scenario end to end and write its artifact files.
 
@@ -296,7 +286,7 @@ def run_scenario(config: ScenarioConfig) -> ScenarioReport:
     if config.bootstrap_replicas >= 2:
         errors = tomo.bootstrap_errors(records, config.bootstrap_replicas,
                                        config.seed, target=model.target,
-                                       jobs=_bootstrap_jobs(config.bootstrap_replicas))
+                                       jobs=tomo.bootstrap_jobs(config.bootstrap_replicas))
         from dataclasses import replace
         result = replace(result, uncertainties=errors)
 

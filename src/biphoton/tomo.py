@@ -423,32 +423,49 @@ def _blocks(rows: int, jobs: int) -> list[tuple[int, int]]:
     return list(zip(edges, edges[1:]))
 
 
+def bootstrap_jobs(replicas: int) -> int:
+    """`bootstrap_errors`'s `jobs` for `run`: one process per usable CPU
+    (`taskset -c 0` gives one) with at least `_FIT_SLOTS` replicas each, as
+    smaller blocks cost more CPU time per replica; 1 where the platform does
+    not tell which CPUs are usable."""
+    if not hasattr(os, "sched_getaffinity"):
+        return 1
+    return max(1, min(len(os.sched_getaffinity(0)), replicas // _FIT_SLOTS))
+
+
 def _fit_blocks(fit, blocks) -> np.ndarray:
     """`fit(lo, hi)` of every block, in block order: the first fitted here,
-    each other in a forked child (this process runs no thread: the command
-    line pins OpenBLAS to one) that sends back its array's bytes, or its
-    exception's repr with exit status 1, through a pipe. A child that fails
-    or dies raises RuntimeError; on every path each child is reaped and
-    each pipe closed."""
+    each other in a forked child that sends back its array's bytes, or its
+    exception's repr with exit status 1, through a pipe. A fork copies only
+    the calling thread, so `fit` must not need others (the command line
+    asks OpenBLAS for one thread unless OPENBLAS_NUM_THREADS is set). A
+    child that fails or dies raises RuntimeError. Signals wait while a
+    child is forked and recorded, so an error or interrupt here kills every
+    child; each child is reaped and each pipe closed."""
     pids, readers = [], []
     try:
         for lo, hi in blocks[1:]:
-            read_fd, write_fd = os.pipe()
-            readers.append(open(read_fd, "rb"))
-            with open(write_fd, "wb") as writer:
-                pid = os.fork()
-                if pid == 0:  # the child: never returns into the caller's code
-                    code = 1
-                    try:
-                        writer.write(fit(lo, hi).tobytes())
-                        writer.flush()
-                        code = 0
-                    except Exception as exc:
-                        writer.write(repr(exc).encode())
-                        writer.flush()
-                    finally:
-                        os._exit(code)
-            pids.append(pid)
+            mask = signal.pthread_sigmask(signal.SIG_BLOCK, signal.valid_signals())
+            try:
+                read_fd, write_fd = os.pipe()
+                readers.append(open(read_fd, "rb"))
+                with open(write_fd, "wb") as writer:
+                    pid = os.fork()
+                    if pid == 0:  # the child: never returns into the caller's code
+                        code = 1
+                        try:
+                            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+                            writer.write(fit(lo, hi).tobytes())
+                            writer.flush()
+                            code = 0
+                        except Exception as exc:
+                            writer.write(repr(exc).encode())
+                            writer.flush()
+                        finally:
+                            os._exit(code)
+                    pids.append(pid)
+            finally:
+                signal.pthread_sigmask(signal.SIG_SETMASK, mask)
         parts = [fit(*blocks[0])]
         sent = [reader.read() for reader in readers]
     except BaseException:

@@ -1122,18 +1122,6 @@ class TestParallelBootstrap:
     usable CPU; a worker's failure is the run's, and no worker, zombie or
     pipe outlives the run."""
 
-    @pytest.mark.parametrize("cpus, replicas, jobs", [
-        ({0}, 200, 1), ({0, 1, 2, 3}, 127, 1), ({0, 1}, 128, 2), ({0, 1}, 200, 2),
-        ({0, 1, 2, 3}, 200, 3), (set(range(8)), 100_000, 8)])
-    def test_one_worker_per_cpu_none_under_one_set_of_slots(self, monkeypatch, cpus,
-                                                            replicas, jobs):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
-        assert cli._bootstrap_jobs(replicas) == jobs
-
-    def test_serial_without_sched_getaffinity(self, monkeypatch):
-        monkeypatch.delattr(os, "sched_getaffinity")
-        assert cli._bootstrap_jobs(100_000) == 1
-
     @pytest.mark.parametrize("cpus, forks", [
         ((0,), 0), (None, 0), ((0, 1), 1), ((0, 1, 2, 3), 3)],
         ids=["one-cpu", "no-sched_getaffinity", "two-cpus", "four-cpus"])
@@ -1190,8 +1178,9 @@ class TestParallelBootstrap:
         assert not (tmp_path / "out" / "manifest.json").exists()
         assert_no_child_left()
 
-    def test_interrupt_while_waiting_kills_and_reaps_every_worker(self, tmp_path,
-                                                                  monkeypatch):
+    @staticmethod
+    def stall_workers(monkeypatch):
+        """Every bootstrap worker sleeps for 10 minutes."""
         parent = os.getpid()
         objective = tomo.objective_and_gradient
 
@@ -1200,10 +1189,35 @@ class TestParallelBootstrap:
                 time.sleep(600)
             return objective(*args)
 
+        monkeypatch.setattr(tomo, "objective_and_gradient", stalled)
+
+    def test_interrupt_right_after_a_fork_kills_and_reaps_that_worker(self, tmp_path,
+                                                                      monkeypatch):
+        # SIGINT reaches the parent the moment its first fork returns, before
+        # it can have put the child on record.
+        self.stall_workers(monkeypatch)
+        path = parallel_scenario(tmp_path, monkeypatch)
+        fork = os.fork
+
+        def interrupted():
+            pid = fork()
+            if pid:
+                os.kill(os.getpid(), signal.SIGINT)
+            return pid
+
+        monkeypatch.setattr(os, "fork", interrupted)
+        with pipes_closed(), pytest.raises(KeyboardInterrupt):
+            cli.main(["run", str(path)])
+        assert not (tmp_path / "out" / "manifest.json").exists()
+        assert_no_child_left()
+
+    def test_interrupt_while_waiting_kills_and_reaps_every_worker(self, tmp_path,
+                                                                  monkeypatch):
+        self.stall_workers(monkeypatch)
+
         def interrupt(*_):
             raise KeyboardInterrupt
 
-        monkeypatch.setattr(tomo, "objective_and_gradient", stalled)
         path = parallel_scenario(tmp_path, monkeypatch, replicas=4, cpus=(0, 1, 2, 3))
         previous = signal.signal(signal.SIGALRM, interrupt)
         start = time.monotonic()

@@ -26,7 +26,6 @@ from importlib import resources
 from pathlib import Path
 
 import numpy as np
-import pytest
 import scipy
 import yaml
 
@@ -116,12 +115,10 @@ def test_outputs_match_golden(tmp_path):
     assert differences(golden, produce(tmp_path), same) == []
 
 
-@pytest.mark.parametrize("cpus", [{0}, {0, 1, 2}], ids=["one-cpu", "three-cpus"])
-def test_run_at_shipped_settings_matches_golden_serial_and_split(tmp_path, monkeypatch,
-                                                                 cpus):
-    # The 200 bootstrap replicas fitted in this process alone, as under
-    # `taskset -c 0`, or split over three processes.
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+def test_run_split_over_three_processes_matches_golden(tmp_path, monkeypatch):
+    # The 200 bootstrap replicas of the shipped settings split over three
+    # processes, whatever the CPUs of the machine the tests run on.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
     golden = json.loads(GOLDEN.read_text())
     cases = {f"run {name} seed 7": _invoke(["run", name, "--seed", "7"], tmp_path / name)
              for name in cli.BUILTIN_SCENARIOS}

@@ -890,7 +890,7 @@ class TestForkedBootstrap:
         return fits, errors
 
     def assert_every_split_matches(self, monkeypatch, records, replicas, seed,
-                                   target=None):
+                                   target=None, splits=(2, 3, 4)):
         forks = []
         fork = os.fork
 
@@ -903,22 +903,25 @@ class TestForkedBootstrap:
                                               target)
         assert not forks
         assert serial.shape == (replicas, 16)
-        for jobs in range(2, min(4, replicas) + 1):
+        splits = [jobs for jobs in splits if jobs <= replicas]
+        for jobs in splits:
             fits, split_errors = self.fits_and_errors(monkeypatch, records, replicas,
                                                       seed, jobs, target)
             assert fits.tobytes() == serial.tobytes(), jobs
             assert split_errors == errors, jobs
-        assert len(forks) == sum(range(1, min(4, replicas)))
+        assert len(forks) == sum(jobs - 1 for jobs in splits)
 
     @pytest.mark.parametrize("name", BUILTIN_SCENARIOS)
     @pytest.mark.parametrize("replicas", [2, 3, 65, 200])
     def test_builtins(self, monkeypatch, name, replicas):
+        # At the shipped 200 replicas only 4 processes: the golden tests
+        # already run them split over 3 (and over 2 on a 2-CPU machine).
         config = builtin_scenario(name)
         model = resolve_model(config)
         records = acquire_tomography(model.state, tomography_plan(config.tomography_plan),
                                      model.effective_pairs, config.seed)
         self.assert_every_split_matches(monkeypatch, records, replicas, config.seed,
-                                        model.target)
+                                        model.target, (4,) if replicas == 200 else (2, 3, 4))
 
     @pytest.mark.parametrize("name, rho, mean_pairs, seed", FORK_RECORD_SETS,
                              ids=[s[0] for s in FORK_RECORD_SETS])
@@ -932,6 +935,18 @@ class TestForkedBootstrap:
         [(_, rho, mean_pairs, seed)] = [s for s in FORK_RECORD_SETS if s[0] == name]
         self.assert_every_split_matches(monkeypatch, sampled_records(rho, mean_pairs, seed),
                                         65, seed)
+
+    @pytest.mark.parametrize("cpus, replicas, jobs", [
+        ({0}, 200, 1), ({0, 1, 2, 3}, 127, 1), ({0, 1}, 128, 2), ({0, 1}, 200, 2),
+        ({0, 1, 2, 3}, 200, 3), (set(range(8)), 100_000, 8)])
+    def test_one_worker_per_cpu_none_under_one_set_of_slots(self, monkeypatch, cpus,
+                                                            replicas, jobs):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+        assert tomo.bootstrap_jobs(replicas) == jobs
+
+    def test_serial_without_sched_getaffinity(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert tomo.bootstrap_jobs(100_000) == 1
 
     @pytest.mark.parametrize("rows", [2, 3, 64, 65, 200])
     def test_blocks_are_contiguous_and_even(self, rows):
