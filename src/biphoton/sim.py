@@ -98,9 +98,14 @@ class MeasurementSetting:
         """The read-only product ket ket_1 x ket_2, built on first use."""
         return _freeze(_pair_ket(self.ket_1, self.ket_2))
 
+    @functools.cached_property
+    def _projector(self) -> np.ndarray:
+        return _freeze(np.outer(self.pair, self.pair.conj()))
+
     def projector(self) -> np.ndarray:
-        """Rank-1 coincidence projector P1 x P2 on the pair."""
-        return np.outer(self.pair, self.pair.conj())
+        """Rank-1 coincidence projector P1 x P2 on the pair, read-only,
+        built on first use."""
+        return self._projector
 
 
 @dataclass(frozen=True)
@@ -365,6 +370,16 @@ def records_to_csv(records, path) -> None:
     write_artifact(path, buffer.getvalue(), newline="")
 
 
+@functools.lru_cache(maxsize=64)
+def _labelled_setting(label_1: str, label_2: str) -> MeasurementSetting:
+    """The setting of a CSV label pair, built once per process: settings are
+    frozen, their kets and projector read-only. Labels are the key, so
+    lin:0 and lin:-0 stay two settings; a label that fails to parse raises
+    each time, as nothing is cached for it."""
+    return MeasurementSetting(parse_label(label_1), parse_label(label_2),
+                              label_1, label_2)
+
+
 def records_from_csv(path) -> list:
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
@@ -376,9 +391,8 @@ def records_from_csv(path) -> list:
             if len(row) != 4:
                 raise ValueError(f"expected 4 fields, got {len(row)}")
             label_1, label_2, counts, pairs = row
-            setting = MeasurementSetting(parse_label(label_1), parse_label(label_2),
-                                         label_1, label_2)
-            records.append(CountRecord(setting, float(counts), float(pairs)))
+            records.append(CountRecord(_labelled_setting(label_1, label_2),
+                                       float(counts), float(pairs)))
         except ValueError as exc:
             raise ValueError(f"{path}, line {line}: {exc}") from None
     return records

@@ -75,14 +75,13 @@ _HERM_BASIS = np.stack([
     for b in (np.eye(2, dtype=complex), PAULI_X, PAULI_Y, PAULI_Z)])
 
 _EYE4 = np.eye(4)
+_MIXED = np.eye(4, dtype=complex) / 4.0
 
 # Parameter order: the real diagonal t[0:4], then (re, im) pairs of the
-# lower-triangular entries (1,0), (2,0), (2,1), (3,0), (3,1), (3,2), here as
-# indices into the row-major flattened 4x4 matrix and, in _PARAM_FLOATS, into
-# the float64 view of that matrix.
-_DIAG_FLAT = np.arange(4) * 5
-_LOWER_FLAT = np.flatnonzero(np.tri(4, k=-1))
-_PARAM_FLOATS = np.r_[2 * _DIAG_FLAT, (2 * _LOWER_FLAT[:, None] + [0, 1]).ravel()]
+# lower-triangular entries (1,0), (2,0), (2,1), (3,0), (3,1), (3,2), as
+# indices into the float64 view of the row-major 4x4 complex matrix.
+_PARAM_FLOATS = np.r_[np.arange(4) * 10,
+                      (2 * np.flatnonzero(np.tri(4, k=-1))[:, None] + [0, 1]).ravel()]
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,11 +98,20 @@ class CholeskyParams:
 
 
 def _lower_from_params(t: np.ndarray) -> np.ndarray:
-    """Lower-triangular T of each parameter vector along the last axis."""
-    flat = np.zeros(t.shape[:-1] + (16,), dtype=complex)
-    flat[..., _DIAG_FLAT] = t[..., 0:4]
-    flat[..., _LOWER_FLAT] = t[..., 4::2] + 1j * t[..., 5::2]
-    return flat.reshape(t.shape[:-1] + (4, 4))
+    """Lower-triangular T of each parameter vector along the last axis: the
+    16 floats stored into the float64 view of a zeroed matrix, the exact
+    inverse of `_params_from_lower`'s gather.
+
+    Each float lands as given, zero signs included, where the complex form
+    `t_re + 1j * t_im` (the tests' reference) turns some of them into +0.0.
+    No output byte of `objective_and_gradient` or `_density_from_params`
+    depends on those signs: T reaches them only through matmuls, where a
+    zero's sign changes no non-zero sum and an all-zero sum comes out +0.0,
+    as the sums start from +0.0.
+    """
+    floats = np.zeros(t.shape[:-1] + (32,))
+    floats[..., _PARAM_FLOATS] = t
+    return floats.view(np.complex128).reshape(t.shape[:-1] + (4, 4))
 
 
 def _params_from_lower(tri: np.ndarray) -> np.ndarray:
@@ -166,8 +174,8 @@ def _linear_start(design: np.ndarray | None, counts: np.ndarray,
     or the maximally mixed state when `design` is None or the estimate's
     trace (the summed H/V-basis frequencies) does not exceed the
     probability floor."""
-    starts = np.broadcast_to(np.eye(4, dtype=complex) / 4.0,
-                             counts.shape[:-1] + (4, 4)).copy()
+    starts = np.empty(counts.shape[:-1] + (4, 4), dtype=complex)
+    starts[...] = _MIXED
     if design is not None:
         freqs = counts / pairs
         # One lstsq per row: a multi-RHS lstsq is not bit-equal to it.
@@ -176,9 +184,8 @@ def _linear_start(design: np.ndarray | None, counts: np.ndarray,
         mat = np.einsum("...k,kij->...ij", coeffs.reshape(counts.shape[:-1] + (16,)),
                         _HERM_BASIS)
         mat = 0.5 * (mat + mat.conj().swapaxes(-1, -2))
-        trace = mat.trace(axis1=-2, axis2=-1).real
-        above = trace > _PROB_FLOOR
-        starts[above] = mat[above] / trace[above, None, None]
+        trace = mat.trace(axis1=-2, axis2=-1).real[..., None, None]
+        np.divide(mat, trace, out=starts, where=trace > _PROB_FLOOR)
     return starts
 
 
@@ -207,6 +214,14 @@ def objective_and_gradient(t: np.ndarray, counts: np.ndarray,
     One parameter vector `t` gives a float and a (16,) gradient. A stack
     `t` of shape (R, 16), with `counts` of shape (R, N) or (N,), gives R
     values and an (R, 16) gradient, row r equal to the call on row r alone.
+
+    The bytes are those of the textbook form: dldp = -r / f - r^2 / (2 N f^2)
+    (r the residual, f the floored probability), the weight sum_v dldp_v P_v
+    and the gradient 2.0 * weight @ T. The factor 2 is taken into dldp, as
+    -2 r / f and r^2 / (N f^2): scaling by a power of two is exact in IEEE
+    arithmetic short of overflow and underflow, so every term, sum and
+    product after it is exactly twice the textbook one. `_lower_from_params`
+    keeps the signs of zeros in T, which no output byte depends on.
     """
     t = np.asarray(t, dtype=float)
     projectors = np.asarray(projectors, dtype=complex)
@@ -224,21 +239,21 @@ def objective_and_gradient(t: np.ndarray, counts: np.ndarray,
     floored = np.maximum(probs, _PROB_FLOOR)
     residuals = counts - pairs * probs
     squares = residuals ** 2
-    two_pairs = 2.0 * pairs
-    values = (squares / (two_pairs * floored)).sum(axis=1)
+    values = np.add.reduce(squares / (2.0 * pairs * floored), axis=1)
 
-    # d(objective)/d(p_v); the floor freezes the denominator when active.
-    dldp = -residuals / floored
+    # Twice d(objective)/d(p_v); the floor freezes the denominator when active.
+    dldp2 = (-2.0 * residuals) / floored
     above = probs > _PROB_FLOOR
-    unfrozen = dldp - squares / (two_pairs * floored ** 2)
-    dldp = unfrozen if above.all() else np.where(above, unfrozen, dldp)
+    unfrozen = dldp2 - squares / (pairs * floored ** 2)
+    dldp2 = (unfrozen if np.logical_and.reduce(above, axis=None)
+             else np.where(above, unfrozen, dldp2))
 
-    # sum_v dldp_v P_v as a real einsum over the (re, im) floats of each
+    # sum_v dldp2_v P_v as a real einsum over the (re, im) floats of each
     # projector: bit-equal to the complex einsum "rn,nij->rij", and faster.
     flat = projectors.reshape(len(projectors), 16).view(np.float64)
-    weight = np.einsum("rn,nk->rk", dldp, flat).view(np.complex128).reshape(-1, 4, 4)
-    weight = (weight - (dldp * probs).sum(axis=1).reshape(-1, 1, 1) * _EYE4) / trace
-    grads = _params_from_lower(2.0 * weight @ tri)
+    weight = np.einsum("rn,nk->rk", dldp2, flat).view(np.complex128).reshape(-1, 4, 4)
+    weight = (weight - np.add.reduce(dldp2 * probs, axis=1).reshape(-1, 1, 1) * _EYE4) / trace
+    grads = _params_from_lower(weight @ tri)
     if t.ndim == 1:
         return float(values[0]), grads[0]
     return values, grads

@@ -16,6 +16,7 @@ from biphoton.sim import (CountRecord, FringeCurve, MeasurementSetting,
                           polarization_angle, records_from_csv, records_to_csv,
                           sample_counts, single_photon_fringe, stream,
                           tomography_plan)
+from biphoton.tomo import record_arrays
 
 
 class TestCoincidenceProbability:
@@ -73,7 +74,9 @@ class TestPairKet:
         pair = setting.pair
         assert setting.pair is pair and not pair.flags.writeable
         assert pair.tobytes() == np.kron(setting.ket_1, setting.ket_2).tobytes()
-        assert setting.projector().tobytes() == np.outer(pair, pair.conj()).tobytes()
+        projector = setting.projector()
+        assert setting.projector() is projector and not projector.flags.writeable
+        assert projector.tobytes() == np.outer(pair, pair.conj()).tobytes()
 
     def test_probabilities_from_the_cached_pair_are_bit_equal(self):
         rng = np.random.default_rng(23)
@@ -403,6 +406,65 @@ class TestRecordCsv:
         path.write_text(text)
         with pytest.raises(ValueError, match="not a count-record CSV"):
             records_from_csv(path)
+
+    def test_reads_share_one_setting_per_label_pair(self, tmp_path):
+        records = acquire_tomography(to_density(bell_state("phi+")),
+                                     tomography_plan(), 3000, 4)
+        path = tmp_path / "counts.csv"
+        records_to_csv(records, path)
+        first, second = records_from_csv(path), records_from_csv(path)
+        assert all(a.setting is b.setting for a, b in zip(first, second))
+        for rec, original in zip(first, records):
+            pair = np.kron(sim.parse_label(rec.setting.label_1),
+                           sim.parse_label(rec.setting.label_2))
+            assert rec.setting.pair.tobytes() == original.setting.pair.tobytes()
+            assert rec.setting.projector().tobytes() == np.outer(pair, pair.conj()).tobytes()
+
+    def test_two_reads_give_the_same_arrays(self, tmp_path):
+        records = acquire_tomography(random_density(np.random.default_rng(3)),
+                                     tomography_plan(), 3000, 5)
+        path = tmp_path / "counts.csv"
+        records_to_csv(records, path)
+        first = [a.tobytes() for a in record_arrays(records_from_csv(path))]
+        assert [a.tobytes() for a in record_arrays(records_from_csv(path))] == first
+        assert [a.tobytes() for a in record_arrays(records)] == first
+
+    def test_mutating_returned_arrays_leaves_later_reads(self, tmp_path):
+        records = acquire_tomography(to_density(bell_state("phi+")),
+                                     tomography_plan(), 3000, 6)
+        path = tmp_path / "counts.csv"
+        records_to_csv(records, path)
+        expected = [a.tobytes() for a in record_arrays(records_from_csv(path))]
+        for array in record_arrays(records_from_csv(path)):
+            array[...] = 7.0
+        setting = records_from_csv(path)[0].setting
+        for array in (setting.ket_1, setting.ket_2, setting.pair, setting.projector()):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
+        assert [a.tobytes() for a in record_arrays(records_from_csv(path))] == expected
+
+    def test_bad_label_after_a_good_read_names_file_and_line(self, tmp_path):
+        good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
+        header = "setting_1,setting_2,counts,expected_pairs\n"
+        good.write_text(header + "H,H,5,100\nV,V,2,100\n")
+        bad.write_text(header + "H,H,5,100\nQ,V,2,100\nV,V,2,100\n")
+        assert len(records_from_csv(good)) == 2
+        # Nothing is cached for a label that fails: the second read raises too.
+        for _ in range(2):
+            with pytest.raises(ValueError) as info:
+                records_from_csv(bad)
+            assert str(info.value) == (f"{bad}, line 3: unknown polarization label 'Q'; "
+                                       "expected one of ['A', 'D', 'H', 'L', 'R', 'V']")
+
+    def test_signed_zero_angles_stay_two_settings(self, tmp_path):
+        path = tmp_path / "counts.csv"
+        path.write_text("setting_1,setting_2,counts,expected_pairs\n"
+                        "lin:0,H,5,100\nlin:-0,H,5,100\nlin:0,H,6,100\n")
+        zero, negative_zero, zero_again = (rec.setting for rec in records_from_csv(path))
+        assert (zero.label_1, negative_zero.label_1) == ("lin:0", "lin:-0")
+        assert zero is zero_again and zero is not negative_zero
+        assert zero.ket_1.tobytes() == linear_ket(0.0).tobytes()
+        assert negative_zero.ket_1.tobytes() == linear_ket(-0.0).tobytes()
 
     def test_non_finite_count_rejected(self, tmp_path):
         path = tmp_path / "counts.csv"

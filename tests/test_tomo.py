@@ -49,13 +49,30 @@ def reference_fit(records, init=None, max_iterations=10_000):
     return res, reference_checks(reference_density(res.x)), tuple(trace)
 
 
+# The diagonal and the lower triangle (1,0), (2,0), (2,1), (3,0), (3,1),
+# (3,2) as indices into the row-major flattened 4x4 matrix: the parameter
+# order, written out here so that the oracles share no code with tomo.
+DIAG_FLAT = np.array([0, 5, 10, 15])
+LOWER_FLAT = np.array([4, 8, 9, 12, 13, 14])
+
+
+def reference_lower(t):
+    """Field-by-field assembly of the lower-triangular T of each parameter
+    vector along the last axis: the diagonal as real entries, the lower
+    triangle as t_re + 1j * t_im."""
+    flat = np.zeros(t.shape[:-1] + (16,), dtype=complex)
+    flat[..., DIAG_FLAT] = t[..., 0:4]
+    flat[..., LOWER_FLAT] = t[..., 4::2] + 1j * t[..., 5::2]
+    return flat.reshape(t.shape[:-1] + (4, 4))
+
+
 def reference_pack(tri):
     """Field-by-field copy of the diagonal and lower triangle of each 4x4
     matrix into the 16 Cholesky parameters, in parameter order."""
     flat = tri.reshape(tri.shape[:-2] + (16,))
     t = np.empty(flat.shape)
-    t[..., 0:4] = flat[..., tomo._DIAG_FLAT].real
-    lower = flat[..., tomo._LOWER_FLAT]
+    t[..., 0:4] = flat[..., DIAG_FLAT].real
+    lower = flat[..., LOWER_FLAT]
     t[..., 4::2] = lower.real
     t[..., 5::2] = lower.imag
     return t
@@ -64,7 +81,7 @@ def reference_pack(tri):
 def oracle_objective(t, counts, pairs, projectors):
     """The stacked objective with its per-row forms: one einsum per row for
     the probabilities and a complex einsum for the gradient weight."""
-    tri = tomo._lower_from_params(np.asarray(t, dtype=float).reshape(-1, 16))
+    tri = reference_lower(np.asarray(t, dtype=float).reshape(-1, 16))
     gram = tri @ tri.conj().transpose(0, 2, 1)
     trace = gram.trace(axis1=1, axis2=2).real.reshape(-1, 1, 1)
     probs = np.array([np.einsum("nij,ji->n", projectors, rho).real
@@ -105,7 +122,7 @@ def reference_linear_start(design, counts, pairs):
 
 def reference_density(t):
     """The one-vector body of T T^H / tr(T T^H)."""
-    tri = tomo._lower_from_params(t)
+    tri = reference_lower(t)
     gram = tri @ tri.conj().T
     return gram / np.real(np.trace(gram))
 
@@ -993,3 +1010,136 @@ class TestLowCounts:
         sampled = bell.chsh_from_counts(
             bell.simulate_chsh_counts(rho, bell.OPTIMAL_PLAN, 5e2, seed))
         assert np.isfinite(sampled.S) and np.isfinite(sampled.sigma_S)
+
+
+def signed_zero_pool():
+    """Parameter rows whose T holds signed zeros, subnormals and the
+    maximally mixed start, in that order:
+    - 32 random rows, each with one slot set to -0.0 (rows 0-15, slot k in
+      row k) or +0.0 (rows 16-31), so every diagonal and lower re/im slot
+      holds each zero sign once;
+    - 16 rows of signed zeros in every slot but one diagonal entry, so most
+      probabilities are exactly zero and fall under the floor;
+    - 8 random rows with 40% of their slots signed zeros;
+    - 8 random rows with subnormals in 4 slots;
+    - the starts of the maximally mixed state and of |HH>."""
+    rng = np.random.default_rng(2020)
+    rows = rng.standard_normal((32, 16))
+    rows[np.arange(32), np.arange(32) % 16] = np.repeat([-0.0, 0.0], 16)
+    sparse = np.where(rng.random((16, 16)) < 0.5, 0.0, -0.0)
+    sparse[np.arange(16), np.arange(16) % 4] = 1.0
+    zeros = rng.standard_normal((8, 16))
+    zeros[rng.random((8, 16)) < 0.4] = 0.0
+    zeros = np.copysign(zeros, rng.choice([1.0, -1.0], (8, 16)))
+    tiny = rng.standard_normal((8, 16))
+    for row in tiny:
+        row[rng.choice(16, 4, replace=False)] = rng.choice(
+            [5e-324, -5e-324, 2.5e-310, -1.1e-308], 4)
+    starts = [params_from_density(maximally_mixed()).t,
+              params_from_density(np.diag([1.0, 0.0, 0.0, 0.0])).t]
+    return np.vstack([rows, sparse, zeros, tiny, starts])
+
+
+class TestSignedZeroAssembly:
+    """`_lower_from_params` stores each float as given, where the oracles'
+    `t_re + 1j * t_im` turns some zero signs into +0.0; the objective, its
+    gradient and the densities must not see the difference, byte for byte."""
+
+    POOL = signed_zero_pool()
+
+    def test_pool_holds_each_zero_sign_in_every_slot(self):
+        for sign in (False, True):
+            held = (self.POOL == 0.0) & (np.signbit(self.POOL) == sign)
+            assert held.any(axis=0).all()
+        assert (np.abs(self.POOL[self.POOL != 0.0]) < 2.3e-308).sum() >= 32
+        mixed = params_from_density(maximally_mixed()).t
+        assert (mixed[4:] == 0.0).all()
+
+    def test_store_is_the_inverse_of_the_gather(self):
+        pool = np.array([0.0, -0.0, np.inf, -np.inf, 5e-324, -2.5e-310, 1.0]).view(np.uint64)
+        pool = np.append(pool, [np.uint64(0x7FF8_0000_0000_0123),
+                                np.uint64(0xFFF8_0000_0000_0000)]).view(np.float64)
+        t = np.random.default_rng(113).choice(pool, (64, 16))
+        tri = tomo._lower_from_params(t)
+        assert tri.shape == (64, 4, 4) and tri.dtype == np.complex128
+        assert tomo._params_from_lower(tri).tobytes() == t.tobytes()
+        assert np.array_equal(np.triu(tri, 1), np.zeros((64, 4, 4)))
+        assert not np.signbit(np.triu(tri, 1).view(np.float64)).any()
+        assert not np.signbit(np.diagonal(tri, axis1=1, axis2=2).imag).any()
+        finite = np.isfinite(t).all(axis=1)
+        assert np.array_equal(tri[finite], reference_lower(t[finite]))
+
+    @pytest.mark.parametrize("rows", [1, 7, 64])
+    def test_objective_equals_the_frozen_assembly(self, rows):
+        rng = np.random.default_rng(rows)
+        projectors, counts, pairs = record_arrays(
+            sampled_records(random_density(rng), 2000, rows))
+        stacked_counts = counts + rng.integers(0, 5, (len(self.POOL), 16))
+        for lo in range(0, len(self.POOL), rows):
+            t = self.POOL[lo:lo + rows]
+            for row_counts in (counts, stacked_counts[lo:lo + rows]):
+                values, grads = objective_and_gradient(t, row_counts, pairs, projectors)
+                expected, expected_grads, _ = oracle_objective(t, row_counts, pairs,
+                                                               projectors)
+                assert np.isfinite(values).all()
+                assert values.tobytes() == expected.tobytes()
+                assert grads.tobytes() == expected_grads.tobytes()
+                if rows == 1:
+                    value, grad = objective_and_gradient(t[0], row_counts.reshape(16),
+                                                         pairs, projectors)
+                    assert np.float64(value).tobytes() == values[0].tobytes()
+                    assert grad.tobytes() == grads[0].tobytes()
+
+    def test_density_equals_the_frozen_assembly(self):
+        densities = tomo._density_from_params(self.POOL)
+        for t, mat in zip(self.POOL, densities):
+            assert mat.tobytes() == reference_density(t).tobytes()
+            assert tomo._density_from_params(t).tobytes() == mat.tobytes()
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_parameters_stay_non_finite(self, bad):
+        projectors, counts, pairs = record_arrays(
+            sampled_records(random_density(np.random.default_rng(5)), 2000, 5))
+        # A bad value in each slot in turn, the other slots random or zero.
+        t = np.vstack([self.POOL[:16], self.POOL[32:48]])
+        t[np.arange(32), np.arange(32) % 16] = bad
+        with np.errstate(all="ignore"):
+            values = objective_and_gradient(t, counts, pairs, projectors)[0]
+            expected = oracle_objective(t, counts, pairs, projectors)[0]
+            densities = tomo._density_from_params(t)
+            expected_densities = np.stack([reference_density(row) for row in t])
+        assert not np.isfinite(values).any() and not np.isfinite(expected).any()
+        for mats in (densities, expected_densities):
+            assert not np.isfinite(mats).all(axis=(1, 2)).any()
+
+    @staticmethod
+    def starts_and_fits(records, replicas):
+        """The main fit's start and `replicas` bootstrap starts of `records`,
+        and the fits from them."""
+        projectors, counts, pairs = record_arrays(records)
+        design = tomo._design_matrix(projectors)
+        draws = np.array([counts] + [stream(3, _BOOTSTRAP_STREAM, r).poisson(counts)
+                                     for r in range(replicas)], dtype=float)
+        starts = tomo._params_from_densities(tomo._linear_start(design, draws, pairs))
+        fits = tomo._lbfgsb(lambda t, rows: objective_and_gradient(
+            t, draws[rows], pairs, projectors), starts, 10_000)[0]
+        return np.vstack([starts, fits])
+
+    def assert_densities_match(self, params):
+        densities = tomo._density_from_params(params)
+        expected = np.stack([reference_density(t) for t in params])
+        assert densities.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("name", BUILTIN_SCENARIOS)
+    def test_builtin_starts_and_fits(self, name):
+        config = builtin_scenario(name)
+        model = resolve_model(config)
+        records = acquire_tomography(model.state, tomography_plan(config.tomography_plan),
+                                     model.effective_pairs, config.seed)
+        self.assert_densities_match(self.starts_and_fits(records, 8))
+
+    def test_seeded_record_sets(self):
+        params = np.vstack([self.starts_and_fits(sampled_records(rho, mean_pairs, seed), 2)
+                            for _, rho, mean_pairs, seed in FORK_RECORD_SETS])
+        assert len(params) == 6 * len(FORK_RECORD_SETS) >= 120
+        self.assert_densities_match(params)
