@@ -304,8 +304,9 @@ def eigen_hermitian(rho) -> tuple[np.ndarray, tuple[PureState, ...]]:
 
 
 def metric_report(rho, target: PureState) -> MetricReport:
-    """Bundle concurrence, target fidelity, purity and spectrum of `rho`."""
-    evals, _ = eigen_hermitian(rho)
+    """Bundle concurrence, target fidelity, purity and descending spectrum
+    of `rho`."""
+    evals = np.sort(np.linalg.eigh(_as_matrix(rho))[0])[::-1]
     return MetricReport(
         concurrence=concurrence(rho),
         fidelity_target=fidelity_with_pure(rho, target),

@@ -9,6 +9,7 @@ counts attaches standard deviations to every derived metric.
 
 from __future__ import annotations
 
+import functools
 import importlib.machinery
 import importlib.util
 import os
@@ -26,6 +27,7 @@ from biphoton.qstate import (PAULI_X, PAULI_Y, PAULI_Z, DensityMatrix,
 from biphoton.sim import _BOOTSTRAP_STREAM, stream
 
 _PROB_FLOOR = 1e-12
+_OVERFLOW_TRACE = 2.0 ** -1024  # 1 / tr is finite above this, inf at or below
 # L-BFGS-B stops when the objective improves by less than this per iteration
 # or when no gradient component exceeds _GTOL; it keeps _LBFGSB_MEMORY
 # correction pairs and tries at most _LBFGSB_MAXLS steps per line search.
@@ -36,6 +38,7 @@ _LBFGSB_MAXLS = 20
 # setulb's task codes: evaluate f and g at x, new iterate, converged, stopped.
 _TASK_FG, _TASK_NEW_X, _TASK_CONVERGED, _TASK_STOP = 3, 1, 4, 5
 _STOP_MAXITER, _STOP_MAXFUN = 504, 502
+_F = 5  # the objective value's place in setulb's arguments
 # Solver states in flight at a time: a fit that ends frees its slot for the
 # next waiting bootstrap replica. Each slot holds about 16 kB of solver state,
 # so the slot count bounds peak memory.
@@ -68,13 +71,18 @@ def _load_lbfgsb():
 
 setulb = _load_lbfgsb().setulb
 
+# What np.einsum calls with optimize=False, without its Python wrapper.
+try:
+    from numpy._core.multiarray import c_einsum as _einsum
+except ImportError:  # numpy 1.x
+    from numpy.core.multiarray import c_einsum as _einsum
+
 # Orthonormal Hermitian basis: Pauli products / 2, so tr(G_k G_l) = delta_kl.
 _HERM_BASIS = np.stack([
     np.kron(a, b) / 2.0
     for a in (np.eye(2, dtype=complex), PAULI_X, PAULI_Y, PAULI_Z)
     for b in (np.eye(2, dtype=complex), PAULI_X, PAULI_Y, PAULI_Z)])
 
-_EYE4 = np.eye(4)
 _MIXED = np.eye(4, dtype=complex) / 4.0
 
 # Parameter order: the real diagonal t[0:4], then (re, im) pairs of the
@@ -122,11 +130,41 @@ def _params_from_lower(tri: np.ndarray) -> np.ndarray:
     return flat.take(_PARAM_FLOATS, axis=-1)
 
 
+def _unit_trace(gram: np.ndarray, trace: np.ndarray) -> np.ndarray:
+    """Scale an (R, 4, 4) complex stack with traces `trace`, (R, 1), to unit
+    trace in place; return 1 / tr. numpy divides complex by real as a
+    multiply by the reciprocal, so this gives the bytes of `gram / trace`
+    wherever no float is -0.0, which sums that start at +0.0 never give."""
+    inv = 1.0 / trace
+    floats = gram.reshape(-1, 16).view(np.float64)
+    floats *= inv
+    return inv
+
+
+def _trace_shifts(t: np.ndarray, trace: np.ndarray) -> np.ndarray | None:
+    """Per row of `t`, (R, 16), the exponent of two that scales a non-zero
+    row whose 1 / tr overflows exactly to a largest |t| in [0.5, 1), else 0;
+    None if no row needs one. T T^H / tr does not depend on the scale."""
+    # min() is NaN only when the first trace is; every row is checked then.
+    if min(trace.ravel().tolist()) > _OVERFLOW_TRACE:
+        return None
+    largest = np.abs(t).max(axis=1)
+    tiny = (trace[:, 0] <= _OVERFLOW_TRACE) & (largest > 0.0)
+    return np.where(tiny, -np.frexp(largest)[1], 0) if tiny.any() else None
+
+
 def _density_from_params(t: np.ndarray) -> np.ndarray:
-    """T T^H / tr(T T^H) of each parameter vector along the last axis."""
-    tri = _lower_from_params(t)
-    gram = tri @ tri.conj().swapaxes(-1, -2)
-    return gram / gram.trace(axis1=-2, axis2=-1).real[..., None, None]
+    """T T^H / tr(T T^H) of each parameter vector along the last axis; a
+    row whose 1 / tr overflows is scaled first (`_trace_shifts`)."""
+    rows = t.reshape(-1, 16)
+    tri = _lower_from_params(rows)
+    gram = tri @ tri.conj().transpose(0, 2, 1)
+    trace = gram.trace(axis1=1, axis2=2).real.reshape(-1, 1)
+    shifts = _trace_shifts(rows, trace)
+    if shifts is not None:
+        return _density_from_params(np.ldexp(rows, shifts[:, None]).reshape(t.shape))
+    _unit_trace(gram, trace)
+    return gram.reshape(t.shape[:-1] + (4, 4))
 
 
 def params_from_density(rho, floor: float = _INIT_EIGEN_FLOOR) -> CholeskyParams:
@@ -152,10 +190,29 @@ def _params_from_densities(mats: np.ndarray,
 
 
 def record_arrays(records) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    projectors = np.stack([rec.setting.projector() for rec in records])
+    """The stacked projectors (read-only, shared per plan), counts and
+    expected pairs of `records`."""
+    projectors = _plan(records)[0]
     counts = np.array([rec.counts for rec in records], dtype=float)
     pairs = np.array([rec.expected_pairs for rec in records], dtype=float)
     return projectors, counts, pairs
+
+
+def _plan(records) -> tuple[np.ndarray, np.ndarray | None]:
+    """The stacked projectors of `records`' settings and their
+    `_design_matrix`, read-only and built once per tuple of setting objects
+    (compared by identity; `sim.records_from_csv` shares them)."""
+    return _plan_arrays(tuple([rec.setting for rec in records]))
+
+
+@functools.lru_cache(maxsize=4)  # a run's fits share one; each run adds one
+def _plan_arrays(settings: tuple) -> tuple[np.ndarray, np.ndarray | None]:
+    projectors = np.stack([setting.projector() for setting in settings])
+    design = _design_matrix(projectors)
+    for array in (projectors, design):
+        if array is not None:
+            array.flags.writeable = False
+    return projectors, design
 
 
 def _design_matrix(projectors: np.ndarray) -> np.ndarray | None:
@@ -198,7 +255,7 @@ def linear_inversion(records) -> np.ndarray:
     operator space (condition number above 1e6).
     """
     projectors, counts, pairs = record_arrays(records)
-    design = _design_matrix(projectors)
+    design = _plan(records)[1]
     if design is None:
         raise ValueError("measurement plan is rank deficient: projectors do "
                          "not span the two-qubit operator space")
@@ -215,26 +272,39 @@ def objective_and_gradient(t: np.ndarray, counts: np.ndarray,
     `t` of shape (R, 16), with `counts` of shape (R, N) or (N,), gives R
     values and an (R, 16) gradient, row r equal to the call on row r alone.
 
-    The bytes are those of the textbook form: dldp = -r / f - r^2 / (2 N f^2)
-    (r the residual, f the floored probability), the weight sum_v dldp_v P_v
-    and the gradient 2.0 * weight @ T. The factor 2 is taken into dldp, as
-    -2 r / f and r^2 / (N f^2): scaling by a power of two is exact in IEEE
-    arithmetic short of overflow and underflow, so every term, sum and
-    product after it is exactly twice the textbook one. `_lower_from_params`
-    keeps the signs of zeros in T, which no output byte depends on.
+    The bytes are those of the textbook form: rho = T T^H / tr, dldp =
+    -r / f - r^2 / (2 N f^2) (r the residual, f the floored probability),
+    the weight (sum_v dldp_v P_v - sum_v dldp_v p_v I) / tr and the gradient
+    2.0 * weight @ T. rho and the weight are their floats times 1 / tr
+    (`_unit_trace`), and the identity term is subtracted from the real
+    diagonal floats only: the other subtractions of zeros change no float,
+    as none is -0.0. The factor 2 is taken into dldp, as -2 r / f and
+    r^2 / (N f^2): scaling by a power of two is exact in IEEE arithmetic
+    short of overflow and underflow. `_lower_from_params` keeps the signs of
+    zeros in T, which no output byte depends on. A row whose 1 / tr
+    overflows is evaluated at t scaled by a power of two (`_trace_shifts`),
+    and its gradient scaled back.
     """
     t = np.asarray(t, dtype=float)
     projectors = np.asarray(projectors, dtype=complex)
-    tri = _lower_from_params(t.reshape(-1, 16))
+    rows = t.reshape(-1, 16)
+    tri = _lower_from_params(rows)
     gram = tri @ tri.conj().transpose(0, 2, 1)
-    trace = gram.trace(axis1=1, axis2=2).real.reshape(-1, 1, 1)
-    rhos = gram / trace
+    trace = gram.trace(axis1=1, axis2=2).real.reshape(-1, 1)
+    shifts = _trace_shifts(rows, trace)
+    if shifts is not None:
+        values, grads = objective_and_gradient(
+            np.ldexp(rows, shifts[:, None]), counts, pairs, projectors)
+        grads = np.ldexp(grads, shifts[:, None])
+        return (float(values[0]), grads[0]) if t.ndim == 1 else (values, grads)
+    inv = _unit_trace(gram, trace)
     # Summed over j by the einsum, then over i in the order 0, 1, 2, 3, as the
     # one-row einsum "nij,ji->n" sums, so each row is bit-equal to a call on
-    # it alone. `.sum(axis=2)` adds in that order too, but right after the
-    # complex matmul above that strided reduce runs about 10x slower (OpenBLAS
-    # on AVX-512); it also turns four -0.0 terms into +0.0, which no result sees.
-    terms = np.einsum("nij,rji->rni", projectors, rhos).real
+    # it alone. `np.add.reduce(terms, axis=2)` adds in that order too, but on
+    # an AVX-512 Xeon that strided reduce runs 10x slower (210 against 21 us
+    # at 64 rows) once an OpenBLAS matmul has run, until an op such as
+    # np.where runs; the three adds take about 5 us.
+    terms = _einsum("nij,rji->rni", projectors, gram).real
     probs = terms[..., 0] + terms[..., 1] + terms[..., 2] + terms[..., 3]
     floored = np.maximum(probs, _PROB_FLOOR)
     residuals = counts - pairs * probs
@@ -251,9 +321,11 @@ def objective_and_gradient(t: np.ndarray, counts: np.ndarray,
     # sum_v dldp2_v P_v as a real einsum over the (re, im) floats of each
     # projector: bit-equal to the complex einsum "rn,nij->rij", and faster.
     flat = projectors.reshape(len(projectors), 16).view(np.float64)
-    weight = np.einsum("rn,nk->rk", dldp2, flat).view(np.complex128).reshape(-1, 4, 4)
-    weight = (weight - np.add.reduce(dldp2 * probs, axis=1).reshape(-1, 1, 1) * _EYE4) / trace
-    grads = _params_from_lower(weight @ tri)
+    weight = _einsum("rn,nk->rk", dldp2, flat)
+    diagonal = weight[:, ::10]  # the real floats of the diagonal
+    diagonal -= np.add.reduce(dldp2 * probs, axis=1)[:, None]
+    weight *= inv
+    grads = _params_from_lower(weight.view(np.complex128).reshape(-1, 4, 4) @ tri)
     if t.ndim == 1:
         return float(values[0]), grads[0]
     return values, grads
@@ -284,7 +356,7 @@ class TomographyResult:
         }
 
 
-def _lbfgsb(fun, x0: np.ndarray, max_iterations: int):
+def _lbfgsb(fun, x0: np.ndarray, max_iterations: int, traced=()):
     """L-BFGS-B from every row of `x0`, at most `_FIT_SLOTS` rows at a time.
 
     Each row drives its own state of scipy's reverse-communication core
@@ -298,9 +370,9 @@ def _lbfgsb(fun, x0: np.ndarray, max_iterations: int):
     `maxfun`. When a row converges or stops, its slot is cleared and the
     next waiting row starts in it at once.
 
-    Returns the final parameters, final objective values, iteration counts,
-    convergence flags and, per row, the objective at the start and after
-    every iteration.
+    Returns the final parameters, final objective values, iteration counts
+    and convergence flags per row, and for each row in `traced` the
+    objective at the start and after every iteration, keyed by row.
     """
     rows, n = x0.shape
     slots = min(_FIT_SLOTS, rows)
@@ -319,55 +391,60 @@ def _lbfgsb(fun, x0: np.ndarray, max_iterations: int):
     dsave = np.zeros((slots, 29))
     ln_task = np.zeros((slots, 2), np.int32)
     solver = (g, wa, iwa, task, lsave, isave, dsave, ln_task)
-    states = list(zip(x, *solver))
-    # The point, value and gradient each slot last evaluated; NaN marks a
-    # slot whose row has not been evaluated yet.
+    # setulb's arguments per slot; a new objective value is stored at _F.
+    calls = [[m, x_s, unbounded, unbounded, nbd, 0.0, g_s, factr, _GTOL, wa_s, iwa_s,
+              task_s, lsave_s, isave_s, dsave_s, _LBFGSB_MAXLS, ln_s]
+             for x_s, g_s, wa_s, iwa_s, task_s, lsave_s, isave_s, dsave_s, ln_s
+             in zip(x, *solver)]
+    # The point and gradient each slot last evaluated; NaN marks a slot
+    # whose row has not been evaluated yet.
     last_x = np.full((slots, n), np.nan)
     last_g = np.zeros((slots, n))
-    f = [0.0] * slots
     evaluations = [0] * slots
 
     row_of = list(range(slots))
     waiting = iter(range(slots, rows))
     x_out = np.empty((rows, n))
     f_out = [0.0] * rows
+    iterations = [0] * rows
     converged = [False] * rows
-    traces = [[] for _ in range(rows)]
+    traces = {r: [] for r in traced}
+    tasks = list(task)
     live = range(slots)
     while live:
         asks = []
         for s in live:
-            x_s, g_s, wa_s, iwa_s, task_s, lsave_s, isave_s, dsave_s, ln_s = states[s]
+            call, task_s = calls[s], tasks[s]
             while True:
-                setulb(m, x_s, unbounded, unbounded, nbd, f[s], g_s, factr,
-                       _GTOL, wa_s, iwa_s, task_s, lsave_s, isave_s, dsave_s,
-                       _LBFGSB_MAXLS, ln_s)
+                setulb(*call)
                 code = task_s.item(0)
                 if code == _TASK_FG:
                     asks.append(s)
                     break
                 r = row_of[s]
                 if code == _TASK_NEW_X:
-                    traces[r].append(f[s])  # the start plus one value per iteration
-                    if len(traces[r]) > max_iterations:
+                    iterations[r] += 1
+                    if r in traces:
+                        traces[r].append(call[_F])
+                    if iterations[r] >= max_iterations:
                         task_s[:] = _TASK_STOP, _STOP_MAXITER
                     elif evaluations[s] > maxfun:
                         task_s[:] = _TASK_STOP, _STOP_MAXFUN
                     continue
-                x_out[r] = x_s
-                f_out[r] = f[s]
+                x_out[r] = x[s]
+                f_out[r] = call[_F]
                 converged[r] = code == _TASK_CONVERGED
                 r = next(waiting, None)
                 if r is None:
                     break
                 row_of[s] = r
-                x_s[:] = x0[r]
+                x[s] = x0[r]
                 for array in solver:
                     array[s] = 0
                 last_x[s] = np.nan
-                f[s] = 0.0
+                call[_F] = 0.0
                 evaluations[s] = 0
-        changed = (x != last_x).any(axis=1).tolist()
+        changed = np.logical_or.reduce(x != last_x, axis=1).tolist()
         moved = [s for s in asks if changed[s]]
         if moved:
             if len(moved) == slots:
@@ -378,13 +455,12 @@ def _lbfgsb(fun, x0: np.ndarray, max_iterations: int):
                 last_x[moved] = x[moved]
                 values, last_g[moved] = fun(x[moved], [row_of[s] for s in moved])
             for s, value in zip(moved, values.tolist()):
-                f[s] = value
+                calls[s][_F] = value
                 evaluations[s] += 1
-                if evaluations[s] == 1:
-                    traces[row_of[s]].append(f[s])
+                if evaluations[s] == 1 and row_of[s] in traces:
+                    traces[row_of[s]].append(value)  # the start
         g[:] = last_g
         live = asks
-    iterations = [len(trace) - 1 for trace in traces]
     return x_out, f_out, iterations, converged, traces
 
 
@@ -411,20 +487,20 @@ def mle_reconstruct(records, init=None, *, target: PureState | None = None,
         target = bell_state("phi+")
 
     if init is None:
-        init_mat = _linear_start(_design_matrix(projectors), counts, pairs)
+        init_mat = _linear_start(_plan(records)[1], counts, pairs)
     else:
         init_mat = init.matrix if isinstance(init, DensityMatrix) else np.asarray(init, dtype=complex)
     x, likelihood, iterations, converged, traces = _lbfgsb(
         lambda t, rows: objective_and_gradient(t, counts, pairs, projectors),
-        params_from_density(init_mat).t[None], max_iterations)
+        params_from_density(init_mat).t[None], max_iterations, traced=(0,))
     rho = CholeskyParams(x[0]).density()
     return TomographyResult(
         rho=rho,
         metrics=metric_report(rho, target),
         uncertainties=None,
         likelihood=likelihood[0],
-        iterations=int(iterations[0]),
-        converged=bool(converged[0]),
+        iterations=iterations[0],
+        converged=converged[0],
         plan_id=plan_id,
         objective_trace=tuple(traces[0]),
     )
@@ -520,8 +596,9 @@ def bootstrap_errors(records, replicas: int = 200, seed: int = 0, *,
     if replicas < 2:
         raise ValueError("bootstrap needs at least 2 replicas")
     blocks = _blocks(replicas, jobs)
-    projectors, counts, pairs = record_arrays(list(records))
-    design = _design_matrix(projectors)
+    records = list(records)
+    projectors, counts, pairs = record_arrays(records)
+    design = _plan(records)[1]
     if target is None:
         target = bell_state("phi+")
     draws = np.array([stream(seed, _BOOTSTRAP_STREAM, r).poisson(counts)

@@ -190,6 +190,19 @@ class TestEigenHermitian:
                           for lam, v in zip(evals, evecs))
             assert np.linalg.norm(rebuilt - rho.matrix) <= 1e-9
 
+    def test_metric_report_spectrum_equals_its_eigenvalues(self):
+        # metric_report sorts one eigh's eigenvalues; eigen_hermitian also
+        # builds the eigenvectors. The spectra must match byte for byte.
+        rng = np.random.default_rng(43)
+        states = ([random_density(rng, rank) for rank in (1, 2, 3, 4) for _ in range(25)]
+                  + [to_density(bell_state(kind)) for kind in ("phi+", "phi-", "psi+", "psi-")]
+                  + [DensityMatrix(np.diag([0.5, 0.3, 0.2, 0.0])), maximally_mixed(),
+                     to_density(PureState(np.array([1.0, 0, 0, 0])))])
+        for rho in states:
+            spectrum = metric_report(rho, bell_state("phi+")).eigen_spectrum
+            assert all(type(value) is float for value in spectrum)
+            assert np.array(spectrum).tobytes() == eigen_hermitian(rho)[0].tobytes()
+
     def test_phase_convention_is_deterministic(self):
         rng = np.random.default_rng(23)
         rho = random_density(rng)

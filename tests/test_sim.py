@@ -435,10 +435,12 @@ class TestRecordCsv:
         path = tmp_path / "counts.csv"
         records_to_csv(records, path)
         expected = [a.tobytes() for a in record_arrays(records_from_csv(path))]
-        for array in record_arrays(records_from_csv(path)):
-            array[...] = 7.0
+        projectors, counts, pairs = record_arrays(records_from_csv(path))
+        counts[...] = 7.0
+        pairs[...] = 7.0
         setting = records_from_csv(path)[0].setting
-        for array in (setting.ket_1, setting.ket_2, setting.pair, setting.projector()):
+        for array in (setting.ket_1, setting.ket_2, setting.pair, setting.projector(),
+                      projectors):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0.0
         assert [a.tobytes() for a in record_arrays(records_from_csv(path))] == expected

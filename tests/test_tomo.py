@@ -717,6 +717,18 @@ class TestMleReconstruct:
         result = mle_reconstruct(sampled_records(rho, 10000, 37), max_iterations=1)
         assert not result.converged
 
+    @pytest.mark.parametrize("name", BUILTIN_SCENARIOS)
+    def test_builtin_spectra_equal_eigen_hermitian(self, name):
+        # metric_report sorts one eigh's eigenvalues; byte for byte they must
+        # be eigen_hermitian's.
+        config = builtin_scenario(name)
+        model = resolve_model(config)
+        records = acquire_tomography(model.state, tomography_plan(config.tomography_plan),
+                                     model.effective_pairs, config.seed)
+        result = mle_reconstruct(records)
+        spectrum = np.array(result.metrics.eigen_spectrum)
+        assert spectrum.tobytes() == qstate.eigen_hermitian(result.rho)[0].tobytes()
+
     def test_json_payload(self):
         rho = to_density(bell_state("phi+"))
         result = mle_reconstruct(sampled_records(rho, 2000, 39), plan_id="hvdr16")
@@ -807,7 +819,8 @@ class TestBootstrapErrors:
                 round_sizes.add(len(rows))
                 return objective_and_gradient(t, draws[rows], pairs, projectors)
 
-            x, values, iterations, converged, traces = tomo._lbfgsb(fun, starts, 10_000)
+            x, values, iterations, converged, traces = tomo._lbfgsb(
+                fun, starts, 10_000, traced=range(7))
             assert max(round_sizes) == min(slots, 7)
             assert (len(round_sizes) > 1) == (slots > 1)
             for r, (res, _, trace) in enumerate(references):
@@ -817,7 +830,7 @@ class TestBootstrapErrors:
                 assert converged[r] == res.success
                 assert tuple(traces[r]) == trace
             outputs.append((x.tobytes(), np.array(values).tobytes(), iterations,
-                            converged, [np.array(trace).tobytes() for trace in traces]))
+                            converged, [np.array(trace).tobytes() for trace in traces.values()]))
             sigmas.append(bootstrap_errors(records, replicas=7, seed=4))
         assert all(output == outputs[0] for output in outputs)
         assert all(sigma == sigmas[0] for sigma in sigmas)
@@ -834,7 +847,7 @@ class TestBootstrapErrors:
         monkeypatch.setattr(tomo, "_FIT_SLOTS", 1)
         x, _, iterations, _, traces = tomo._lbfgsb(
             lambda t, rows: objective_and_gradient(t, draws[rows], pairs, projectors),
-            np.stack([start, start]), 10_000)
+            np.stack([start, start]), 10_000, traced=(1,))
         assert iterations[0] == 0 and np.array_equal(x[0], start)
         res, _, trace = reference_fit(records, init=rho)
         assert np.array_equal(x[1], res.x)
@@ -1143,3 +1156,166 @@ class TestSignedZeroAssembly:
                             for _, rho, mean_pairs, seed in FORK_RECORD_SETS])
         assert len(params) == 6 * len(FORK_RECORD_SETS) >= 120
         self.assert_densities_match(params)
+
+
+def frozen_objective(t, counts, pairs, projectors):
+    """The stacked objective as written before its float-view forms: rho as
+    the complex `gram / trace`, and the weight's identity term as a complex
+    subtract of `c * I` divided by the trace. Returns the probabilities too."""
+    t = np.asarray(t, dtype=float)
+    tri = tomo._lower_from_params(t.reshape(-1, 16))
+    gram = tri @ tri.conj().transpose(0, 2, 1)
+    trace = gram.trace(axis1=1, axis2=2).real.reshape(-1, 1, 1)
+    rhos = gram / trace
+    terms = np.einsum("nij,rji->rni", projectors, rhos).real
+    probs = terms[..., 0] + terms[..., 1] + terms[..., 2] + terms[..., 3]
+    floored = np.maximum(probs, tomo._PROB_FLOOR)
+    residuals = counts - pairs * probs
+    squares = residuals ** 2
+    values = np.add.reduce(squares / (2.0 * pairs * floored), axis=1)
+    dldp2 = (-2.0 * residuals) / floored
+    above = probs > tomo._PROB_FLOOR
+    unfrozen = dldp2 - squares / (pairs * floored ** 2)
+    dldp2 = (unfrozen if np.logical_and.reduce(above, axis=None)
+             else np.where(above, unfrozen, dldp2))
+    flat = projectors.reshape(len(projectors), 16).view(np.float64)
+    weight = np.einsum("rn,nk->rk", dldp2, flat).view(np.complex128).reshape(-1, 4, 4)
+    weight = (weight - np.add.reduce(dldp2 * probs, axis=1).reshape(-1, 1, 1)
+              * np.eye(4)) / trace
+    return values, tomo._params_from_lower(weight @ tri), probs
+
+
+def frozen_density(t):
+    """`_density_from_params` as written before its float-view form."""
+    tri = tomo._lower_from_params(t)
+    gram = tri @ tri.conj().swapaxes(-1, -2)
+    return gram / gram.trace(axis1=-2, axis2=-1).real[..., None, None]
+
+
+class TestFrozenForms:
+    """The objective, its gradient and `_density_from_params` multiply the
+    floats of the Gram matrix and of the weight by 1 / tr, and subtract the
+    identity term from the weight's real diagonal floats only; byte for
+    byte, they must give what the complex forms gave, on the signed-zero
+    pool at scales from 1e-3 to 1e3 (below-floor rows and subnormals
+    included)."""
+
+    POOL = np.vstack([signed_zero_pool() * scale for scale in (1e-3, 1e-1, 1.0, 1e1, 1e3)])
+
+    @pytest.mark.parametrize("rows", [1, 7, 64])
+    def test_objective(self, rows):
+        rng = np.random.default_rng(300 + rows)
+        projectors, counts, pairs = record_arrays(
+            sampled_records(random_density(rng), 2000, rows))
+        stacked_counts = counts + rng.integers(0, 5, (len(self.POOL), 16))
+        below = 0
+        for lo in range(0, len(self.POOL), rows):
+            t = self.POOL[lo:lo + rows]
+            for row_counts in (counts, stacked_counts[lo:lo + rows]):
+                values, grads = objective_and_gradient(t, row_counts, pairs, projectors)
+                expected, expected_grads, probs = frozen_objective(t, row_counts, pairs,
+                                                                   projectors)
+                assert np.isfinite(values).all()
+                assert values.tobytes() == expected.tobytes()
+                assert grads.tobytes() == expected_grads.tobytes()
+                below += int((probs < tomo._PROB_FLOOR).any(axis=1).sum())
+                if rows == 1:
+                    value, grad = objective_and_gradient(t[0], row_counts.reshape(16),
+                                                         pairs, projectors)
+                    assert np.float64(value).tobytes() == expected[0].tobytes()
+                    assert grad.tobytes() == expected_grads[0].tobytes()
+        assert below >= 2 * 16 * 5
+
+    @pytest.mark.parametrize("rows", [1, 7, 64])
+    def test_density(self, rows):
+        for lo in range(0, len(self.POOL), rows):
+            t = self.POOL[lo:lo + rows]
+            assert tomo._density_from_params(t).tobytes() == frozen_density(t).tobytes()
+            if rows == 1:
+                assert tomo._density_from_params(t[0]).tobytes() == frozen_density(t[0]).tobytes()
+
+
+class TestSubnormalTrace:
+    """Parameters so small that tr(T T^H) is at most 2**-1024, where 1 / tr
+    overflows: the density and the objective must stay finite, with no
+    warning, and match the same row at unit scale."""
+
+    T0 = np.random.default_rng(0).standard_normal(16)
+    SCALES = [1e-155, 1e-160, 1e-170, 1e-300]
+
+    @pytest.mark.parametrize("scale", SCALES)
+    def test_density_is_hermitian_and_matches_the_unscaled_row(self, scale):
+        t = self.T0 * scale
+        assert np.sum(t * t) <= 2.0 ** -1024
+        raw = tomo._density_from_params(t)
+        assert np.array_equal(raw, raw.conj().T)
+        expected = tomo._density_from_params(self.T0)
+        assert np.abs(raw - expected).max() <= 1e-12
+        assert np.abs(CholeskyParams(t).density().matrix - expected).max() <= 1e-12
+
+    def test_subnormal_parameters_take_a_power_of_two(self):
+        # Every entry subnormal: the density is that of the row scaled by a
+        # power of two into the normal range, which changes no byte there.
+        t = np.ldexp(self.T0, -1070)
+        assert (np.abs(t) < 2.2e-308).all()
+        assert (tomo._density_from_params(t).tobytes()
+                == tomo._density_from_params(np.ldexp(t, 1070)).tobytes())
+
+    def test_rows_in_a_stack(self):
+        # Tiny rows among normal ones: every row equals its own call, and the
+        # normal rows keep the frozen bytes.
+        projectors, counts, pairs = record_arrays(
+            sampled_records(random_density(np.random.default_rng(8)), 2000, 8))
+        t = np.vstack([self.T0 * scale for scale in [1.0] + self.SCALES + [3.0]])
+        values, grads = objective_and_gradient(t, counts, pairs, projectors)
+        densities = tomo._density_from_params(t)
+        for r, row in enumerate(t):
+            value, grad = objective_and_gradient(row, counts, pairs, projectors)
+            assert np.float64(value).tobytes() == values[r].tobytes()
+            assert grad.tobytes() == grads[r].tobytes()
+            assert tomo._density_from_params(row).tobytes() == densities[r].tobytes()
+        for r in (0, len(t) - 1):
+            expected, expected_grads, _ = frozen_objective(t[r], counts, pairs, projectors)
+            assert values[r] == expected[0] and np.array_equal(grads[r], expected_grads[0])
+            assert densities[r].tobytes() == frozen_density(t[r]).tobytes()
+
+    @pytest.mark.parametrize("scale", SCALES)
+    def test_objective_matches_the_unscaled_row(self, scale):
+        # The objective does not depend on the scale of t; its gradient
+        # scales by the inverse.
+        projectors, counts, pairs = record_arrays(
+            sampled_records(random_density(np.random.default_rng(9)), 2000, 9))
+        value, grad = objective_and_gradient(self.T0, counts, pairs, projectors)
+        tiny_value, tiny_grad = objective_and_gradient(self.T0 * scale, counts, pairs,
+                                                       projectors)
+        assert tiny_value == pytest.approx(value, rel=1e-12)
+        np.testing.assert_allclose(tiny_grad * scale, grad, rtol=0,
+                                   atol=1e-12 * np.abs(grad).max())
+
+    def test_zero_row_stays_non_finite(self):
+        projectors, counts, pairs = record_arrays(
+            sampled_records(random_density(np.random.default_rng(10)), 2000, 10))
+        with np.errstate(all="ignore"):
+            assert not np.isfinite(tomo._density_from_params(np.zeros(16))).all()
+            assert not np.isfinite(objective_and_gradient(np.zeros(16), counts, pairs,
+                                                          projectors)[0])
+
+
+class TestPlanCache:
+    def test_arrays_are_shared_per_tuple_of_settings(self):
+        records = sampled_records(random_density(np.random.default_rng(4)), 2000, 4)
+        other = sampled_records(random_density(np.random.default_rng(5)), 3000, 5)
+        projectors, design = tomo._plan(records)
+        assert tomo._plan(other)[0] is projectors and tomo._plan(other)[1] is design
+        assert record_arrays(other)[0] is projectors
+        for array in (projectors, design):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
+        expected = np.stack([setting.projector() for setting in PLAN])
+        assert projectors.tobytes() == expected.tobytes()
+        assert design.tobytes() == tomo._design_matrix(expected).tobytes()
+        # New setting objects of the same plan build their own equal arrays.
+        rebuilt = tomo._plan([CountRecord(setting, 0.0, 1.0) for setting in tomography_plan()])
+        assert rebuilt[0] is not projectors
+        assert rebuilt[0].tobytes() == projectors.tobytes()
+        assert rebuilt[1].tobytes() == design.tobytes()
