@@ -269,10 +269,15 @@ def fidelity_with_pure(rho, psi: PureState) -> float:
 def _fidelity_with_pure(mats: np.ndarray, amps: np.ndarray) -> np.ndarray:
     """`fidelity_with_pure` of each density matrix along the last two axes.
     A (1, 4) @ (4, 1) matmul gives one state and each row of a stack the
-    same bits; a stacked vector product does not. `np.where` clips as
-    min(max(value, 0.0), 1.0) does, keeping a -0.0."""
+    same bits; a stacked vector product does not."""
     row = amps.conj() @ mats
-    value = np.matmul(row[..., None, :], amps[:, None])[..., 0, 0].real
+    return _clip_unit(np.matmul(row[..., None, :], amps[:, None])[..., 0, 0].real)
+
+
+def _clip_unit(value: np.ndarray) -> np.ndarray:
+    """Each value clipped to [0, 1] as min(max(value, 0.0), 1.0) clips it,
+    keeping a -0.0 and a NaN (np.minimum and np.maximum leave the sign of
+    a zero unspecified)."""
     return np.where(1.0 < value, 1.0, np.where(0.0 > value, 0.0, value))
 
 

@@ -12,14 +12,15 @@ from __future__ import annotations
 import csv
 import functools
 import io
+import operator
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from biphoton.optics import anisotropic_coupler
-from biphoton.qstate import (DensityMatrix, _checked_density, _freeze, _frozen,
-                             _unit_ket, ket, linear_ket)
+from biphoton.qstate import (DensityMatrix, _checked_density, _clip_unit, _freeze,
+                             _frozen, _unit_ket, ket, linear_ket)
 
 # Purpose tags for derived RNG streams; disjoint so that reusing one master
 # seed across activities never aliases streams.
@@ -37,22 +38,92 @@ _PLAN_LABELS = ("H", "V", "D", "R")
 _WORD_LIMIT = 1 << 32
 
 
-def stream(seed: int, *key: int) -> np.random.Generator:
-    """Deterministic child generator for (seed, *key).
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx), whose output
+# numpy's stream-compatibility policy (NEP 19) keeps fixed. Each hash step
+# xors a running constant into a word and multiplies it by the constant's
+# next value: 4 + 12 steps of _STEPS_A fill and mix a pool of 4 words, the
+# 8 of _STEPS_B give the 4 uint64 words.
+_STEPS_A, _STEPS_B = (
+    _freeze(np.array([init * pow(mult, k, _WORD_LIMIT) % _WORD_LIMIT
+                      for k in range(steps + 1)], dtype=np.uint32)[:, None])
+    for init, mult, steps in ((0x43B0D7E5, 0x931E8875, 16), (0x8B51F9DD, 0x58F38DED, 8)))
+_MIX_L, _MIX_R, _XSHIFT = np.uint32(0xCA01F9DD), np.uint32(0x4973F715), np.uint32(16)
+#: The pool words each pool word is mixed into, in turn.
+_OTHERS = [[dst for dst in range(4) if dst != src] for src in range(4)]
+
+
+def stream(seed: int, *key: int, count: int | None = None):
+    """Deterministic child generator for (seed, *key); with `count`, an
+    iterator over the generators of (seed, *key, i) for i in range(count).
 
     The entropy words [seed, *key] seed a `SeedSequence`, which seeds a
     PCG64 generator, as `default_rng` would. Words that all fit in 32 bits
     go in as one uint32 array, the same pool at about half the cost of the
-    list; any other words go in as the list, which raises on a negative
-    one. (The range is checked up front: numpy 1.24 wraps an out-of-range
-    int into uint32 with a warning instead of raising.)
+    list. (The range is checked up front: numpy 1.24 wraps an out-of-range
+    int into uint32 with a warning instead of raising.) Where up to 4 such
+    words, the index included, seed `count` streams, `_hashed_seeds` hashes
+    them all at once, giving the same states at a fraction of the cost.
+    Each word must be a non-negative integer: a float is refused, not
+    truncated.
     """
-    if seed < 0:
-        raise ValueError("seed must be a non-negative integer")
-    words = [int(seed), *map(int, key)]
-    if all(0 <= word < _WORD_LIMIT for word in words):
+    words = [_word(word) for word in (seed, *key)]
+    if count is not None:
+        count = _word(count, "count")
+        if len(words) < 4 and count <= _WORD_LIMIT and max(words) < _WORD_LIMIT:
+            return (np.random.Generator(np.random.PCG64(_HashedSeed(row)))
+                    for row in _hashed_seeds(words, count))
+        return (stream(*words, i) for i in range(count))
+    if max(words) < _WORD_LIMIT:
         words = np.array(words, dtype=np.uint32)
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(words)))
+
+
+def _word(value, what: str = "seed") -> int:
+    try:
+        value = operator.index(value)
+    except TypeError:  # a float or a string: refused, not truncated
+        value = -1
+    if value < 0:
+        raise ValueError(f"{what} must be a non-negative integer")
+    return value
+
+
+class _HashedSeed(np.random.bit_generator.ISeedSequence):
+    """A seed sequence that holds the 4 uint64 words PCG64 asks of it."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32) -> np.ndarray:
+        if n_words != 4 or np.dtype(dtype) != np.uint64:
+            raise ValueError("a hashed seed holds only generate_state(4, np.uint64)")
+        return self.words
+
+
+def _hashmix(values: np.ndarray, consts: np.ndarray) -> np.ndarray:
+    """One hash step of `values` per step of the running constants `consts`."""
+    values = (values ^ consts[:-1]) * consts[1:]
+    return values ^ (values >> _XSHIFT)
+
+
+def _hashed_seeds(words: list, count: int) -> np.ndarray:
+    """Row i holds `SeedSequence([*words, i]).generate_state(4, np.uint64)`
+    for i in range(count), given at most 3 words below 2**32: each step of
+    the hash runs once on a uint32 lane per stream, wrapping as its C
+    arithmetic does. Read-only, shape (count, 4)."""
+    entropy = np.zeros((4, count), dtype=np.uint32)
+    entropy[:len(words)] = np.array(words, dtype=np.uint32)[:, None]
+    entropy[len(words)] = np.arange(count, dtype=np.uint32)
+    pool = _hashmix(entropy, _STEPS_A[:5])
+    for src, others in enumerate(_OTHERS):
+        hashed = _hashmix(pool[src], _STEPS_A[4 + 3 * src:8 + 3 * src])
+        mixed = pool[others] * _MIX_L - hashed * _MIX_R
+        pool[others] = mixed ^ (mixed >> _XSHIFT)
+    # generate_state(4, np.uint64): 8 words cycling over the pool, read as
+    # little-endian pairs.
+    state = _hashmix(np.concatenate([pool, pool]), _STEPS_B)
+    return _freeze(np.ascontiguousarray(state.T, dtype="<u4").view("<u8")
+                   .astype(np.uint64))
 
 
 def _format_label(which) -> str:
@@ -144,13 +215,19 @@ def tomography_plan(plan_id: str = PLAN_HVDR16) -> tuple:
 
 def coincidence_probability(rho: DensityMatrix, setting: MeasurementSetting) -> float:
     """Born-rule coincidence probability trace(rho (P1 x P2))."""
-    return _pair_probability(rho, setting.pair)
+    return _probabilities(rho, setting.pair[None])[0]
 
 
-def _pair_probability(rho: DensityMatrix, pair: np.ndarray) -> float:
-    """<pair| rho |pair>, clipped to [0, 1]."""
-    value = float(np.real(pair.conj() @ rho.matrix @ pair))
-    return min(max(value, 0.0), 1.0)
+def _expectations(mat: np.ndarray, kets: np.ndarray) -> np.ndarray:
+    """real(<k| mat |k>) of each row k of `kets`. matmul loops over its
+    stack one matrix at a time, so a row gets the bits of the row's own
+    `k.conj() @ mat @ k`."""
+    return ((kets.conj()[:, None, :] @ mat) @ kets[:, :, None])[:, 0, 0].real
+
+
+def _probabilities(rho: DensityMatrix, pairs: np.ndarray) -> list:
+    """<pair| rho |pair> of each row of `pairs`, clipped to [0, 1], as floats."""
+    return _clip_unit(_expectations(rho.matrix, pairs)).tolist()
 
 
 def sample_counts(p: float, mean_pairs: float, seed) -> int:
@@ -256,6 +333,13 @@ def _qubit_density(state) -> np.ndarray:
     raise ValueError("single-photon state must be a 2-ket or a 2x2 matrix")
 
 
+def _scan_angles(angles) -> np.ndarray:
+    theta = np.asarray(angles, dtype=float)
+    if theta.ndim != 1:
+        raise ValueError(f"analyzer angles must form a 1-D array, got shape {theta.shape}")
+    return theta
+
+
 def single_photon_fringe(input_state, eta_h: float, eta_v: float,
                          analyzer_angles) -> FringeCurve:
     """Transmitted probability vs analyzer angle, coupler then polarizer.
@@ -266,12 +350,8 @@ def single_photon_fringe(input_state, eta_h: float, eta_v: float,
     rho = _qubit_density(input_state)
     coupling = anisotropic_coupler(eta_h, eta_v).operators[0]
     out = coupling @ rho @ coupling.conj().T
-    theta = np.asarray(analyzer_angles, dtype=float)
-    values = np.empty_like(theta)
-    for i, ang in enumerate(theta):
-        analyzer = linear_ket(ang)
-        values[i] = float(np.real(analyzer.conj() @ out @ analyzer))
-    return FringeCurve.fit(theta, values, phase_ref=0.0)
+    theta = _scan_angles(analyzer_angles)
+    return FringeCurve.fit(theta, _expectations(out, linear_ket(theta).T), phase_ref=0.0)
 
 
 def biphoton_fringe(rho: DensityMatrix, fixed, scan_angles,
@@ -284,18 +364,17 @@ def biphoton_fringe(rho: DensityMatrix, fixed, scan_angles,
     fringe phase reference is the fixed analyzer's orientation.
     """
     fixed_ket = ket(fixed) if isinstance(fixed, str) else _unit_ket(fixed, 2, "fixed ket")
-    theta = np.asarray(scan_angles, dtype=float)
-    probs = np.array([_pair_probability(rho, _pair_ket(fixed_ket, linear_ket(ang)))
-                      for ang in theta])
+    theta = _scan_angles(scan_angles)
+    # The pair kets of `_pair_ket`, one row per angle.
+    pairs = (fixed_ket[:, None] * linear_ket(theta).T[:, None, :]).reshape(-1, 4)
+    probs = _probabilities(rho, pairs)
     ref = polarization_angle(fixed_ket)
     if mean_pairs is None:
         return FringeCurve.fit(theta, probs, phase_ref=ref)
     if seed is None:
         raise ValueError("sampled fringes need a seed")
-    values = np.array([
-        float(sample_counts(p, mean_pairs, stream(seed, _FRINGE_STREAM, i)))
-        for i, p in enumerate(probs)])
-    return FringeCurve.fit(theta, values, phase_ref=ref)
+    return FringeCurve.fit(theta, _draws(probs, mean_pairs, seed, _FRINGE_STREAM),
+                           phase_ref=ref)
 
 
 # ---------------------------------------------------------------------------
@@ -310,18 +389,22 @@ def _check_plan(settings) -> tuple:
     return settings
 
 
+def _draws(probs: list, mean_pairs: float, seed: int, tag: int) -> list:
+    """Poisson counts, the i-th drawn from the stream (seed, tag, i)."""
+    return [float(sample_counts(p, mean_pairs, rng))
+            for p, rng in zip(probs, stream(seed, tag, count=len(probs)))]
+
+
 def _records(rho: DensityMatrix, settings, mean_pairs: float, seed, tag: int) -> list:
     """One CountRecord per setting: a Poisson draw from the stream (seed,
     tag, setting index), or the expected count when `seed` is None."""
-    records = []
-    for i, setting in enumerate(settings):
-        p = coincidence_probability(rho, setting)
-        if seed is None:
-            counts = p * mean_pairs
-        else:
-            counts = float(sample_counts(p, mean_pairs, stream(seed, tag, i)))
-        records.append(CountRecord(setting, counts, float(mean_pairs)))
-    return records
+    probs = _probabilities(rho, np.array([setting.pair for setting in settings]))
+    if seed is None:
+        counts = [p * mean_pairs for p in probs]
+    else:
+        counts = _draws(probs, mean_pairs, seed, tag)
+    return [CountRecord(setting, c, float(mean_pairs))
+            for setting, c in zip(settings, counts)]
 
 
 def acquire_tomography(rho: DensityMatrix, settings, mean_pairs: float,

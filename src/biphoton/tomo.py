@@ -601,8 +601,9 @@ def bootstrap_errors(records, replicas: int = 200, seed: int = 0, *,
     design = _plan(records)[1]
     if target is None:
         target = bell_state("phi+")
-    draws = np.array([stream(seed, _BOOTSTRAP_STREAM, r).poisson(counts)
-                      if resample else counts for r in range(replicas)], dtype=float)
+    draws = np.array([rng.poisson(counts)
+                      for rng in stream(seed, _BOOTSTRAP_STREAM, count=replicas)]
+                     if resample else [counts] * replicas, dtype=float)
     starts = _params_from_densities(_linear_start(design, draws, pairs))
 
     def fit(lo, hi):

@@ -6,7 +6,8 @@ import warnings
 import numpy as np
 import pytest
 
-from biphoton import sim
+from biphoton import bell, sim
+from biphoton.optics import anisotropic_coupler
 from biphoton.qstate import (bell_state, ket, linear_ket, maximally_mixed,
                              random_density, schmidt_pure, to_density)
 from biphoton.sim import (CountRecord, FringeCurve, MeasurementSetting,
@@ -17,6 +18,73 @@ from biphoton.sim import (CountRecord, FringeCurve, MeasurementSetting,
                           sample_counts, single_photon_fringe, stream,
                           tomography_plan)
 from biphoton.tomo import record_arrays
+
+
+# Frozen copies of the per-item forms that the stacked ones replaced: one
+# Born-rule matmul chain and one stream per draw. The byte oracles below
+# compare the package against them.
+def oracle_stream(seed, *key):
+    return np.random.default_rng(np.random.SeedSequence([seed, *key]))
+
+
+def frozen_pair_probability(rho, pair):
+    value = float(np.real(pair.conj() @ rho.matrix @ pair))
+    return min(max(value, 0.0), 1.0)
+
+
+def frozen_biphoton_fringe(rho, fixed, scan_angles, mean_pairs=None, seed=None):
+    fixed_ket = ket(fixed) if isinstance(fixed, str) else np.asarray(fixed, dtype=complex)
+    theta = np.asarray(scan_angles, dtype=float)
+    probs = np.array([frozen_pair_probability(rho, np.kron(fixed_ket, linear_ket(ang)))
+                      for ang in theta])
+    ref = polarization_angle(fixed_ket)
+    if mean_pairs is None:
+        return FringeCurve.fit(theta, probs, phase_ref=ref)
+    values = np.array([
+        float(sample_counts(p, mean_pairs, oracle_stream(seed, sim._FRINGE_STREAM, i)))
+        for i, p in enumerate(probs)])
+    return FringeCurve.fit(theta, values, phase_ref=ref)
+
+
+def frozen_single_photon_fringe(input_state, eta_h, eta_v, analyzer_angles):
+    rho = sim._qubit_density(input_state)
+    coupling = anisotropic_coupler(eta_h, eta_v).operators[0]
+    out = coupling @ rho @ coupling.conj().T
+    theta = np.asarray(analyzer_angles, dtype=float)
+    values = np.empty_like(theta)
+    for i, ang in enumerate(theta):
+        analyzer = linear_ket(ang)
+        values[i] = float(np.real(analyzer.conj() @ out @ analyzer))
+    return FringeCurve.fit(theta, values, phase_ref=0.0)
+
+
+def frozen_records(rho, settings, mean_pairs, seed, tag):
+    records = []
+    for i, setting in enumerate(settings):
+        p = frozen_pair_probability(rho, np.kron(setting.ket_1, setting.ket_2))
+        if seed is None:
+            counts = p * mean_pairs
+        else:
+            counts = float(sample_counts(p, mean_pairs, oracle_stream(seed, tag, i)))
+        records.append(CountRecord(setting, counts, float(mean_pairs)))
+    return records
+
+
+def record_bytes(records):
+    """What `records_to_csv` writes of each record, with the value types."""
+    return [(r.setting.label_1, r.setting.label_2, repr(r.counts), type(r.counts),
+             repr(r.expected_pairs), type(r.expected_pairs)) for r in records]
+
+
+def curve_bytes(curve):
+    return (curve.angles.tobytes(), curve.values.tobytes(),
+            *(float(x).hex() for x in (curve.offset, curve.amp_cos, curve.amp_sin,
+                                       curve.phase_ref, curve.visibility)))
+
+
+#: Scan angles with a negative zero, negatives, angles beyond 2 pi and 1e6 rad.
+ODD_ANGLES = np.array([-0.0, 0.0, -0.3, -2.5, 0.7, 1.2, 2 * np.pi + 0.4, 9.0, 1e6,
+                       -1e6, np.pi / 2, np.pi])
 
 
 class TestCoincidenceProbability:
@@ -85,8 +153,109 @@ class TestPairKet:
         for _ in range(50):
             rho = random_density(rng, 1 + int(rng.integers(4)))
             for s in settings:
-                fresh = sim._pair_probability(rho, sim._pair_ket(s.ket_1, s.ket_2))
+                fresh = frozen_pair_probability(rho, np.kron(s.ket_1, s.ket_2))
                 assert coincidence_probability(rho, s).hex() == fresh.hex()
+
+
+class TestStackedForms:
+    """The stacked Born rule and the batched streams against the frozen
+    per-item loops, byte for byte."""
+
+    FIXED = ("H", "D", "R", np.array([0.6, 0.8j]),
+             np.array([np.sqrt(0.3), np.sqrt(0.7) * np.exp(0.4j)]))
+    SAMPLING = ((500, 3), (3.3e4, 2**32 - 1), (250.5, 2**32))
+
+    def scans(self, rng):
+        return (ODD_ANGLES, np.deg2rad(np.arange(0, 180, 10)), rng.uniform(-10, 10, 7))
+
+    def test_biphoton_fringe(self):
+        rng = np.random.default_rng(2201)
+        for rank in (1, 2, 3, 4):
+            for _ in range(3):
+                rho = random_density(rng, rank)
+                for fixed in self.FIXED:
+                    for angles in self.scans(rng):
+                        assert (curve_bytes(biphoton_fringe(rho, fixed, angles))
+                                == curve_bytes(frozen_biphoton_fringe(rho, fixed, angles)))
+                        for mean_pairs, seed in self.SAMPLING:
+                            got = biphoton_fringe(rho, fixed, angles, mean_pairs, seed)
+                            want = frozen_biphoton_fringe(rho, fixed, angles, mean_pairs, seed)
+                            assert curve_bytes(got) == curve_bytes(want)
+
+    def test_single_photon_fringe(self):
+        rng = np.random.default_rng(2202)
+        states = [ket("H"), ket("D"), ket("R"), np.array([0.6, 0.8j]),
+                  h_state_with_leak(1.0 / 26.0), h_state_with_leak(0.0)]
+        for rank in (1, 2):
+            for _ in range(4):
+                g = rng.standard_normal((2, rank)) + 1j * rng.standard_normal((2, rank))
+                mat = g @ g.conj().T
+                states.append(mat / np.trace(mat).real)
+        for state in states:
+            for eta_h, eta_v in ((1.0, 1.0), (0.403, 0.403 / 1.78), (0.2, 0.9)):
+                for angles in self.scans(rng):
+                    got = single_photon_fringe(state, eta_h, eta_v, angles)
+                    want = frozen_single_photon_fringe(state, eta_h, eta_v, angles)
+                    assert curve_bytes(got) == curve_bytes(want)
+
+    def test_tomography_records(self):
+        rng = np.random.default_rng(2203)
+        plans = [tomography_plan(),
+                 tuple(MeasurementSetting.of(a, b)
+                       for a, b in zip(ODD_ANGLES[:4].repeat(4), np.tile(ODD_ANGLES[4:8], 4)))]
+        for rank in (1, 2, 3, 4):
+            for _ in range(3):
+                rho = random_density(rng, rank)
+                for plan in plans:
+                    for mean_pairs, seed in self.SAMPLING:
+                        got = acquire_tomography(rho, plan, mean_pairs, seed)
+                        want = frozen_records(rho, plan, mean_pairs, seed, sim._TOMO_STREAM)
+                        assert record_bytes(got) == record_bytes(want)
+                        got = exact_tomography(rho, plan, mean_pairs)
+                        want = frozen_records(rho, plan, mean_pairs, None, sim._TOMO_STREAM)
+                        assert record_bytes(got) == record_bytes(want)
+
+    def test_chsh_records(self):
+        rng = np.random.default_rng(2204)
+        plans = [bell.OPTIMAL_PLAN, bell.ChshPlan((-0.0, 1e6), (-2.5, 2 * np.pi + 0.4))]
+        for rank in (1, 2, 3, 4):
+            for _ in range(3):
+                rho = random_density(rng, rank)
+                for plan in plans:
+                    settings = bell._plan_settings(plan)
+                    for mean_pairs, seed in self.SAMPLING:
+                        got = bell.simulate_chsh_counts(rho, plan, mean_pairs, seed)
+                        want = frozen_records(rho, settings, mean_pairs, seed, sim._CHSH_STREAM)
+                        assert record_bytes(got) == record_bytes(want)
+                        got = bell.exact_chsh_counts(rho, plan, mean_pairs)
+                        want = frozen_records(rho, settings, mean_pairs, None, sim._CHSH_STREAM)
+                        assert record_bytes(got) == record_bytes(want)
+
+    def test_clipping_keeps_signed_zero_and_nan(self, monkeypatch):
+        values = np.array([-0.0, -1e-17, 1 + 2e-16, np.nan, 0.0, 0.25, 1.0, -np.inf])
+        want = [repr(min(max(v, 0.0), 1.0)) for v in values.tolist()]
+        assert [repr(v) for v in sim._clip_unit(values).tolist()] == want
+        monkeypatch.setattr(sim, "_expectations", lambda mat, kets: values)
+        probs = sim._probabilities(to_density(bell_state("phi+")), np.eye(4, dtype=complex))
+        assert all(type(p) is float for p in probs)
+        assert [repr(p) for p in probs] == want
+
+    @pytest.mark.parametrize("angles", [0.3, np.float64(-0.0), np.zeros((6, 2)),
+                                        np.zeros((3, 3)), [[0.1, 0.2, 0.3]]],
+                             ids=["float", "numpy-zero-d", "six-by-two", "three-by-three",
+                                  "one-by-three"])
+    def test_angle_arrays_of_another_rank_rejected(self, angles):
+        rho = to_density(bell_state("phi+"))
+        calls = [
+            (lambda f: f(rho, "D", angles), biphoton_fringe, frozen_biphoton_fringe),
+            (lambda f: f(rho, "D", angles, 100, 3), biphoton_fringe, frozen_biphoton_fringe),
+            (lambda f: f(ket("H"), 1.0, 1.0, angles), single_photon_fringe,
+             frozen_single_photon_fringe)]
+        for call, function, frozen in calls:
+            with pytest.raises((TypeError, ValueError)):
+                call(frozen)
+            with pytest.raises(ValueError, match="1-D"):
+                call(function)
 
 
 class TestSampleCounts:
@@ -343,10 +512,93 @@ class TestStream:
         (-1, (1, 0), "seed must be a non-negative integer"),
         (3, (1, -1), "non-negative"),
         (3, (-(2**40), 0), "non-negative"),
-    ], ids=["negative-seed", "negative-index", "negative-tag"])
+        (3.7, (1, 0), "seed must be a non-negative integer"),
+        (3.0, (1, 0), "seed must be a non-negative integer"),
+        (np.float64(3.0), (1, 0), "seed must be a non-negative integer"),
+        ("3", (1, 0), "seed must be a non-negative integer"),
+        (7, (1.5,), "seed must be a non-negative integer"),
+        (7, (1, np.float64(2.0)), "seed must be a non-negative integer"),
+        (7, ("1", 0), "seed must be a non-negative integer"),
+    ], ids=["negative-seed", "negative-index", "negative-tag", "float-seed",
+            "integral-float-seed", "numpy-float-seed", "string-seed", "float-tag",
+            "numpy-float-index", "string-tag"])
     def test_negative_words_rejected(self, seed, key, match):
         with pytest.raises(ValueError, match=match):
             stream(seed, *key)
+        with pytest.raises(ValueError, match=match):
+            stream(seed, *key, count=3)
+
+    def test_numpy_integer_words_accepted(self):
+        rng = stream(np.int64(7), np.uint8(1), np.int32(2))
+        assert rng.bit_generator.state == oracle_stream(7, 1, 2).bit_generator.state
+
+    def test_float_seed_is_refused_not_truncated(self):
+        rho = to_density(bell_state("phi+"))
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            acquire_tomography(rho, tomography_plan(), 1000, 3.7)
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            biphoton_fringe(rho, "H", ODD_ANGLES, mean_pairs=100, seed=np.float64(3.0))
+
+    # Each generator of stream(seed, tag, count=n) must be stream(seed, tag, i):
+    # 32-bit words take the batched hash, others the per-item path.
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2**31 - 1, 2**32 - 1, 2**32, 2**40])
+    @pytest.mark.parametrize("tag", [sim._TOMO_STREAM, sim._FRINGE_STREAM,
+                                     sim._CHSH_STREAM, sim._BOOTSTRAP_STREAM,
+                                     2**32 - 1, 2**32])
+    def test_count_streams_equal_single_streams(self, seed, tag):
+        for count in (0, 1, 2, 16, 18, 200):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                rngs = list(stream(seed, tag, count=count))
+                singles = [stream(seed, tag, i) for i in range(count)]
+            assert len(rngs) == count
+            for rng, single in zip(rngs, singles):
+                assert rng.bit_generator.state == single.bit_generator.state
+                assert rng.poisson(1e3, 4).tolist() == single.poisson(1e3, 4).tolist()
+                assert rng.random(2).tolist() == single.random(2).tolist()
+
+    @pytest.mark.parametrize("key", [(), (5, 6), (5, 6, 7), (5, 6, 7, 2**32 - 1)],
+                             ids=["seed-only", "four-words", "five-words", "six-words"])
+    def test_count_streams_of_other_key_lengths(self, key):
+        # Up to three words the index falls in SeedSequence's pool; past it,
+        # the index is mixed in after the pool mix.
+        for seed in (0, 9, 2**32 - 1):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                rngs = list(stream(seed, *key, count=18))
+            for i, rng in enumerate(rngs):
+                oracle = oracle_stream(seed, *key, i)
+                assert rng.bit_generator.state == oracle.bit_generator.state
+                assert rng.poisson(50.0, 3).tolist() == oracle.poisson(50.0, 3).tolist()
+
+    def test_count_streams_are_built_lazily(self):
+        # Indices from 2**32 on leave the batched hash: nothing is built for
+        # them until they are asked for.
+        rngs = stream(3, 1, count=2**40)
+        assert next(rngs).bit_generator.state == oracle_stream(3, 1, 0).bit_generator.state
+        assert next(rngs).bit_generator.state == oracle_stream(3, 1, 1).bit_generator.state
+
+    @pytest.mark.parametrize("count", [-1, -(2**40), 1.5, np.float64(2.0), "2", None],
+                             ids=["minus-one", "large-negative", "float", "numpy-float",
+                                  "string", "none-as-count"])
+    def test_bad_count_rejected(self, count):
+        if count is None:  # None is the single-stream call
+            assert isinstance(stream(1, 2, count=count), np.random.Generator)
+            return
+        with pytest.raises(ValueError, match="count must be a non-negative integer"):
+            stream(1, 2, count=count)
+
+    @pytest.mark.parametrize("n_words, dtype", [
+        (4, np.uint32), (8, np.uint32), (2, np.uint64), (8, np.uint64), (3, np.uint64),
+        (4, np.int64), (4, np.float64)])
+    def test_hashed_seed_holds_only_the_pcg64_request(self, n_words, dtype):
+        rng = next(stream(5, 2, count=1))
+        seed_seq = rng.bit_generator.seed_seq
+        words = seed_seq.generate_state(4, np.uint64)
+        oracle = np.random.SeedSequence([5, 2, 0]).generate_state(4, np.uint64)
+        assert words.dtype == np.uint64 and words.tolist() == oracle.tolist()
+        with pytest.raises(ValueError, match="generate_state"):
+            seed_seq.generate_state(n_words, dtype)
 
 
 class TestRecordCsv:
