@@ -467,14 +467,16 @@ def build_parser() -> argparse.ArgumentParser:
         description="Simulate entangled-photon transport through "
                     "polarization-anisotropic lossy channels.")
     sub = parser.add_subparsers(dest="command", required=True)
+    # The arguments of every command that takes a scenario.
+    scenario_p = argparse.ArgumentParser(add_help=False)
+    scenario_p.add_argument("scenario",
+                            help="YAML config path or builtin name "
+                                 f"({', '.join(BUILTIN_SCENARIOS)})")
+    scenario_p.add_argument("--seed", type=int, default=None, help="override the seed")
+    scenario_p.add_argument("--outputs", default=None, help="override the output dir")
 
-    run_p = sub.add_parser("run", help="run a scenario end to end")
-    run_p.add_argument("scenario",
-                       help="YAML config path or builtin name "
-                            f"({', '.join(BUILTIN_SCENARIOS)})")
-    run_p.add_argument("--seed", type=int, default=None, help="override the seed")
-    run_p.add_argument("--outputs", default=None, help="override the output dir")
-    run_p.set_defaults(func=_cmd_run)
+    sub.add_parser("run", parents=[scenario_p],
+                   help="run a scenario end to end").set_defaults(func=_cmd_run)
 
     budget_p = sub.add_parser("budget", help="stage-efficiency budget")
     budget_p.add_argument("stages", nargs="+",
@@ -486,17 +488,10 @@ def build_parser() -> argparse.ArgumentParser:
                                "reported next to the recomputed one")
     budget_p.set_defaults(func=_cmd_budget)
 
-    fringe_p = sub.add_parser("fringe", help="emit only the fringe CSVs")
-    fringe_p.add_argument("scenario")
-    fringe_p.add_argument("--seed", type=int, default=None)
-    fringe_p.add_argument("--outputs", default=None)
-    fringe_p.set_defaults(func=_cmd_fringe)
-
-    chsh_p = sub.add_parser("chsh", help="emit only the CHSH result")
-    chsh_p.add_argument("scenario")
-    chsh_p.add_argument("--seed", type=int, default=None)
-    chsh_p.add_argument("--outputs", default=None)
-    chsh_p.set_defaults(func=_cmd_chsh)
+    sub.add_parser("fringe", parents=[scenario_p],
+                   help="emit only the fringe CSVs").set_defaults(func=_cmd_fringe)
+    sub.add_parser("chsh", parents=[scenario_p],
+                   help="emit only the CHSH result").set_defaults(func=_cmd_chsh)
     return parser
 
 

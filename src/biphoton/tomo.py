@@ -130,41 +130,39 @@ def _params_from_lower(tri: np.ndarray) -> np.ndarray:
     return flat.take(_PARAM_FLOATS, axis=-1)
 
 
-def _unit_trace(gram: np.ndarray, trace: np.ndarray) -> np.ndarray:
-    """Scale an (R, 4, 4) complex stack with traces `trace`, (R, 1), to unit
-    trace in place; return 1 / tr. numpy divides complex by real as a
-    multiply by the reciprocal, so this gives the bytes of `gram / trace`
-    wherever no float is -0.0, which sums that start at +0.0 never give."""
-    inv = 1.0 / trace
-    floats = gram.reshape(-1, 16).view(np.float64)
-    floats *= inv
-    return inv
-
-
 def _trace_shifts(t: np.ndarray, trace: np.ndarray) -> np.ndarray | None:
     """Per row of `t`, (R, 16), the exponent of two that scales a non-zero
-    row whose 1 / tr overflows exactly to a largest |t| in [0.5, 1), else 0;
-    None if no row needs one. T T^H / tr does not depend on the scale."""
+    row whose 1 / tr overflows exactly to a largest |t| in [0.5, 1), else 0,
+    as (R, 1); None if no row needs one. T T^H / tr does not depend on it."""
     # min() is NaN only when the first trace is; every row is checked then.
     if min(trace.ravel().tolist()) > _OVERFLOW_TRACE:
         return None
     largest = np.abs(t).max(axis=1)
     tiny = (trace[:, 0] <= _OVERFLOW_TRACE) & (largest > 0.0)
-    return np.where(tiny, -np.frexp(largest)[1], 0) if tiny.any() else None
+    return np.where(tiny, -np.frexp(largest)[1], 0)[:, None] if tiny.any() else None
 
 
-def _density_from_params(t: np.ndarray) -> np.ndarray:
-    """T T^H / tr(T T^H) of each parameter vector along the last axis; a
-    row whose 1 / tr overflows is scaled first (`_trace_shifts`)."""
-    rows = t.reshape(-1, 16)
+def _unit_gram(rows: np.ndarray):
+    """T, T T^H / tr, 1 / tr and `_trace_shifts` of the rows of `rows`, (R, 16);
+    T is that of the shifted row where 1 / tr overflows. numpy divides complex
+    by real as a multiply by the reciprocal, so the Gram matrix's floats times
+    1 / tr give the bytes of `gram / trace` wherever no float is -0.0, which
+    sums that start at +0.0 never give."""
     tri = _lower_from_params(rows)
     gram = tri @ tri.conj().transpose(0, 2, 1)
     trace = gram.trace(axis1=1, axis2=2).real.reshape(-1, 1)
     shifts = _trace_shifts(rows, trace)
     if shifts is not None:
-        return _density_from_params(np.ldexp(rows, shifts[:, None]).reshape(t.shape))
-    _unit_trace(gram, trace)
-    return gram.reshape(t.shape[:-1] + (4, 4))
+        return _unit_gram(np.ldexp(rows, shifts))[:3] + (shifts,)
+    inv = 1.0 / trace
+    floats = gram.reshape(-1, 16).view(np.float64)
+    floats *= inv
+    return tri, gram, inv, None
+
+
+def _density_from_params(t: np.ndarray) -> np.ndarray:
+    """T T^H / tr(T T^H) of each parameter vector along the last axis."""
+    return _unit_gram(t.reshape(-1, 16))[1].reshape(t.shape[:-1] + (4, 4))
 
 
 def params_from_density(rho, floor: float = _INIT_EIGEN_FLOOR) -> CholeskyParams:
@@ -191,11 +189,19 @@ def _params_from_densities(mats: np.ndarray,
 
 def record_arrays(records) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The stacked projectors (read-only, shared per plan), counts and
-    expected pairs of `records`."""
+    expected pairs of `records`, a non-empty sequence."""
+    if not records:
+        raise ValueError("no records to reconstruct from")
     projectors = _plan(records)[0]
     counts = np.array([rec.counts for rec in records], dtype=float)
     pairs = np.array([rec.expected_pairs for rec in records], dtype=float)
     return projectors, counts, pairs
+
+
+def _record_plan(records) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
+    """`record_arrays` of `records`, any non-empty iterable, and their `_design_matrix`."""
+    records = list(records)
+    return (*record_arrays(records), _plan(records)[1])
 
 
 def _plan(records) -> tuple[np.ndarray, np.ndarray | None]:
@@ -254,8 +260,7 @@ def linear_inversion(records) -> np.ndarray:
     counts are all zero. Rejects plans whose projectors do not span the
     operator space (condition number above 1e6).
     """
-    projectors, counts, pairs = record_arrays(records)
-    design = _plan(records)[1]
+    _, counts, pairs, design = _record_plan(records)
     if design is None:
         raise ValueError("measurement plan is rank deficient: projectors do "
                          "not span the two-qubit operator space")
@@ -276,28 +281,18 @@ def objective_and_gradient(t: np.ndarray, counts: np.ndarray,
     -r / f - r^2 / (2 N f^2) (r the residual, f the floored probability),
     the weight (sum_v dldp_v P_v - sum_v dldp_v p_v I) / tr and the gradient
     2.0 * weight @ T. rho and the weight are their floats times 1 / tr
-    (`_unit_trace`), and the identity term is subtracted from the real
+    (`_unit_gram`), and the identity term is subtracted from the real
     diagonal floats only: the other subtractions of zeros change no float,
     as none is -0.0. The factor 2 is taken into dldp, as -2 r / f and
     r^2 / (N f^2): scaling by a power of two is exact in IEEE arithmetic
     short of overflow and underflow. `_lower_from_params` keeps the signs of
     zeros in T, which no output byte depends on. A row whose 1 / tr
-    overflows is evaluated at t scaled by a power of two (`_trace_shifts`),
-    and its gradient scaled back.
+    overflows is evaluated at t scaled by a power of two (`_unit_gram`),
+    and its gradient scaled back once at the end.
     """
     t = np.asarray(t, dtype=float)
     projectors = np.asarray(projectors, dtype=complex)
-    rows = t.reshape(-1, 16)
-    tri = _lower_from_params(rows)
-    gram = tri @ tri.conj().transpose(0, 2, 1)
-    trace = gram.trace(axis1=1, axis2=2).real.reshape(-1, 1)
-    shifts = _trace_shifts(rows, trace)
-    if shifts is not None:
-        values, grads = objective_and_gradient(
-            np.ldexp(rows, shifts[:, None]), counts, pairs, projectors)
-        grads = np.ldexp(grads, shifts[:, None])
-        return (float(values[0]), grads[0]) if t.ndim == 1 else (values, grads)
-    inv = _unit_trace(gram, trace)
+    tri, gram, inv, shifts = _unit_gram(t.reshape(-1, 16))
     # Summed over j by the einsum, then over i in the order 0, 1, 2, 3, as the
     # one-row einsum "nij,ji->n" sums, so each row is bit-equal to a call on
     # it alone. `np.add.reduce(terms, axis=2)` adds in that order too, but on
@@ -326,9 +321,9 @@ def objective_and_gradient(t: np.ndarray, counts: np.ndarray,
     diagonal -= np.add.reduce(dldp2 * probs, axis=1)[:, None]
     weight *= inv
     grads = _params_from_lower(weight.view(np.complex128).reshape(-1, 4, 4) @ tri)
-    if t.ndim == 1:
-        return float(values[0]), grads[0]
-    return values, grads
+    if shifts is not None:
+        grads = np.ldexp(grads, shifts)
+    return (float(values[0]), grads[0]) if t.ndim == 1 else (values, grads)
 
 
 @dataclass(frozen=True)
@@ -479,20 +474,14 @@ def mle_reconstruct(records, init=None, *, target: PureState | None = None,
     `target` selects the pure state the fidelity metric is reported
     against (default: phi+).
     """
-    records = list(records)
-    if not records:
-        raise ValueError("no records to reconstruct from")
-    projectors, counts, pairs = record_arrays(records)
+    projectors, counts, pairs, design = _record_plan(records)
     if target is None:
         target = bell_state("phi+")
-
     if init is None:
-        init_mat = _linear_start(_plan(records)[1], counts, pairs)
-    else:
-        init_mat = init.matrix if isinstance(init, DensityMatrix) else np.asarray(init, dtype=complex)
+        init = _linear_start(design, counts, pairs)
     x, likelihood, iterations, converged, traces = _lbfgsb(
         lambda t, rows: objective_and_gradient(t, counts, pairs, projectors),
-        params_from_density(init_mat).t[None], max_iterations, traced=(0,))
+        params_from_density(init).t[None], max_iterations, traced=(0,))
     rho = CholeskyParams(x[0]).density()
     return TomographyResult(
         rho=rho,
@@ -596,9 +585,7 @@ def bootstrap_errors(records, replicas: int = 200, seed: int = 0, *,
     if replicas < 2:
         raise ValueError("bootstrap needs at least 2 replicas")
     blocks = _blocks(replicas, jobs)
-    records = list(records)
-    projectors, counts, pairs = record_arrays(records)
-    design = _plan(records)[1]
+    projectors, counts, pairs, design = _record_plan(records)
     if target is None:
         target = bell_state("phi+")
     draws = np.array([rng.poisson(counts)

@@ -630,9 +630,25 @@ class TestMatchesMinimize:
 
 
 class TestMleReconstruct:
-    def test_no_records_rejected(self):
-        with pytest.raises(ValueError, match="no records"):
-            mle_reconstruct([])
+    @pytest.mark.parametrize("call", [
+        record_arrays, linear_inversion, mle_reconstruct,
+        lambda records: bootstrap_errors(records, 10),
+        lambda records: mle_reconstruct(iter(records)),
+    ], ids=["record_arrays", "linear_inversion", "mle_reconstruct", "bootstrap_errors",
+            "mle_reconstruct-iterator"])
+    def test_no_records_rejected(self, call):
+        with pytest.raises(ValueError, match="^no records to reconstruct from$"):
+            call([])
+
+    def test_init_as_matrix_or_density_matrix(self):
+        rng = np.random.default_rng(14)
+        init = random_density(rng)
+        records = sampled_records(random_density(rng), 3000, 14)
+        fits = [mle_reconstruct(records, init=start)
+                for start in (init, init.matrix, init.matrix.tolist())]
+        for fit in fits[1:]:
+            assert fit.rho.matrix.tobytes() == fits[0].rho.matrix.tobytes()
+            assert fit.objective_trace == fits[0].objective_trace
 
     def test_round_trip_fidelity(self):
         rho = to_density(bell_state("phi+"))
