@@ -142,27 +142,76 @@ def _trace_shifts(t: np.ndarray, trace: np.ndarray) -> np.ndarray | None:
     return np.where(tiny, -np.frexp(largest)[1], 0)[:, None] if tiny.any() else None
 
 
-def _unit_gram(rows: np.ndarray):
-    """T, T T^H / tr, 1 / tr and `_trace_shifts` of the rows of `rows`, (R, 16);
-    T is that of the shifted row where 1 / tr overflows. numpy divides complex
+class _Work:
+    """Buffers for every intermediate of `objective_and_gradient` at one
+    (rows, settings) shape, each view built once. `bind` replaces them for
+    another shape, so a fit that keeps one `_Work` holds one set at a time.
+
+    T's floats are zeroed once: only the `_PARAM_FLOATS` places are ever
+    written, so the upper triangle and the diagonal's imaginary parts stay
+    +0.0, as in `_lower_from_params`.
+    """
+
+    shape = None
+
+    def bind(self, rows: int, settings: int) -> None:
+        self.shape = rows, settings
+        self.floats = np.zeros((rows, 32))
+        self.tri = self.floats.view(np.complex128).reshape(rows, 4, 4)
+        # T^H as the transposed view of a conjugate, the layout `tri.conj()
+        # .transpose(0, 2, 1)` hands to matmul.
+        self.conj = np.empty((rows, 4, 4), complex)
+        self.tri_h = self.conj.transpose(0, 2, 1)
+        self.gram = np.empty((rows, 4, 4), complex)
+        self.gram_floats = self.gram.reshape(rows, 16).view(np.float64)
+        self.gram_diagonal = self.gram.reshape(rows, 16)[:, ::5]
+        self.diagonal_sum = np.empty(rows, complex)
+        self.trace = self.diagonal_sum.real[:, None]
+        self.inv = np.empty((rows, 1))
+        self.terms = np.empty((rows, settings, 4), complex)
+        self.term_columns = [self.terms.real[..., i] for i in range(4)]
+        self.probs, self.floored, self.residuals, self.squares, self.scratch, self.dldp = (
+            np.empty((6, rows, settings)))
+        self.above = np.empty((rows, settings), bool)
+        self.pairs2 = np.empty(settings)
+        self.values = np.empty(rows)
+        self.identity_term = np.empty((rows, 1))
+        self.weight = np.empty((rows, 32))
+        self.weight_diagonal = self.weight[:, ::10]
+        self.weight_matrix = self.weight.view(np.complex128).reshape(rows, 4, 4)
+        self.product = np.empty((rows, 4, 4), complex)
+        self.product_floats = self.product.reshape(rows, 16).view(np.float64)
+
+
+def _unit_gram(rows: np.ndarray, work: _Work) -> np.ndarray | None:
+    """Writes T, T T^H / tr and 1 / tr of the rows of `rows`, (R, 16), into
+    `work` (bound to R rows) and returns their `_trace_shifts`; where 1 / tr
+    overflows, everything is that of the shifted row. numpy divides complex
     by real as a multiply by the reciprocal, so the Gram matrix's floats times
     1 / tr give the bytes of `gram / trace` wherever no float is -0.0, which
-    sums that start at +0.0 never give."""
-    tri = _lower_from_params(rows)
-    gram = tri @ tri.conj().transpose(0, 2, 1)
-    trace = gram.trace(axis1=1, axis2=2).real.reshape(-1, 1)
-    shifts = _trace_shifts(rows, trace)
+    sums that start at +0.0 never give. The trace is the complex reduce that
+    `ndarray.trace` runs over the diagonal: a reduce of the diagonal's real
+    floats alone adds them in another order."""
+    work.floats[:, _PARAM_FLOATS] = rows
+    np.conjugate(work.tri, out=work.conj)
+    np.matmul(work.tri, work.tri_h, out=work.gram)
+    np.add.reduce(work.gram_diagonal, axis=1, out=work.diagonal_sum)
+    shifts = _trace_shifts(rows, work.trace)
     if shifts is not None:
-        return _unit_gram(np.ldexp(rows, shifts))[:3] + (shifts,)
-    inv = 1.0 / trace
-    floats = gram.reshape(-1, 16).view(np.float64)
-    floats *= inv
-    return tri, gram, inv, None
+        _unit_gram(np.ldexp(rows, shifts), work)
+        return shifts
+    np.divide(1.0, work.trace, out=work.inv)
+    np.multiply(work.gram_floats, work.inv, out=work.gram_floats)
+    return None
 
 
 def _density_from_params(t: np.ndarray) -> np.ndarray:
     """T T^H / tr(T T^H) of each parameter vector along the last axis."""
-    return _unit_gram(t.reshape(-1, 16))[1].reshape(t.shape[:-1] + (4, 4))
+    rows = t.reshape(-1, 16)
+    work = _Work()
+    work.bind(len(rows), 0)
+    _unit_gram(rows, work)
+    return work.gram.reshape(t.shape[:-1] + (4, 4))
 
 
 def params_from_density(rho, floor: float = _INIT_EIGEN_FLOOR) -> CholeskyParams:
@@ -189,7 +238,10 @@ def _params_from_densities(mats: np.ndarray,
 
 def record_arrays(records) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The stacked projectors (read-only, shared per plan), counts and
-    expected pairs of `records`, a non-empty sequence."""
+    expected pairs of `records`, any non-empty iterable (a list is read as
+    given, anything else listed first)."""
+    if not isinstance(records, list):
+        records = list(records)
     if not records:
         raise ValueError("no records to reconstruct from")
     projectors = _plan(records)[0]
@@ -199,7 +251,8 @@ def record_arrays(records) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _record_plan(records) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
-    """`record_arrays` of `records`, any non-empty iterable, and their `_design_matrix`."""
+    """`record_arrays` of `records`, any non-empty iterable, and their
+    `_design_matrix`, from one list of the records."""
     records = list(records)
     return (*record_arrays(records), _plan(records)[1])
 
@@ -268,7 +321,8 @@ def linear_inversion(records) -> np.ndarray:
 
 
 def objective_and_gradient(t: np.ndarray, counts: np.ndarray,
-                           pairs: np.ndarray, projectors: np.ndarray):
+                           pairs: np.ndarray, projectors: np.ndarray, *,
+                           work: _Work | None = None):
     """Gaussian-approximation Poisson objective and its analytic gradient.
 
     objective = sum_v (n_v - N_v p_v)^2 / (2 N_v max(p_v, floor)) over the
@@ -276,6 +330,11 @@ def objective_and_gradient(t: np.ndarray, counts: np.ndarray,
     One parameter vector `t` gives a float and a (16,) gradient. A stack
     `t` of shape (R, 16), with `counts` of shape (R, N) or (N,), gives R
     values and an (R, 16) gradient, row r equal to the call on row r alone.
+
+    `work`, a `_Work`, holds the intermediates: a fit passes the same one
+    to every call, which rebinds it whenever the row count changes, and
+    None uses fresh buffers. Either way the values and gradient returned
+    are fresh arrays with the same bytes.
 
     The bytes are those of the textbook form: rho = T T^H / tr, dldp =
     -r / f - r^2 / (2 N f^2) (r the residual, f the floored probability),
@@ -288,42 +347,66 @@ def objective_and_gradient(t: np.ndarray, counts: np.ndarray,
     short of overflow and underflow. `_lower_from_params` keeps the signs of
     zeros in T, which no output byte depends on. A row whose 1 / tr
     overflows is evaluated at t scaled by a power of two (`_unit_gram`),
-    and its gradient scaled back once at the end.
+    and its gradient scaled back once at the end. Each step writes into
+    `work` through `out=` with the kernel and operand order of its
+    allocating form, which gives the same bytes.
     """
     t = np.asarray(t, dtype=float)
     projectors = np.asarray(projectors, dtype=complex)
-    tri, gram, inv, shifts = _unit_gram(t.reshape(-1, 16))
+    rows = t.reshape(-1, 16)
+    if work is None:
+        work = _Work()
+    if work.shape != (len(rows), len(projectors)):
+        work.bind(len(rows), len(projectors))
+    shifts = _unit_gram(rows, work)
     # Summed over j by the einsum, then over i in the order 0, 1, 2, 3, as the
     # one-row einsum "nij,ji->n" sums, so each row is bit-equal to a call on
     # it alone. `np.add.reduce(terms, axis=2)` adds in that order too, but on
     # an AVX-512 Xeon that strided reduce runs 10x slower (210 against 21 us
     # at 64 rows) once an OpenBLAS matmul has run, until an op such as
     # np.where runs; the three adds take about 5 us.
-    terms = _einsum("nij,rji->rni", projectors, gram).real
-    probs = terms[..., 0] + terms[..., 1] + terms[..., 2] + terms[..., 3]
-    floored = np.maximum(probs, _PROB_FLOOR)
-    residuals = counts - pairs * probs
-    squares = residuals ** 2
-    values = np.add.reduce(squares / (2.0 * pairs * floored), axis=1)
+    _einsum("nij,rji->rni", projectors, work.gram, out=work.terms)
+    probs, floored, residuals, squares, scratch, dldp2 = (
+        work.probs, work.floored, work.residuals, work.squares, work.scratch, work.dldp)
+    term_0, term_1, term_2, term_3 = work.term_columns
+    np.add(term_0, term_1, out=probs)
+    np.add(probs, term_2, out=probs)
+    np.add(probs, term_3, out=probs)
+    np.maximum(probs, _PROB_FLOOR, out=floored)
+    np.multiply(pairs, probs, out=residuals)
+    np.subtract(counts, residuals, out=residuals)
+    np.square(residuals, out=squares)
+    np.multiply(2.0, pairs, out=work.pairs2)
+    np.multiply(work.pairs2, floored, out=scratch)
+    np.divide(squares, scratch, out=scratch)
+    values = np.add.reduce(scratch, axis=1, out=work.values)
 
     # Twice d(objective)/d(p_v); the floor freezes the denominator when active.
-    dldp2 = (-2.0 * residuals) / floored
-    above = probs > _PROB_FLOOR
-    unfrozen = dldp2 - squares / (pairs * floored ** 2)
-    dldp2 = (unfrozen if np.logical_and.reduce(above, axis=None)
-             else np.where(above, unfrozen, dldp2))
+    np.multiply(-2.0, residuals, out=dldp2)
+    np.divide(dldp2, floored, out=dldp2)
+    above = np.greater(probs, _PROB_FLOOR, out=work.above)
+    unfrozen = np.square(floored, out=scratch)
+    np.multiply(pairs, unfrozen, out=unfrozen)
+    np.divide(squares, unfrozen, out=unfrozen)
+    np.subtract(dldp2, unfrozen, out=unfrozen)
+    if np.logical_and.reduce(above, axis=None):
+        dldp2 = unfrozen
+    else:
+        np.copyto(dldp2, unfrozen, where=above)
 
     # sum_v dldp2_v P_v as a real einsum over the (re, im) floats of each
     # projector: bit-equal to the complex einsum "rn,nij->rij", and faster.
     flat = projectors.reshape(len(projectors), 16).view(np.float64)
-    weight = _einsum("rn,nk->rk", dldp2, flat)
-    diagonal = weight[:, ::10]  # the real floats of the diagonal
-    diagonal -= np.add.reduce(dldp2 * probs, axis=1)[:, None]
-    weight *= inv
-    grads = _params_from_lower(weight.view(np.complex128).reshape(-1, 4, 4) @ tri)
+    weight = _einsum("rn,nk->rk", dldp2, flat, out=work.weight)
+    identity_term = np.multiply(dldp2, probs, out=residuals)
+    np.add.reduce(identity_term, axis=1, keepdims=True, out=work.identity_term)
+    np.subtract(work.weight_diagonal, work.identity_term, out=work.weight_diagonal)
+    np.multiply(weight, work.inv, out=weight)
+    np.matmul(work.weight_matrix, work.tri, out=work.product)
+    grads = work.product_floats.take(_PARAM_FLOATS, axis=1)
     if shifts is not None:
         grads = np.ldexp(grads, shifts)
-    return (float(values[0]), grads[0]) if t.ndim == 1 else (values, grads)
+    return (float(values[0]), grads[0]) if t.ndim == 1 else (values.copy(), grads)
 
 
 @dataclass(frozen=True)
@@ -479,8 +562,9 @@ def mle_reconstruct(records, init=None, *, target: PureState | None = None,
         target = bell_state("phi+")
     if init is None:
         init = _linear_start(design, counts, pairs)
+    work = _Work()
     x, likelihood, iterations, converged, traces = _lbfgsb(
-        lambda t, rows: objective_and_gradient(t, counts, pairs, projectors),
+        lambda t, rows: objective_and_gradient(t, counts, pairs, projectors, work=work),
         params_from_density(init).t[None], max_iterations, traced=(0,))
     rho = CholeskyParams(x[0]).density()
     return TomographyResult(
@@ -594,8 +678,9 @@ def bootstrap_errors(records, replicas: int = 200, seed: int = 0, *,
     starts = _params_from_densities(_linear_start(design, draws, pairs))
 
     def fit(lo, hi):
+        work = _Work()
         return _lbfgsb(lambda t, rows: objective_and_gradient(
-            t, draws[lo:hi][rows], pairs, projectors), starts[lo:hi], 10_000)[0]
+            t, draws[lo:hi][rows], pairs, projectors, work=work), starts[lo:hi], 10_000)[0]
 
     fits = _fit_blocks(fit, blocks)
     rhos = _checked_density(_density_from_params(fits))

@@ -1159,12 +1159,12 @@ class TestParallelBootstrap:
         parent = os.getpid()
         objective = tomo.objective_and_gradient
 
-        def failing(*args):
+        def failing(*args, **kwargs):
             if os.getpid() != parent:  # in the worker of block 1
                 if fault == "raises":
                     raise ValueError("no fit for this row")
                 os.kill(os.getpid(), signal.SIGKILL)
-            return objective(*args)
+            return objective(*args, **kwargs)
 
         monkeypatch.setattr(tomo, "objective_and_gradient", failing)
         path = parallel_scenario(tmp_path, monkeypatch)
@@ -1184,10 +1184,10 @@ class TestParallelBootstrap:
         parent = os.getpid()
         objective = tomo.objective_and_gradient
 
-        def stalled(*args):
+        def stalled(*args, **kwargs):
             if os.getpid() != parent:
                 time.sleep(600)
-            return objective(*args)
+            return objective(*args, **kwargs)
 
         monkeypatch.setattr(tomo, "objective_and_gradient", stalled)
 

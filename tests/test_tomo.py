@@ -634,11 +634,22 @@ class TestMleReconstruct:
         record_arrays, linear_inversion, mle_reconstruct,
         lambda records: bootstrap_errors(records, 10),
         lambda records: mle_reconstruct(iter(records)),
+        lambda records: record_arrays(iter(records)),
     ], ids=["record_arrays", "linear_inversion", "mle_reconstruct", "bootstrap_errors",
-            "mle_reconstruct-iterator"])
+            "mle_reconstruct-iterator", "record_arrays-iterator"])
     def test_no_records_rejected(self, call):
         with pytest.raises(ValueError, match="^no records to reconstruct from$"):
             call([])
+
+    def test_record_arrays_of_an_iterator_equal_those_of_its_list(self):
+        records = sampled_records(random_density(np.random.default_rng(15)), 3000, 15)
+        expected = record_arrays(records)
+        for given in (iter(records), tuple(records), (rec for rec in records)):
+            arrays = record_arrays(given)
+            assert [a.shape for a in arrays] == [(16, 4, 4), (16,), (16,)]
+            for array, want in zip(arrays, expected):
+                assert array.tobytes() == want.tobytes()
+            assert arrays[0] is expected[0]
 
     def test_init_as_matrix_or_density_matrix(self):
         rng = np.random.default_rng(14)
@@ -790,11 +801,11 @@ class TestBootstrapErrors:
         lowest = []
         objective = tomo.objective_and_gradient
 
-        def spy(t, counts, pairs, projectors):
+        def spy(t, counts, pairs, projectors, **kwargs):
             lowest.extend(np.einsum("nij,ji->n", projectors,
                                     tomo._density_from_params(row)).real.min()
                           for row in np.atleast_2d(t))
-            return objective(t, counts, pairs, projectors)
+            return objective(t, counts, pairs, projectors, **kwargs)
 
         monkeypatch.setattr(tomo, "objective_and_gradient", spy)
         assert bootstrap_errors(records, replicas=5, seed=seed, target=target) == expected
@@ -1315,6 +1326,96 @@ class TestSubnormalTrace:
             assert not np.isfinite(tomo._density_from_params(np.zeros(16))).all()
             assert not np.isfinite(objective_and_gradient(np.zeros(16), counts, pairs,
                                                           projectors)[0])
+
+
+class TestWorkReuse:
+    """One `_Work` kept across calls whose row count goes 64 -> 47 -> 1 -> 64,
+    two calls per count (rebinding only where the count changes): every call
+    must give the bytes of `frozen_objective` and of a call with fresh
+    buffers, and no call may change what an earlier one returned. The rows
+    hold the signed-zero pool (below-floor and subnormal rows included) and
+    a row whose trace is subnormal, which reruns `_unit_gram` in the same
+    buffers on its row scaled by a power of two."""
+
+    @staticmethod
+    def expected(t, counts, pairs, projectors):
+        """`frozen_objective` of each row, or of the row scaled into the
+        normal range where 1 / tr overflows, its gradient scaled back."""
+        tiny = np.sum(t * t, axis=1) <= 2.0 ** -1024
+        shifts = np.where(tiny, -np.frexp(np.abs(t).max(axis=1))[1], 0)[:, None]
+        values, grads, probs = frozen_objective(np.ldexp(t, shifts), counts, pairs,
+                                                projectors)
+        return values, np.ldexp(grads, shifts), probs
+
+    def test_row_counts_change_between_calls(self):
+        rng = np.random.default_rng(2424)
+        projectors, counts, pairs = record_arrays(
+            sampled_records(random_density(rng), 2000, 24))
+        pool = signed_zero_pool()
+        subnormal = TestSubnormalTrace.T0 * 1e-160
+        stacks = [np.vstack([pool[:62], subnormal, pool[-1]]),
+                  np.vstack([pool[19:65], subnormal]),
+                  subnormal[None],
+                  np.vstack([pool[32:48], rng.standard_normal((47, 16)), subnormal])]
+        work = tomo._Work()
+        returned, below, shifted = [], 0, 0
+        for t in stacks:
+            for row_counts in (counts, counts + rng.integers(0, 5, (len(t), 16))):
+                values, grads = objective_and_gradient(t, row_counts, pairs, projectors,
+                                                       work=work)
+                assert work.shape == (len(t), 16)
+                expected, expected_grads, probs = self.expected(t, row_counts, pairs,
+                                                                projectors)
+                fresh, fresh_grads = objective_and_gradient(t, row_counts, pairs,
+                                                            projectors)
+                assert np.isfinite(values).all()
+                for got in (values, fresh):
+                    assert got.tobytes() == expected.tobytes()
+                for got in (grads, fresh_grads):
+                    assert got.tobytes() == expected_grads.tobytes()
+                if len(t) == 1:
+                    value, grad = objective_and_gradient(t[0], row_counts.reshape(-1, 16)[0],
+                                                         pairs, projectors, work=work)
+                    assert np.float64(value).tobytes() == expected[0].tobytes()
+                    assert grad.tobytes() == expected_grads[0].tobytes()
+                    returned.append((grad, grad.tobytes()))
+                returned += [(values, values.tobytes()), (grads, grads.tobytes())]
+                below += int((probs < tomo._PROB_FLOOR).any(axis=1).sum())
+                shifted += int((np.sum(t * t, axis=1) <= 2.0 ** -1024).sum())
+        for array, data in returned:
+            assert array.tobytes() == data
+        assert below >= 16 and shifted == 8
+
+
+class TestFitsCallTheModuleAttribute:
+    """The fits reach `objective_and_gradient` through the module, once per
+    evaluation round, so that a wrapper put there (as the benchmark's
+    tracer does) sees every evaluation."""
+
+    @pytest.mark.parametrize("fit", [
+        lambda records: mle_reconstruct(records).rho.matrix.tobytes(),
+        lambda records: bootstrap_errors(records, 5, seed=6, jobs=1),
+    ], ids=["mle_reconstruct", "bootstrap_errors"])
+    def test_wrapper_sees_every_round(self, monkeypatch, fit):
+        records = sampled_records(random_density(np.random.default_rng(16)), 2000, 16)
+        expected = fit(records)
+        lbfgsb, objective = tomo._lbfgsb, tomo.objective_and_gradient
+        rounds, seen = [], []
+
+        def counted_lbfgsb(fun, *args, **kwargs):
+            def counted(t, rows):
+                rounds.append(len(rows))
+                return fun(t, rows)
+            return lbfgsb(counted, *args, **kwargs)
+
+        def counting(t, *args, **kwargs):
+            seen.append(len(np.atleast_2d(t)))
+            return objective(t, *args, **kwargs)
+
+        monkeypatch.setattr(tomo, "_lbfgsb", counted_lbfgsb)
+        monkeypatch.setattr(tomo, "objective_and_gradient", counting)
+        assert fit(records) == expected
+        assert len(rounds) > 1 and seen == rounds
 
 
 class TestPlanCache:
