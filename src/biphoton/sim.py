@@ -37,6 +37,9 @@ _PLAN_LABELS = ("H", "V", "D", "R")
 #: Entropy words below this fit one uint32 each.
 _WORD_LIMIT = 1 << 32
 
+#: The header row of a count-record CSV.
+_CSV_HEADER = ["setting_1", "setting_2", "counts", "expected_pairs"]
+
 
 # numpy's SeedSequence hash (numpy/random/bit_generator.pyx), whose output
 # numpy's stream-compatibility policy (NEP 19) keeps fixed. Each hash step
@@ -57,11 +60,8 @@ def stream(seed: int, *key: int, count: int | None = None):
     iterator over the generators of (seed, *key, i) for i in range(count).
 
     The entropy words [seed, *key] seed a `SeedSequence`, which seeds a
-    PCG64 generator, as `default_rng` would. Words that all fit in 32 bits
-    go in as one uint32 array, the same pool at about half the cost of the
-    list. (The range is checked up front: numpy 1.24 wraps an out-of-range
-    int into uint32 with a warning instead of raising.) Where up to 4 such
-    words, the index included, seed `count` streams, `_hashed_seeds` hashes
+    PCG64 generator, as `default_rng` would. Where up to 4 words below
+    2**32, the index included, seed `count` streams, `_hashed_seeds` hashes
     them all at once, giving the same states at a fraction of the cost.
     Each word must be a non-negative integer: a float is refused, not
     truncated.
@@ -73,9 +73,7 @@ def stream(seed: int, *key: int, count: int | None = None):
             return (np.random.Generator(np.random.PCG64(_HashedSeed(row)))
                     for row in _hashed_seeds(words, count))
         return (stream(*words, i) for i in range(count))
-    if max(words) < _WORD_LIMIT:
-        words = np.array(words, dtype=np.uint32)
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(words)))
+    return np.random.default_rng(words)
 
 
 def _word(value, what: str = "seed") -> int:
@@ -230,17 +228,12 @@ def _probabilities(rho: DensityMatrix, pairs: np.ndarray) -> list:
     return _clip_unit(_expectations(rho.matrix, pairs)).tolist()
 
 
-def sample_counts(p: float, mean_pairs: float, seed) -> int:
-    """Poisson draw with mean p * mean_pairs.
-
-    `seed` is an integer or a numpy Generator; equal integer seeds replay
-    identical counts.
-    """
+def sample_counts(p: float, mean_pairs: float, rng: np.random.Generator) -> int:
+    """Poisson draw with mean p * mean_pairs from the generator `rng`."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"probability {p!r} outside [0, 1]")
     if mean_pairs < 0:
         raise ValueError("mean_pairs must be non-negative")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     return int(rng.poisson(p * mean_pairs))
 
 
@@ -446,7 +439,7 @@ def records_to_csv(records, path) -> None:
     """Write records as CSV columns setting_1, setting_2, counts, expected_pairs."""
     buffer = io.StringIO(newline="")
     writer = csv.writer(buffer)
-    writer.writerow(["setting_1", "setting_2", "counts", "expected_pairs"])
+    writer.writerow(_CSV_HEADER)
     for rec in records:
         writer.writerow([rec.setting.label_1, rec.setting.label_2,
                          repr(rec.counts), repr(rec.expected_pairs)])
@@ -466,7 +459,7 @@ def _labelled_setting(label_1: str, label_2: str) -> MeasurementSetting:
 def records_from_csv(path) -> list:
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
-    if not rows or rows[0] != ["setting_1", "setting_2", "counts", "expected_pairs"]:
+    if not rows or rows[0] != _CSV_HEADER:
         raise ValueError(f"{path} is not a count-record CSV")
     records = []
     for line, row in enumerate(rows[1:], start=2):

@@ -105,23 +105,6 @@ class CholeskyParams:
         return DensityMatrix(_density_from_params(self.t))
 
 
-def _lower_from_params(t: np.ndarray) -> np.ndarray:
-    """Lower-triangular T of each parameter vector along the last axis: the
-    16 floats stored into the float64 view of a zeroed matrix, the exact
-    inverse of `_params_from_lower`'s gather.
-
-    Each float lands as given, zero signs included, where the complex form
-    `t_re + 1j * t_im` (the tests' reference) turns some of them into +0.0.
-    No output byte of `objective_and_gradient` or `_density_from_params`
-    depends on those signs: T reaches them only through matmuls, where a
-    zero's sign changes no non-zero sum and an all-zero sum comes out +0.0,
-    as the sums start from +0.0.
-    """
-    floats = np.zeros(t.shape[:-1] + (32,))
-    floats[..., _PARAM_FLOATS] = t
-    return floats.view(np.complex128).reshape(t.shape[:-1] + (4, 4))
-
-
 def _params_from_lower(tri: np.ndarray) -> np.ndarray:
     """The 16 reals of the diagonal and lower triangle, in parameter order,
     of each complex matrix along the last two axes, read as one gather from
@@ -149,7 +132,7 @@ class _Work:
 
     T's floats are zeroed once: only the `_PARAM_FLOATS` places are ever
     written, so the upper triangle and the diagonal's imaginary parts stay
-    +0.0, as in `_lower_from_params`.
+    +0.0, and `_params_from_lower` reads the rows back.
     """
 
     shape = None
@@ -214,23 +197,22 @@ def _density_from_params(t: np.ndarray) -> np.ndarray:
     return work.gram.reshape(t.shape[:-1] + (4, 4))
 
 
-def params_from_density(rho, floor: float = _INIT_EIGEN_FLOOR) -> CholeskyParams:
+def params_from_density(rho) -> CholeskyParams:
     """Parameters whose induced state matches `rho` after flooring eigenvalues.
 
-    Eigenvalues below `floor` are raised to it (and the state renormalized)
+    Eigenvalues below 1e-6 are raised to it (and the state renormalized)
     so the Cholesky factor exists even for rank-deficient inputs.
     """
     mat = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
-    return CholeskyParams(_params_from_densities(mat[None], floor)[0])
+    return CholeskyParams(_params_from_densities(mat[None])[0])
 
 
-def _params_from_densities(mats: np.ndarray,
-                           floor: float = _INIT_EIGEN_FLOOR) -> np.ndarray:
+def _params_from_densities(mats: np.ndarray) -> np.ndarray:
     """`params_from_density` of each matrix of an (R, 4, 4) stack, as an
     (R, 16) array. The stacked eigh, matmul, trace and cholesky give each
     row the bits they give that matrix alone."""
     evals, evecs = np.linalg.eigh(mats)
-    evals = np.clip(evals, floor, None)
+    evals = np.clip(evals, _INIT_EIGEN_FLOOR, None)
     mats = (evecs * evals[:, None, :]) @ evecs.conj().transpose(0, 2, 1)
     mats /= mats.trace(axis1=1, axis2=2).real.reshape(-1, 1, 1)
     return _params_from_lower(np.linalg.cholesky(mats))
@@ -344,12 +326,13 @@ def objective_and_gradient(t: np.ndarray, counts: np.ndarray,
     diagonal floats only: the other subtractions of zeros change no float,
     as none is -0.0. The factor 2 is taken into dldp, as -2 r / f and
     r^2 / (N f^2): scaling by a power of two is exact in IEEE arithmetic
-    short of overflow and underflow. `_lower_from_params` keeps the signs of
-    zeros in T, which no output byte depends on. A row whose 1 / tr
-    overflows is evaluated at t scaled by a power of two (`_unit_gram`),
-    and its gradient scaled back once at the end. Each step writes into
-    `work` through `out=` with the kernel and operand order of its
-    allocating form, which gives the same bytes.
+    short of overflow and underflow. T's float store keeps the signs of
+    zeros that `t_re + 1j * t_im` would turn into +0.0; no output byte
+    depends on them, as T reaches them only through matmul sums, which
+    start from +0.0. A row whose 1 / tr overflows is evaluated at t scaled
+    by a power of two (`_unit_gram`), and its gradient scaled back once at
+    the end. Each step writes into `work` through `out=` with the kernel
+    and operand order of its allocating form, which gives the same bytes.
     """
     t = np.asarray(t, dtype=float)
     projectors = np.asarray(projectors, dtype=complex)
@@ -650,21 +633,18 @@ def _fit_blocks(fit, blocks) -> np.ndarray:
 
 
 def bootstrap_errors(records, replicas: int = 200, seed: int = 0, *,
-                     resample: bool = True, target: PureState | None = None,
-                     jobs: int = 1) -> dict:
+                     target: PureState | None = None, jobs: int = 1) -> dict:
     """Standard deviations of concurrence, fidelity and S over resampled data.
 
     Each replica redraws every count as Poisson(n_v) (stream derived from
     (seed, replica index)), re-runs the reconstruction from its own
-    linear-inversion start and recomputes the metrics; `resample=False`
-    replays the original counts, which must give identically zero spread.
-    The CHSH statistic is evaluated on each replica's state at the
-    optimal analyzer set, `bell.OPTIMAL_PLAN`. The replicas are split into
-    `jobs` (1 to `replicas`) contiguous blocks, each fitted by one
-    `_lbfgsb` call, `_FIT_SLOTS` in flight at a time, all but the first in
-    forked processes (`_fit_blocks`); `jobs=1` forks nothing. Each fit
-    equals the replica's own `mle_reconstruct` fit, so every `jobs` gives
-    the same bytes.
+    linear-inversion start and recomputes the metrics. The CHSH statistic
+    is evaluated on each replica's state at the optimal analyzer set,
+    `bell.OPTIMAL_PLAN`. The replicas are split into `jobs` (1 to
+    `replicas`) contiguous blocks, each fitted by one `_lbfgsb` call,
+    `_FIT_SLOTS` in flight at a time, all but the first in forked processes
+    (`_fit_blocks`); `jobs=1` forks nothing. Each fit equals the replica's
+    own `mle_reconstruct` fit, so every `jobs` gives the same bytes.
     """
     if replicas < 2:
         raise ValueError("bootstrap needs at least 2 replicas")
@@ -673,8 +653,8 @@ def bootstrap_errors(records, replicas: int = 200, seed: int = 0, *,
     if target is None:
         target = bell_state("phi+")
     draws = np.array([rng.poisson(counts)
-                      for rng in stream(seed, _BOOTSTRAP_STREAM, count=replicas)]
-                     if resample else [counts] * replicas, dtype=float)
+                      for rng in stream(seed, _BOOTSTRAP_STREAM, count=replicas)],
+                     dtype=float)
     starts = _params_from_densities(_linear_start(design, draws, pairs))
 
     def fit(lo, hi):

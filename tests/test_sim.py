@@ -261,23 +261,24 @@ class TestStackedForms:
 class TestSampleCounts:
     def test_zero_probability_always_zero(self):
         for seed in range(5):
-            assert sample_counts(0.0, 1e6, seed) == 0
+            assert sample_counts(0.0, 1e6, np.random.default_rng(seed)) == 0
 
     def test_poisson_concentration(self):
         for seed in (1, 2, 3):
-            n = sample_counts(0.5, 20000, seed)
+            n = sample_counts(0.5, 20000, np.random.default_rng(seed))
             assert abs(n - 10000) < 5 * np.sqrt(10000)
 
     def test_seed_determinism(self):
-        assert sample_counts(0.3, 1000, 42) == sample_counts(0.3, 1000, 42)
+        assert (sample_counts(0.3, 1000, np.random.default_rng(42))
+                == sample_counts(0.3, 1000, np.random.default_rng(42)))
 
     def test_probability_validated(self):
         with pytest.raises(ValueError):
-            sample_counts(1.5, 100, 0)
+            sample_counts(1.5, 100, np.random.default_rng(0))
 
     def test_negative_mean_pairs_rejected(self):
         with pytest.raises(ValueError, match="mean_pairs"):
-            sample_counts(0.5, -1.0, 0)
+            sample_counts(0.5, -1.0, np.random.default_rng(0))
 
 
 class TestFringeFit:
@@ -492,9 +493,8 @@ class TestTomographyAcquisition:
 
 
 class TestStream:
-    # Entropy words that all fit in 32 bits reach SeedSequence as one uint32
-    # array, others as a list; both must give default_rng's draws. Any
-    # warning fails, so numpy 1.24 may not wrap an out-of-range word.
+    # Every single stream must give default_rng's draws of its entropy list,
+    # words below and from 2**32 alike. Any warning fails.
     @pytest.mark.parametrize("seed", [0, 7, 2**31 - 1, 2**32 - 1, 2**32, 2**64 + 3])
     @pytest.mark.parametrize("tag", [sim._TOMO_STREAM, sim._FRINGE_STREAM,
                                      sim._CHSH_STREAM, sim._BOOTSTRAP_STREAM])

@@ -97,11 +97,11 @@ def oracle_objective(t, counts, pairs, projectors):
     return values, reference_pack(2.0 * weight @ tri), probs
 
 
-def reference_params(mat, floor=tomo._INIT_EIGEN_FLOOR):
+def reference_params(mat):
     """The one-matrix body of params_from_density: floor the eigenvalues,
     renormalize and take the Cholesky factor."""
     evals, evecs = np.linalg.eigh(mat)
-    evals = np.clip(evals, floor, None)
+    evals = np.clip(evals, tomo._INIT_EIGEN_FLOOR, None)
     mat = (evecs * evals) @ evecs.conj().T
     mat /= np.real(np.trace(mat))
     return reference_pack(np.linalg.cholesky(mat))
@@ -880,12 +880,6 @@ class TestBootstrapErrors:
         assert np.array_equal(x[1], res.x)
         assert iterations[1] == res.nit and tuple(traces[1]) == trace
 
-    def test_no_resampling_gives_zero_spread(self):
-        rho = to_density(bell_state("phi+"))
-        records = exact_tomography(rho, PLAN, 5000)
-        errors = bootstrap_errors(records, replicas=5, seed=0, resample=False)
-        assert errors == {"concurrence": 0.0, "fidelity": 0.0, "S": 0.0}
-
     def test_positive_and_deterministic(self):
         rho = to_density(bell_state("phi+"))
         records = sampled_records(rho, 3000, 41)
@@ -1081,9 +1075,10 @@ def signed_zero_pool():
 
 
 class TestSignedZeroAssembly:
-    """`_lower_from_params` stores each float as given, where the oracles'
-    `t_re + 1j * t_im` turns some zero signs into +0.0; the objective, its
-    gradient and the densities must not see the difference, byte for byte."""
+    """T's float store keeps each float as given, where the oracles'
+    `t_re + 1j * t_im` turns some zero signs into +0.0; the densities of
+    starts and fits must not see the difference, byte for byte
+    (`TestFrozenForms` checks the objective and its gradient on this pool)."""
 
     POOL = signed_zero_pool()
 
@@ -1096,45 +1091,27 @@ class TestSignedZeroAssembly:
         assert (mixed[4:] == 0.0).all()
 
     def test_store_is_the_inverse_of_the_gather(self):
+        # The store `_unit_gram` writes into a bound `_Work`, filled twice:
+        # the upper triangle and the diagonal's imaginary parts stay +0.0
+        # and `_params_from_lower` reads each row back.
         pool = np.array([0.0, -0.0, np.inf, -np.inf, 5e-324, -2.5e-310, 1.0]).view(np.uint64)
         pool = np.append(pool, [np.uint64(0x7FF8_0000_0000_0123),
                                 np.uint64(0xFFF8_0000_0000_0000)]).view(np.float64)
-        t = np.random.default_rng(113).choice(pool, (64, 16))
-        tri = tomo._lower_from_params(t)
-        assert tri.shape == (64, 4, 4) and tri.dtype == np.complex128
-        assert tomo._params_from_lower(tri).tobytes() == t.tobytes()
-        assert np.array_equal(np.triu(tri, 1), np.zeros((64, 4, 4)))
-        assert not np.signbit(np.triu(tri, 1).view(np.float64)).any()
-        assert not np.signbit(np.diagonal(tri, axis1=1, axis2=2).imag).any()
-        finite = np.isfinite(t).all(axis=1)
-        assert np.array_equal(tri[finite], reference_lower(t[finite]))
-
-    @pytest.mark.parametrize("rows", [1, 7, 64])
-    def test_objective_equals_the_frozen_assembly(self, rows):
-        rng = np.random.default_rng(rows)
-        projectors, counts, pairs = record_arrays(
-            sampled_records(random_density(rng), 2000, rows))
-        stacked_counts = counts + rng.integers(0, 5, (len(self.POOL), 16))
-        for lo in range(0, len(self.POOL), rows):
-            t = self.POOL[lo:lo + rows]
-            for row_counts in (counts, stacked_counts[lo:lo + rows]):
-                values, grads = objective_and_gradient(t, row_counts, pairs, projectors)
-                expected, expected_grads, _ = oracle_objective(t, row_counts, pairs,
-                                                               projectors)
-                assert np.isfinite(values).all()
-                assert values.tobytes() == expected.tobytes()
-                assert grads.tobytes() == expected_grads.tobytes()
-                if rows == 1:
-                    value, grad = objective_and_gradient(t[0], row_counts.reshape(16),
-                                                         pairs, projectors)
-                    assert np.float64(value).tobytes() == values[0].tobytes()
-                    assert grad.tobytes() == grads[0].tobytes()
-
-    def test_density_equals_the_frozen_assembly(self):
-        densities = tomo._density_from_params(self.POOL)
-        for t, mat in zip(self.POOL, densities):
-            assert mat.tobytes() == reference_density(t).tobytes()
-            assert tomo._density_from_params(t).tobytes() == mat.tobytes()
+        rng = np.random.default_rng(113)
+        work = tomo._Work()
+        work.bind(64, 0)
+        for _ in range(2):
+            t = rng.choice(pool, (64, 16))
+            with np.errstate(all="ignore"):
+                assert tomo._unit_gram(t, work) is None
+            tri = work.tri
+            assert tri.shape == (64, 4, 4) and tri.dtype == np.complex128
+            assert tomo._params_from_lower(tri).tobytes() == t.tobytes()
+            upper = np.triu(tri, 1).view(np.float64)
+            assert not upper.any() and not np.signbit(upper).any()
+            assert not np.signbit(np.diagonal(tri, axis1=1, axis2=2).imag).any()
+            finite = np.isfinite(t).all(axis=1)
+            assert np.array_equal(tri[finite], reference_lower(t[finite]))
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_non_finite_parameters_stay_non_finite(self, bad):
@@ -1185,47 +1162,14 @@ class TestSignedZeroAssembly:
         self.assert_densities_match(params)
 
 
-def frozen_objective(t, counts, pairs, projectors):
-    """The stacked objective as written before its float-view forms: rho as
-    the complex `gram / trace`, and the weight's identity term as a complex
-    subtract of `c * I` divided by the trace. Returns the probabilities too."""
-    t = np.asarray(t, dtype=float)
-    tri = tomo._lower_from_params(t.reshape(-1, 16))
-    gram = tri @ tri.conj().transpose(0, 2, 1)
-    trace = gram.trace(axis1=1, axis2=2).real.reshape(-1, 1, 1)
-    rhos = gram / trace
-    terms = np.einsum("nij,rji->rni", projectors, rhos).real
-    probs = terms[..., 0] + terms[..., 1] + terms[..., 2] + terms[..., 3]
-    floored = np.maximum(probs, tomo._PROB_FLOOR)
-    residuals = counts - pairs * probs
-    squares = residuals ** 2
-    values = np.add.reduce(squares / (2.0 * pairs * floored), axis=1)
-    dldp2 = (-2.0 * residuals) / floored
-    above = probs > tomo._PROB_FLOOR
-    unfrozen = dldp2 - squares / (pairs * floored ** 2)
-    dldp2 = (unfrozen if np.logical_and.reduce(above, axis=None)
-             else np.where(above, unfrozen, dldp2))
-    flat = projectors.reshape(len(projectors), 16).view(np.float64)
-    weight = np.einsum("rn,nk->rk", dldp2, flat).view(np.complex128).reshape(-1, 4, 4)
-    weight = (weight - np.add.reduce(dldp2 * probs, axis=1).reshape(-1, 1, 1)
-              * np.eye(4)) / trace
-    return values, tomo._params_from_lower(weight @ tri), probs
-
-
-def frozen_density(t):
-    """`_density_from_params` as written before its float-view form."""
-    tri = tomo._lower_from_params(t)
-    gram = tri @ tri.conj().swapaxes(-1, -2)
-    return gram / gram.trace(axis1=-2, axis2=-1).real[..., None, None]
-
-
 class TestFrozenForms:
-    """The objective, its gradient and `_density_from_params` multiply the
-    floats of the Gram matrix and of the weight by 1 / tr, and subtract the
-    identity term from the weight's real diagonal floats only; byte for
-    byte, they must give what the complex forms gave, on the signed-zero
-    pool at scales from 1e-3 to 1e3 (below-floor rows and subnormals
-    included)."""
+    """The objective, its gradient and `_density_from_params` store T's
+    floats as given, multiply the floats of the Gram matrix and of the
+    weight by 1 / tr, and subtract the identity term from the weight's real
+    diagonal floats only; byte for byte, they must give what the complex
+    forms of `oracle_objective` and `reference_density` give, on the
+    signed-zero pool at scales from 1e-3 to 1e3 (below-floor rows and
+    subnormals included)."""
 
     POOL = np.vstack([signed_zero_pool() * scale for scale in (1e-3, 1e-1, 1.0, 1e1, 1e3)])
 
@@ -1240,7 +1184,7 @@ class TestFrozenForms:
             t = self.POOL[lo:lo + rows]
             for row_counts in (counts, stacked_counts[lo:lo + rows]):
                 values, grads = objective_and_gradient(t, row_counts, pairs, projectors)
-                expected, expected_grads, probs = frozen_objective(t, row_counts, pairs,
+                expected, expected_grads, probs = oracle_objective(t, row_counts, pairs,
                                                                    projectors)
                 assert np.isfinite(values).all()
                 assert values.tobytes() == expected.tobytes()
@@ -1257,9 +1201,10 @@ class TestFrozenForms:
     def test_density(self, rows):
         for lo in range(0, len(self.POOL), rows):
             t = self.POOL[lo:lo + rows]
-            assert tomo._density_from_params(t).tobytes() == frozen_density(t).tobytes()
+            expected = np.stack([reference_density(row) for row in t])
+            assert tomo._density_from_params(t).tobytes() == expected.tobytes()
             if rows == 1:
-                assert tomo._density_from_params(t[0]).tobytes() == frozen_density(t[0]).tobytes()
+                assert tomo._density_from_params(t[0]).tobytes() == expected[0].tobytes()
 
 
 class TestSubnormalTrace:
@@ -1290,7 +1235,7 @@ class TestSubnormalTrace:
 
     def test_rows_in_a_stack(self):
         # Tiny rows among normal ones: every row equals its own call, and the
-        # normal rows keep the frozen bytes.
+        # normal rows keep the oracles' bytes.
         projectors, counts, pairs = record_arrays(
             sampled_records(random_density(np.random.default_rng(8)), 2000, 8))
         t = np.vstack([self.T0 * scale for scale in [1.0] + self.SCALES + [3.0]])
@@ -1302,9 +1247,9 @@ class TestSubnormalTrace:
             assert grad.tobytes() == grads[r].tobytes()
             assert tomo._density_from_params(row).tobytes() == densities[r].tobytes()
         for r in (0, len(t) - 1):
-            expected, expected_grads, _ = frozen_objective(t[r], counts, pairs, projectors)
+            expected, expected_grads, _ = oracle_objective(t[r], counts, pairs, projectors)
             assert values[r] == expected[0] and np.array_equal(grads[r], expected_grads[0])
-            assert densities[r].tobytes() == frozen_density(t[r]).tobytes()
+            assert densities[r].tobytes() == reference_density(t[r]).tobytes()
 
     @pytest.mark.parametrize("scale", SCALES)
     def test_objective_matches_the_unscaled_row(self, scale):
@@ -1331,7 +1276,7 @@ class TestSubnormalTrace:
 class TestWorkReuse:
     """One `_Work` kept across calls whose row count goes 64 -> 47 -> 1 -> 64,
     two calls per count (rebinding only where the count changes): every call
-    must give the bytes of `frozen_objective` and of a call with fresh
+    must give the bytes of `oracle_objective` and of a call with fresh
     buffers, and no call may change what an earlier one returned. The rows
     hold the signed-zero pool (below-floor and subnormal rows included) and
     a row whose trace is subnormal, which reruns `_unit_gram` in the same
@@ -1339,11 +1284,11 @@ class TestWorkReuse:
 
     @staticmethod
     def expected(t, counts, pairs, projectors):
-        """`frozen_objective` of each row, or of the row scaled into the
+        """`oracle_objective` of each row, or of the row scaled into the
         normal range where 1 / tr overflows, its gradient scaled back."""
         tiny = np.sum(t * t, axis=1) <= 2.0 ** -1024
         shifts = np.where(tiny, -np.frexp(np.abs(t).max(axis=1))[1], 0)[:, None]
-        values, grads, probs = frozen_objective(np.ldexp(t, shifts), counts, pairs,
+        values, grads, probs = oracle_objective(np.ldexp(t, shifts), counts, pairs,
                                                 projectors)
         return values, np.ldexp(grads, shifts), probs
 
