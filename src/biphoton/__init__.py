@@ -14,7 +14,7 @@ use, and importing :mod:`~biphoton.cli` loads no numpy or PyYAML.
 
 import importlib
 
-__all__ = ["bell", "optics", "qstate", "sim", "tomo"]
+__all__ = ["bell", "cli", "optics", "qstate", "scenario", "sim", "tomo"]
 
 __version__ = "0.1.0"
 

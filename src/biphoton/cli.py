@@ -1,11 +1,11 @@
-"""Scenario runner and reporting.
+"""The `biphoton` command line and the scenario runner.
 
 A scenario describes one experiment: a source state, an ordered chain of
 polarization channels, a white-noise fraction (given directly or fitted to
-a target concurrence), and a seeded measurement plan. Running it writes a
-deterministic set of artifacts (density matrix JSON, count CSVs, fringe
-CSVs, metrics summary and a manifest) suitable for plotting without
-re-running.
+a target concurrence), and a seeded measurement plan; `biphoton.scenario`
+says what each entry means. Running it writes a deterministic set of
+artifacts (density matrix JSON, count CSVs, fringe CSVs, metrics summary
+and a manifest) suitable for plotting without re-running.
 
 Four named scenarios ship with the package as YAML files under
 `biphoton/scenarios/`, modeling an entangled-photon source measured
@@ -39,10 +39,9 @@ from typing import TYPE_CHECKING
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 if TYPE_CHECKING:
-    from biphoton import bell, optics
-    from biphoton.qstate import DensityMatrix, PureState
-    from biphoton.scenario import (ChannelSpec, EfficiencyBudget, ScenarioConfig,
-                                   ScenarioModel, ScenarioReport)
+    from biphoton import bell
+    from biphoton.qstate import DensityMatrix
+    from biphoton.scenario import EfficiencyBudget, ScenarioConfig, ScenarioModel, ScenarioReport
 
 #: `fit_noise` steps whose eigenbasis gap lies this close to the 1e-6 stop
 #: are decided by the exact concurrence; the two gaps differ by about 1e-14
@@ -140,40 +139,6 @@ def fit_noise(target_concurrence: float, base_state: DensityMatrix) -> float:
 # Scenario assembly
 # ---------------------------------------------------------------------------
 
-def build_channel(spec: ChannelSpec) -> optics.KrausChannel:
-    from biphoton import optics
-    if spec.kind == "coupler":
-        return optics.anisotropic_coupler(**spec.params, arm=spec.arm)
-    if spec.kind == "polarizer":
-        return optics.polarizer(**spec.params, arm=spec.arm)
-    if spec.kind == "waveplate":
-        return optics.KrausChannel.from_jones(optics.waveplate(**spec.params), spec.arm)
-    return optics.KrausChannel.identity(spec.arm)
-
-
-def _coupler_etas(config: ScenarioConfig) -> tuple[float, float]:
-    """(eta_h, eta_v) of the first coupler in the chain; (1, 1) without one."""
-    for spec in config.channel_chain:
-        if spec.kind == "coupler":
-            return spec.params["eta_h"], spec.params["eta_v"]
-    return 1.0, 1.0
-
-
-def source_state(config: ScenarioConfig) -> PureState:
-    from biphoton import optics, scenario
-    if config.source == "compensated":
-        eta_h, eta_v = _coupler_etas(config)
-        if eta_h == eta_v == 1.0:
-            raise ValueError("'compensated' source needs a coupler in the chain")
-        return optics.compensated_source(eta_h, eta_v)
-    return scenario._pure_state(config.source, "source")
-
-
-def target_state(config: ScenarioConfig) -> PureState:
-    from biphoton import scenario
-    return scenario._pure_state(config.fidelity_target, "fidelity_target")
-
-
 def resolve_model(config: ScenarioConfig) -> ScenarioModel:
     """Source through channels and noise; no randomness involved.
 
@@ -183,14 +148,14 @@ def resolve_model(config: ScenarioConfig) -> ScenarioModel:
     analyzers actually receive.
     """
     from biphoton import optics, qstate, scenario, sim
-    channels = [build_channel(spec) for spec in config.channel_chain]
-    outcome = optics.apply_chain(qstate.to_density(source_state(config)), channels)
+    channels = [spec.channel() for spec in config.channel_chain]
+    outcome = optics.apply_chain(qstate.to_density(config.source_state()), channels)
     if config.noise_fit_concurrence is not None:
         noise_p = fit_noise(config.noise_fit_concurrence, outcome.state)
     else:
         noise_p = config.noise_p or 0.0
     state = optics.depolarize(outcome.state, noise_p)
-    eta_h, eta_v = _coupler_etas(config)
+    eta_h, eta_v = config.coupler_etas
     leak = None
     if config.singles_extinction is not None:
         leak = sim.leak_fraction_for_extinction(config.singles_extinction,
@@ -206,7 +171,7 @@ def resolve_model(config: ScenarioConfig) -> ScenarioModel:
         effective_pairs=config.mean_pairs * outcome.success_probability,
         eta_h=eta_h,
         eta_v=eta_v,
-        target=target_state(config),
+        target=config.target_state(),
         singles_leak=leak,
     )
 
@@ -383,25 +348,7 @@ def load_scenario(path) -> ScenarioConfig:
         # PyYAML's marks name the file too; the prefix alone names it here.
         message = " ".join(str(exc).split()).replace(f' in "{path}"', "")
         raise ValueError(f"{path}: invalid YAML: {message}") from None
-    if not isinstance(raw, dict):
-        raise ValueError(f"{path}: scenario file must hold a mapping")
-    for key, (*_, required) in scenario._KEYS.items():
-        if required and key not in raw:
-            raise ValueError(f"{path}: scenario must specify a {key}")
-    entries = raw.pop("channel_chain", None)
-    if not isinstance(entries, (list, type(None))):
-        raise ValueError(f"{path}: channel_chain must be a list of channels, "
-                         f"got {entries!r}")
-    chain = []
-    for i, entry in enumerate(entries or []):
-        if not isinstance(entry, dict) or "kind" not in entry:
-            raise ValueError(f"{path}: channel_chain entry {i} must be a mapping with a kind")
-        params = {k: v for k, v in entry.items() if k not in ("kind", "arm")}
-        chain.append(scenario.ChannelSpec(entry["kind"], params, entry.get("arm", 1)))
-    unknown = set(raw) - set(scenario._KEYS)
-    if unknown:
-        raise ValueError(f"{path}: unknown scenario keys {sorted(unknown, key=str)}")
-    return scenario.ScenarioConfig(channel_chain=tuple(chain), **raw)
+    return scenario.ScenarioConfig.from_mapping(raw, path)
 
 
 def _resolve_config(arg: str, seed: int | None, outputs: str | None) -> ScenarioConfig:

@@ -1,16 +1,19 @@
-"""Scenario configuration: the value types of a scenario and the checks
-they run when built.
+"""Scenario configuration: the value types of a scenario, the checks they
+run when built, and what a scenario's entries mean.
 
-A `ScenarioConfig` checks every key by its row of `_KEYS`, and each
-`ChannelSpec` parses its parameters by `_CHANNEL_PARAMS`, so a faulty
-scenario is rejected when it is built. `ScenarioModel` holds a resolved
-model, `ScenarioReport` a finished run and `EfficiencyBudget` the result of
-the `budget` command. `_strict_loader` is the YAML dialect of scenario
-files: libyaml's loader where PyYAML has it, with repeated keys rejected.
+`ScenarioConfig.from_mapping` checks the shape of a parsed scenario file,
+a `ScenarioConfig` checks every key by its row of `_KEYS` and that a
+`compensated` source has a coupler, and each `ChannelSpec` parses its
+parameters by `_CHANNEL_PARAMS`; so a faulty scenario is rejected when it
+is built. A config gives its source and target states, a spec its optics
+channel. `ScenarioModel` holds a resolved model, `ScenarioReport` a
+finished run and `EfficiencyBudget` the result of the `budget` command.
+`_strict_loader` is the YAML dialect of scenario files: libyaml's loader
+where PyYAML has it, with repeated keys rejected.
 
-Importing this module loads neither numpy nor PyYAML: the state checks load
-`qstate` on first use, the plan check loads `sim`, and PyYAML loads when
-the first scenario file is parsed.
+Importing this module loads neither numpy nor PyYAML: `qstate` and
+`optics` load when a state or channel is first built, PyYAML when the
+first scenario file is parsed.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
-    from biphoton import bell, tomo
+    from biphoton import bell, optics, tomo
     from biphoton.qstate import DensityMatrix, PureState
 
 #: Largest accepted mean_pairs; numpy's Poisson sampler refuses means above
@@ -41,12 +44,8 @@ MAX_BOOTSTRAP_REPLICAS = 100_000
 #: libyaml also accepts tabs as separators ("seed:\t7").
 _YAML_LOADER = None
 
-
-def _default_plan() -> str:
-    """`sim.PLAN_HVDR16`, the default and only tomography plan, read when a
-    config is built."""
-    from biphoton import sim
-    return sim.PLAN_HVDR16
+#: Identifier of the default and only 16-setting tomography plan.
+PLAN_HVDR16 = "hvdr16"
 
 
 def _number(value, what: str, finite: bool = False) -> float:
@@ -111,6 +110,17 @@ class ChannelSpec:
             raise ValueError(f"unexpected {kind} parameters: {sorted(given, key=str)}")
         object.__setattr__(self, "params", params)
 
+    def channel(self) -> optics.KrausChannel:
+        """The optics channel this entry describes, acting on its arm."""
+        from biphoton import optics
+        if self.kind == "coupler":
+            return optics.anisotropic_coupler(**self.params, arm=self.arm)
+        if self.kind == "polarizer":
+            return optics.polarizer(**self.params, arm=self.arm)
+        if self.kind == "waveplate":
+            return optics.KrausChannel.from_jones(optics.waveplate(**self.params), self.arm)
+        return optics.KrausChannel.identity(self.arm)
+
 
 def _state_test(key: str, *names):
     """The range test of a state key: one of `names`, or a spec that
@@ -124,7 +134,7 @@ _STATE, _UNIT = "a state name or a schmidt_theta mapping", "a number in [0, 1]"
 #: the phrase its error gives, whether a scenario file must give it). A float
 #: key takes a real number by `_number`, an int key an int that is not a
 #: bool; None lets a key stay unset. A range test returns False or raises its
-#: own ValueError. The plan's phrase is a function: `sim` loads only on use.
+#: own ValueError.
 _KEYS = {
     "name": ((str,), None, "a string", True),
     "source": ((str, dict), _state_test("source", "compensated"), _STATE, True),
@@ -139,8 +149,7 @@ _KEYS = {
     "noise_fit_concurrence": ((float, type(None)), lambda v: 0 <= v <= 1, _UNIT, False),
     # An infinite extinction ratio is a polarizer that leaks nothing.
     "singles_extinction": ((float, type(None)), lambda v: v > 1, "a number above 1", False),
-    "tomography_plan": ((str,), lambda v: v == _default_plan(),
-                        lambda: repr(_default_plan()), False),
+    "tomography_plan": ((str,), lambda v: v == PLAN_HVDR16, repr(PLAN_HVDR16), False),
 }
 
 
@@ -155,7 +164,7 @@ class ScenarioConfig:
     noise_fit_concurrence: float | None = None
     fidelity_target: str | dict = "phi+"
     singles_extinction: float | None = None
-    tomography_plan: str = field(default_factory=_default_plan)
+    tomography_plan: str = PLAN_HVDR16
     mean_pairs: float = 10_000
     seed: int = 0
     outputs: str = "out"
@@ -170,10 +179,53 @@ class ScenarioConfig:
                 _number(value, key)
             typed = float in types or isinstance(value, types) and not isinstance(value, bool)
             if not typed or test is not None and not test(value):
-                phrase = phrase() if callable(phrase) else phrase
                 raise ValueError(f"{key} must be {phrase}, got {value!r}")
         if self.noise_p is not None and self.noise_fit_concurrence is not None:
             raise ValueError("give noise_p or noise_fit_concurrence, not both")
+        if self.source == "compensated" and all(s.kind != "coupler" for s in self.channel_chain):
+            raise ValueError("'compensated' source needs a coupler in the chain")
+
+    @classmethod
+    def from_mapping(cls, raw, path) -> ScenarioConfig:
+        """The config of a parsed scenario file; its shape errors name `path`."""
+        if not isinstance(raw, dict):
+            raise ValueError(f"{path}: scenario file must hold a mapping")
+        for key, (*_, required) in _KEYS.items():
+            if required and key not in raw:
+                raise ValueError(f"{path}: scenario must specify a {key}")
+        entries = raw.get("channel_chain")
+        if not isinstance(entries, (list, type(None))):
+            raise ValueError(f"{path}: channel_chain must be a list of channels, "
+                             f"got {entries!r}")
+        chain = []
+        for i, entry in enumerate(entries or []):
+            if not isinstance(entry, dict) or "kind" not in entry:
+                raise ValueError(f"{path}: channel_chain entry {i} must be a mapping with a kind")
+            params = {k: v for k, v in entry.items() if k not in ("kind", "arm")}
+            chain.append(ChannelSpec(entry["kind"], params, entry.get("arm", 1)))
+        unknown = set(raw) - {*_KEYS, "channel_chain"}
+        if unknown:
+            raise ValueError(f"{path}: unknown scenario keys {sorted(unknown, key=str)}")
+        return cls(**{**raw, "channel_chain": tuple(chain)})
+
+    @property
+    def coupler_etas(self) -> tuple[float, float]:
+        """(eta_h, eta_v) of the first coupler in the chain; (1, 1) without one."""
+        for spec in self.channel_chain:
+            if spec.kind == "coupler":
+                return spec.params["eta_h"], spec.params["eta_v"]
+        return 1.0, 1.0
+
+    def source_state(self) -> PureState:
+        """The source state; `compensated` is the one the coupler maps onto phi+."""
+        if self.source == "compensated":
+            from biphoton import optics
+            return optics.compensated_source(*self.coupler_etas)
+        return _pure_state(self.source, "source")
+
+    def target_state(self) -> PureState:
+        """The pure state the fidelity metric is reported against."""
+        return _pure_state(self.fidelity_target, "fidelity_target")
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,7 @@ import numpy as np
 from biphoton.optics import anisotropic_coupler
 from biphoton.qstate import (DensityMatrix, _checked_density, _clip_unit, _freeze,
                              _frozen, _unit_ket, ket, linear_ket)
+from biphoton.scenario import PLAN_HVDR16
 
 # Purpose tags for derived RNG streams; disjoint so that reusing one master
 # seed across activities never aliases streams.
@@ -28,9 +29,6 @@ _TOMO_STREAM = 1
 _FRINGE_STREAM = 2
 _CHSH_STREAM = 3
 _BOOTSTRAP_STREAM = 4
-
-#: Identifier of the default 16-setting tomography plan.
-PLAN_HVDR16 = "hvdr16"
 
 _PLAN_LABELS = ("H", "V", "D", "R")
 

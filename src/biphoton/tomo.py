@@ -28,11 +28,13 @@ from biphoton.sim import _BOOTSTRAP_STREAM, stream
 
 _PROB_FLOOR = 1e-12
 _OVERFLOW_TRACE = 2.0 ** -1024  # 1 / tr is finite above this, inf at or below
-# L-BFGS-B stops when the objective improves by less than this per iteration
-# or when no gradient component exceeds _GTOL; it keeps _LBFGSB_MEMORY
-# correction pairs and tries at most _LBFGSB_MAXLS steps per line search.
+# L-BFGS-B stops when the objective improves by less than this per iteration,
+# when no gradient component exceeds _GTOL or after _MAX_ITERATIONS, the cap
+# of every fit, bootstrap replicas included; it keeps _LBFGSB_MEMORY correction
+# pairs and tries at most _LBFGSB_MAXLS steps per line search.
 _FTOL = 1e-9
 _GTOL = 1e-10
+_MAX_ITERATIONS = 10_000
 _LBFGSB_MEMORY = 10
 _LBFGSB_MAXLS = 20
 # setulb's task codes: evaluate f and g at x, new iterate, converged, stopped.
@@ -527,7 +529,7 @@ def _lbfgsb(fun, x0: np.ndarray, max_iterations: int, traced=()):
 
 def mle_reconstruct(records, init=None, *, target: PureState | None = None,
                     plan_id: str | None = None,
-                    max_iterations: int = 10_000) -> TomographyResult:
+                    max_iterations: int = _MAX_ITERATIONS) -> TomographyResult:
     """Maximum-likelihood reconstruction over the Cholesky parameterization.
 
     `init` seeds the optimizer (matrix or DensityMatrix); by default the
@@ -660,7 +662,8 @@ def bootstrap_errors(records, replicas: int = 200, seed: int = 0, *,
     def fit(lo, hi):
         work = _Work()
         return _lbfgsb(lambda t, rows: objective_and_gradient(
-            t, draws[lo:hi][rows], pairs, projectors, work=work), starts[lo:hi], 10_000)[0]
+            t, draws[lo:hi][rows], pairs, projectors, work=work),
+            starts[lo:hi], _MAX_ITERATIONS)[0]
 
     fits = _fit_blocks(fit, blocks)
     rhos = _checked_density(_density_from_params(fits))

@@ -310,8 +310,8 @@ def fit_outcome(fit, target: float, base: DensityMatrix) -> str:
 
 def channel_output(config: ScenarioConfig) -> DensityMatrix:
     """The noiseless post-selected state that `resolve_model` fits noise to."""
-    channels = [cli.build_channel(spec) for spec in config.channel_chain]
-    return apply_chain(to_density(cli.source_state(config)), channels).state
+    channels = [spec.channel() for spec in config.channel_chain]
+    return apply_chain(to_density(config.source_state()), channels).state
 
 
 def sweep_configs(count: int, seed: int = 1313):
@@ -518,7 +518,7 @@ class TestScenarioConfig:
         config = ScenarioConfig(name="x", source="phi+", fidelity_target="psi-", seed=1)
         target = scenario._pure_state("psi-", "fidelity_target")
         assert resolve_model(config).target is target
-        assert cli.source_state(config) is scenario._pure_state("phi+", "source")
+        assert config.source_state() is scenario._pure_state("phi+", "source")
         assert not target.amplitudes.flags.writeable
 
     def test_bootstrap_replicas_bound_is_accepted(self, tmp_path):
@@ -538,9 +538,20 @@ class TestResolveModel:
         assert fidelity_with_pure(model.state, bell_state("phi+")) >= 1 - 1e-10
 
     def test_compensated_needs_coupler(self, tmp_path):
-        config = small_config(tmp_path, source="compensated", channel_chain=())
-        with pytest.raises(ValueError, match="coupler"):
-            resolve_model(config)
+        # Refused when the config is built, before any model is resolved.
+        with pytest.raises(ValueError, match="^'compensated' source needs a coupler in the chain$"):
+            small_config(tmp_path, source="compensated", channel_chain=())
+        with pytest.raises(ValueError, match="needs a coupler"):
+            small_config(tmp_path, source="compensated",
+                         channel_chain=(ChannelSpec("waveplate", {"retardance": 1.0}, 1),))
+
+    def test_compensated_behind_lossless_coupler_is_phi_plus(self, tmp_path):
+        chain = (ChannelSpec("coupler", {"eta_h": 1, "eta_v": 1}, 1),)
+        config = small_config(tmp_path, source="compensated", channel_chain=chain,
+                              noise_p=0.0)
+        assert config.coupler_etas == (1.0, 1.0)
+        model = resolve_model(config)
+        assert fidelity_with_pure(model.state, bell_state("phi+")) >= 1 - 1e-10
 
     def test_noise_fit_resolves_concurrence(self, tmp_path):
         config = small_config(tmp_path, noise_p=None, noise_fit_concurrence=0.7)
@@ -1070,6 +1081,18 @@ class TestStartUp:
         run_python(probe, *argv)
         if command != "budget":
             assert any((tmp_path / "out").iterdir())
+
+    def test_package_loads_each_submodule_on_first_use(self):
+        probe = ("import sys, types\n"
+                 "import biphoton\n"
+                 "names = ['bell', 'cli', 'optics', 'qstate', 'scenario', 'sim', 'tomo']\n"
+                 "assert sorted(biphoton.__all__) == names\n"
+                 "assert not [n for n in names if f'biphoton.{n}' in sys.modules]\n"
+                 "for name in names:\n"
+                 "    module = getattr(biphoton, name)\n"
+                 "    assert isinstance(module, types.ModuleType), name\n"
+                 "    assert sys.modules[f'biphoton.{name}'] is module, name\n")
+        run_python(probe)
 
     @pytest.mark.parametrize("first", ["biphoton.tomo", "scipy.optimize"])
     def test_fits_and_minimize_share_one_core(self, first):
