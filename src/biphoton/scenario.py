@@ -182,6 +182,9 @@ class ScenarioConfig:
                 raise ValueError(f"{key} must be {phrase}, got {value!r}")
         if self.noise_p is not None and self.noise_fit_concurrence is not None:
             raise ValueError("give noise_p or noise_fit_concurrence, not both")
+        chain = self.channel_chain
+        if not isinstance(chain, tuple) or not all(isinstance(s, ChannelSpec) for s in chain):
+            raise ValueError(f"channel_chain must be a tuple of ChannelSpec, got {chain!r}")
         if self.source == "compensated" and all(s.kind != "coupler" for s in self.channel_chain):
             raise ValueError("'compensated' source needs a coupler in the chain")
 

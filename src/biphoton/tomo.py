@@ -41,10 +41,12 @@ _LBFGSB_MAXLS = 20
 _TASK_FG, _TASK_NEW_X, _TASK_CONVERGED, _TASK_STOP = 3, 1, 4, 5
 _STOP_MAXITER, _STOP_MAXFUN = 504, 502
 _F = 5  # the objective value's place in setulb's arguments
-# Solver states in flight at a time: a fit that ends frees its slot for the
-# next waiting bootstrap replica. Each slot holds about 16 kB of solver state,
-# so the slot count bounds peak memory.
-_FIT_SLOTS = 64
+# Rows of one `_lbfgsb` pass in `bootstrap_errors`. Each row holds about
+# 18 kB of solver state and `_Work` buffers, so this bounds peak memory.
+_FIT_ROWS = 256
+# `bootstrap_jobs` gives no process fewer replicas than this: smaller
+# blocks cost more CPU time per replica.
+_JOB_REPLICAS = 64
 _GRAM_COND_LIMIT = 1e6
 _INIT_EIGEN_FLOOR = 1e-6
 
@@ -420,111 +422,89 @@ class TomographyResult:
 
 
 def _lbfgsb(fun, x0: np.ndarray, max_iterations: int, traced=()):
-    """L-BFGS-B from every row of `x0`, at most `_FIT_SLOTS` rows at a time.
+    """L-BFGS-B from every row of `x0`, all rows at once.
 
     Each row drives its own state of scipy's reverse-communication core
     with what `scipy.optimize.minimize(method="L-BFGS-B")` passes it (no
     bounds, `maxiter=max_iterations`, `maxfun=10 * max_iterations`), so it
-    follows the path that call would, whatever slot and round it runs in.
-    Each round, the rows in flight that ask for the objective are evaluated
-    in one `fun(x_rows, rows)` call returning their values and gradients. As
-    in `minimize`, a row is evaluated at its start first, a request at the
-    point last evaluated reuses it, and that first evaluation counts towards
-    `maxfun`. When a row converges or stops, its slot is cleared and the
-    next waiting row starts in it at once.
+    follows the path that call would, whatever rows it is fitted with.
+    Each round, the rows that ask for the objective are evaluated in one
+    `fun(x_rows, rows)` call returning their values and gradients; the
+    rows asking never grow, as a row that converges or stops asks no more.
+    A row that asks at the point it last evaluated is evaluated again,
+    which gives the same bytes, as each row of a stacked call equals its
+    one-row call; as with `minimize`'s cache, only evaluations at a new
+    point, the start included, count towards `maxfun`.
 
     Returns the final parameters, final objective values, iteration counts
     and convergence flags per row, and for each row in `traced` the
     objective at the start and after every iteration, keyed by row.
     """
     rows, n = x0.shape
-    slots = min(_FIT_SLOTS, rows)
     m = _LBFGSB_MEMORY
     factr = _FTOL / np.finfo(float).eps
     maxfun = 10 * max_iterations
     unbounded = np.zeros(n)
     nbd = np.zeros(n, np.int32)
-    x = np.array(x0[:slots], dtype=float)
-    g = np.zeros((slots, n))
-    wa = np.zeros((slots, 2 * m * n + 5 * n + 11 * m * m + 8 * m))
-    iwa = np.zeros((slots, 3 * n), np.int32)
-    task = np.zeros((slots, 2), np.int32)
-    lsave = np.zeros((slots, 4), np.int32)
-    isave = np.zeros((slots, 44), np.int32)
-    dsave = np.zeros((slots, 29))
-    ln_task = np.zeros((slots, 2), np.int32)
-    solver = (g, wa, iwa, task, lsave, isave, dsave, ln_task)
-    # setulb's arguments per slot; a new objective value is stored at _F.
-    calls = [[m, x_s, unbounded, unbounded, nbd, 0.0, g_s, factr, _GTOL, wa_s, iwa_s,
-              task_s, lsave_s, isave_s, dsave_s, _LBFGSB_MAXLS, ln_s]
-             for x_s, g_s, wa_s, iwa_s, task_s, lsave_s, isave_s, dsave_s, ln_s
-             in zip(x, *solver)]
-    # The point and gradient each slot last evaluated; NaN marks a slot
-    # whose row has not been evaluated yet.
-    last_x = np.full((slots, n), np.nan)
-    last_g = np.zeros((slots, n))
-    evaluations = [0] * slots
-
-    row_of = list(range(slots))
-    waiting = iter(range(slots, rows))
-    x_out = np.empty((rows, n))
-    f_out = [0.0] * rows
+    x = np.array(x0, dtype=float)
+    g = np.zeros((rows, n))
+    wa = np.zeros((rows, 2 * m * n + 5 * n + 11 * m * m + 8 * m))
+    iwa = np.zeros((rows, 3 * n), np.int32)
+    task = np.zeros((rows, 2), np.int32)
+    lsave = np.zeros((rows, 4), np.int32)
+    isave = np.zeros((rows, 44), np.int32)
+    dsave = np.zeros((rows, 29))
+    ln_task = np.zeros((rows, 2), np.int32)
+    # setulb's arguments per row; a new objective value is stored at _F.
+    calls = [[m, x_r, unbounded, unbounded, nbd, 0.0, g_r, factr, _GTOL, wa_r, iwa_r,
+              task_r, lsave_r, isave_r, dsave_r, _LBFGSB_MAXLS, ln_r]
+             for x_r, g_r, wa_r, iwa_r, task_r, lsave_r, isave_r, dsave_r, ln_r
+             in zip(x, g, wa, iwa, task, lsave, isave, dsave, ln_task)]
+    # The point each row last evaluated; NaN marks a row not evaluated yet.
+    last_x = np.full((rows, n), np.nan)
+    evaluations = [0] * rows
     iterations = [0] * rows
     converged = [False] * rows
     traces = {r: [] for r in traced}
     tasks = list(task)
-    live = range(slots)
-    while live:
-        asks = []
-        for s in live:
-            call, task_s = calls[s], tasks[s]
+    asks = range(rows)
+    while True:
+        live, asks = asks, []
+        for r in live:
+            call, task_r = calls[r], tasks[r]
             while True:
                 setulb(*call)
-                code = task_s.item(0)
+                code = task_r.item(0)
                 if code == _TASK_FG:
-                    asks.append(s)
+                    asks.append(r)
                     break
-                r = row_of[s]
-                if code == _TASK_NEW_X:
-                    iterations[r] += 1
-                    if r in traces:
-                        traces[r].append(call[_F])
-                    if iterations[r] >= max_iterations:
-                        task_s[:] = _TASK_STOP, _STOP_MAXITER
-                    elif evaluations[s] > maxfun:
-                        task_s[:] = _TASK_STOP, _STOP_MAXFUN
-                    continue
-                x_out[r] = x[s]
-                f_out[r] = call[_F]
-                converged[r] = code == _TASK_CONVERGED
-                r = next(waiting, None)
-                if r is None:
+                if code != _TASK_NEW_X:
+                    converged[r] = code == _TASK_CONVERGED
                     break
-                row_of[s] = r
-                x[s] = x0[r]
-                for array in solver:
-                    array[s] = 0
-                last_x[s] = np.nan
-                call[_F] = 0.0
-                evaluations[s] = 0
-        changed = np.logical_or.reduce(x != last_x, axis=1).tolist()
-        moved = [s for s in asks if changed[s]]
-        if moved:
-            if len(moved) == slots:
-                # Every slot asks at a new point: whole arrays, no index copies.
-                last_x[:] = x
-                values, last_g[:] = fun(x, row_of)
-            else:
-                last_x[moved] = x[moved]
-                values, last_g[moved] = fun(x[moved], [row_of[s] for s in moved])
-            for s, value in zip(moved, values.tolist()):
-                calls[s][_F] = value
-                evaluations[s] += 1
-                if evaluations[s] == 1 and row_of[s] in traces:
-                    traces[row_of[s]].append(value)  # the start
-        g[:] = last_g
-        live = asks
-    return x_out, f_out, iterations, converged, traces
+                iterations[r] += 1
+                if r in traces:
+                    traces[r].append(call[_F])
+                if iterations[r] >= max_iterations:
+                    task_r[:] = _TASK_STOP, _STOP_MAXITER
+                elif evaluations[r] > maxfun:
+                    task_r[:] = _TASK_STOP, _STOP_MAXFUN
+        if not asks:
+            break
+        moved = np.logical_or.reduce(x != last_x, axis=1).tolist()
+        if len(asks) == rows:
+            # Every row asks: whole arrays, no index copies.
+            last_x[:] = x
+            values, g[:] = fun(x, asks)
+        else:
+            last_x[asks] = x[asks]
+            values, g[asks] = fun(x[asks], asks)
+        for r, value in zip(asks, values.tolist()):
+            calls[r][_F] = value
+            if moved[r]:
+                evaluations[r] += 1
+                if evaluations[r] == 1 and r in traces:
+                    traces[r].append(value)  # the start
+    return x, [call[_F] for call in calls], iterations, converged, traces
 
 
 def mle_reconstruct(records, init=None, *, target: PureState | None = None,
@@ -574,12 +554,12 @@ def _blocks(rows: int, jobs: int) -> list[tuple[int, int]]:
 
 def bootstrap_jobs(replicas: int) -> int:
     """`bootstrap_errors`'s `jobs` for `run`: one process per usable CPU
-    (`taskset -c 0` gives one) with at least `_FIT_SLOTS` replicas each, as
-    smaller blocks cost more CPU time per replica; 1 where the platform does
-    not tell which CPUs are usable."""
+    (`taskset -c 0` gives one) with at least `_JOB_REPLICAS` replicas each,
+    as smaller blocks cost more CPU time per replica; 1 where the platform
+    does not tell which CPUs are usable."""
     if not hasattr(os, "sched_getaffinity"):
         return 1
-    return max(1, min(len(os.sched_getaffinity(0)), replicas // _FIT_SLOTS))
+    return max(1, min(len(os.sched_getaffinity(0)), replicas // _JOB_REPLICAS))
 
 
 def _fit_blocks(fit, blocks) -> np.ndarray:
@@ -643,10 +623,11 @@ def bootstrap_errors(records, replicas: int = 200, seed: int = 0, *,
     linear-inversion start and recomputes the metrics. The CHSH statistic
     is evaluated on each replica's state at the optimal analyzer set,
     `bell.OPTIMAL_PLAN`. The replicas are split into `jobs` (1 to
-    `replicas`) contiguous blocks, each fitted by one `_lbfgsb` call,
-    `_FIT_SLOTS` in flight at a time, all but the first in forked processes
-    (`_fit_blocks`); `jobs=1` forks nothing. Each fit equals the replica's
-    own `mle_reconstruct` fit, so every `jobs` gives the same bytes.
+    `replicas`) contiguous blocks, all but the first fitted in forked
+    processes (`_fit_blocks`); `jobs=1` forks nothing. Each block is fitted
+    in consecutive `_lbfgsb` passes of at most `_FIT_ROWS` replicas, which
+    all start together. Each fit equals the replica's own `mle_reconstruct`
+    fit, so every `jobs` gives the same bytes.
     """
     if replicas < 2:
         raise ValueError("bootstrap needs at least 2 replicas")
@@ -661,9 +642,13 @@ def bootstrap_errors(records, replicas: int = 200, seed: int = 0, *,
 
     def fit(lo, hi):
         work = _Work()
-        return _lbfgsb(lambda t, rows: objective_and_gradient(
-            t, draws[lo:hi][rows], pairs, projectors, work=work),
-            starts[lo:hi], _MAX_ITERATIONS)[0]
+        fits = []
+        for first in range(lo, hi, _FIT_ROWS):
+            span = slice(first, min(first + _FIT_ROWS, hi))
+            fits.append(_lbfgsb(lambda t, rows: objective_and_gradient(
+                t, draws[span][rows], pairs, projectors, work=work),
+                starts[span], _MAX_ITERATIONS)[0])
+        return np.concatenate(fits)
 
     fits = _fit_blocks(fit, blocks)
     rhos = _checked_density(_density_from_params(fits))

@@ -513,6 +513,17 @@ class TestScenarioConfig:
         with pytest.raises(ValueError, match="noise_p"):
             ScenarioConfig(name="x", source="phi+", noise_p=1.5, seed=1)
 
+    @pytest.mark.parametrize("chain", [
+        ({"kind": "coupler", "eta_h": 0.5, "eta_v": 0.4},), "ab", None,
+        [ChannelSpec("coupler", {"eta_h": 0.5, "eta_v": 0.4}, 1)],
+    ], ids=["mapping-entry", "string", "none", "list"])
+    def test_channel_chain_must_be_a_tuple_of_specs(self, chain):
+        # Refused when the config is built: `coupler_etas` and
+        # `resolve_model` read each entry as a ChannelSpec, and a list would
+        # leave a mutable chain in a frozen config.
+        with pytest.raises(ValueError, match="^channel_chain must be a tuple of ChannelSpec"):
+            ScenarioConfig(name="x", source="phi+", seed=1, channel_chain=chain)
+
     def test_checked_bell_states_are_shared_read_only(self):
         # The config's check and its model share each built Bell state.
         config = ScenarioConfig(name="x", source="phi+", fidelity_target="psi-", seed=1)
@@ -1112,9 +1123,9 @@ class TestStartUp:
 
 def parallel_scenario(tmp_path, monkeypatch, replicas=2, cpus=(0, 1)):
     """A small scenario file whose `run` splits its `replicas` bootstrap
-    replicas over one process per CPU in `cpus`: one fit slot makes every
-    replica a full set of slots."""
-    monkeypatch.setattr(tomo, "_FIT_SLOTS", 1)
+    replicas over one process per CPU in `cpus`: a split floor of one
+    replica a process lets every replica have a process of its own."""
+    monkeypatch.setattr(tomo, "_JOB_REPLICAS", 1)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(cpus))
     path = tmp_path / "parallel.yaml"
     path.write_text(yaml.safe_dump({

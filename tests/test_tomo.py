@@ -815,63 +815,71 @@ class TestBootstrapErrors:
         records = sampled_records(random_density(np.random.default_rng(73)),
                                   2000, 6)
         expected = bootstrap_errors(records, replicas=5, seed=1)
-        monkeypatch.setattr(tomo, "_FIT_SLOTS", 2)
+        monkeypatch.setattr(tomo, "_FIT_ROWS", 2)
         assert bootstrap_errors(records, replicas=5, seed=1) == expected
 
-    def test_slot_refill_keeps_every_fit(self, monkeypatch):
+    def test_passes_keep_every_fit(self, monkeypatch):
         # Seven low-count replicas whose fits take different iteration
-        # counts, so that with fewer slots than replicas a slot is refilled
-        # in the middle of other fits. With one slot every round evaluates
-        # the whole stack; with more, rounds in which a slot has no row left
-        # or reuses its last evaluation evaluate only the others. Every slot
-        # count must give the same bytes.
+        # counts, fitted in `_lbfgsb` passes of 1, 2, 3, 7 and 256 rows.
+        # Within a pass the rows asking for the objective never grow, and
+        # with more than one row a round in which a fit has ended evaluates
+        # only the others. Every pass size must give each replica its own
+        # `minimize` fit, and the same sigma bytes.
         records = sampled_records(random_density(np.random.default_rng(101)),
                                   500, 9)
-        projectors, counts, pairs = record_arrays(records)
-        design = tomo._design_matrix(projectors)
-        draws = np.array([stream(4, _BOOTSTRAP_STREAM, r).poisson(counts)
-                          for r in range(7)], dtype=float)
-        starts = np.stack([params_from_density(tomo._linear_start(design, row, pairs)).t
-                           for row in draws])
+        counts = record_arrays(records)[1]
+        draws = [stream(4, _BOOTSTRAP_STREAM, r).poisson(counts) for r in range(7)]
         references = [reference_fit([dataclasses.replace(rec, counts=float(n))
                                      for rec, n in zip(records, row)])
                       for row in draws]
         assert len({res.nit for res, _, _ in references}) >= 4
-        sigmas, outputs = [], []
-        for slots in (1, 2, 3, 7, 64):
-            monkeypatch.setattr(tomo, "_FIT_SLOTS", slots)
-            round_sizes = set()
+        lbfgsb = tomo._lbfgsb
+        sigmas = []
+        for rows_per_pass in (1, 2, 3, 7, 256):
+            monkeypatch.setattr(tomo, "_FIT_ROWS", rows_per_pass)
+            passes = []
 
-            def fun(t, rows):
-                round_sizes.add(len(rows))
-                return objective_and_gradient(t, draws[rows], pairs, projectors)
+            def spy(fun, x0, max_iterations):
+                asked = []
 
-            x, values, iterations, converged, traces = tomo._lbfgsb(
-                fun, starts, 10_000, traced=range(7))
-            assert max(round_sizes) == min(slots, 7)
-            assert (len(round_sizes) > 1) == (slots > 1)
-            for r, (res, _, trace) in enumerate(references):
-                assert np.array_equal(x[r], res.x)
-                assert values[r] == res.fun
-                assert iterations[r] == res.nit
-                assert converged[r] == res.success
-                assert tuple(traces[r]) == trace
-            outputs.append((x.tobytes(), np.array(values).tobytes(), iterations,
-                            converged, [np.array(trace).tobytes() for trace in traces.values()]))
+                def counted(t, rows):
+                    asked.append(list(rows))
+                    return fun(t, rows)
+
+                passes.append((asked, lbfgsb(counted, x0, max_iterations,
+                                             traced=range(len(x0)))))
+                return passes[-1][1]
+
+            monkeypatch.setattr(tomo, "_lbfgsb", spy)
             sigmas.append(bootstrap_errors(records, replicas=7, seed=4))
-        assert all(output == outputs[0] for output in outputs)
+            sizes = [len(x) for _, (x, *_) in passes]
+            assert sizes == [min(rows_per_pass, 7 - lo) for lo in range(0, 7, rows_per_pass)]
+            for asked, _ in passes:
+                assert max(map(len, asked)) <= rows_per_pass
+                assert all(set(later) <= set(earlier)
+                           for earlier, later in zip(asked, asked[1:]))
+            round_sizes = {len(rows) for asked, _ in passes for rows in asked}
+            assert (len(round_sizes) > 1) == (rows_per_pass > 1)
+            fits = [(x[k], values[k], iterations[k], converged[k], traces[k])
+                    for _, (x, values, iterations, converged, traces) in passes
+                    for k in range(len(x))]
+            for (x, value, nit, success, trace), (res, _, expected) in zip(fits, references):
+                assert np.array_equal(x, res.x)
+                assert value == res.fun
+                assert nit == res.nit
+                assert success == res.success
+                assert tuple(trace) == expected
         assert all(sigma == sigmas[0] for sigma in sigmas)
 
-    def test_refilled_slot_evaluates_its_start(self, monkeypatch):
-        # The first fit converges at its start; the next one starts there too
-        # in the same slot, with other counts, and must not reuse the first
-        # fit's evaluation.
+    def test_rows_sharing_a_start_each_evaluate_it(self):
+        # Two rows start at one point with other counts: the first converges
+        # there at once, and the second must be evaluated with its own counts
+        # rather than reuse the first one's evaluation.
         rho = random_density(np.random.default_rng(13))
         projectors, exact, pairs = record_arrays(exact_tomography(rho, PLAN, 10000))
         records = sampled_records(rho, 10000, 3)
         draws = np.stack([exact, record_arrays(records)[1]])
         start = params_from_density(rho).t
-        monkeypatch.setattr(tomo, "_FIT_SLOTS", 1)
         x, _, iterations, _, traces = tomo._lbfgsb(
             lambda t, rows: objective_and_gradient(t, draws[rows], pairs, projectors),
             np.stack([start, start]), 10_000, traced=(1,))
@@ -983,6 +991,8 @@ class TestForkedBootstrap:
 
     @pytest.mark.parametrize("name", ["mixed-0", "low-psi-", "floored-HH"])
     def test_seeded_record_sets_past_one_set_of_slots(self, monkeypatch, name):
+        # 65 replicas in passes of at most 16: every block takes several.
+        monkeypatch.setattr(tomo, "_FIT_ROWS", 16)
         [(_, rho, mean_pairs, seed)] = [s for s in FORK_RECORD_SETS if s[0] == name]
         self.assert_every_split_matches(monkeypatch, sampled_records(rho, mean_pairs, seed),
                                         65, seed)
