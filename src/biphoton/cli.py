@@ -45,7 +45,8 @@ if TYPE_CHECKING:
 
 #: `fit_noise` steps whose eigenbasis gap lies this close to the 1e-6 stop
 #: are decided by the exact concurrence; the two gaps differ by about 1e-14
-#: at most.
+#: at most. The convexity bounds that decide steps without an evaluation
+#: allow each value this much error and clear the stop by as much again.
 _FIT_MARGIN = 1e-9
 
 
@@ -98,15 +99,23 @@ def fit_noise(target_concurrence: float, base_state: DensityMatrix) -> float:
     """White-noise fraction p with concurrence(depolarize(base, p)) = target.
 
     Bisection against the concurrence of the noisy state, to 1e-6 in
-    concurrence. The target must not exceed the base state's concurrence.
-    The steps evaluate the concurrence on the base state's eigenbasis (one
-    `eigh` per fit, then one 4x4 svd a step), and the exact concurrence of
-    the depolarized state decides every step whose gap lies within 1e-9 of
-    the 1e-6 stop. Outside that band both gaps take the same branch, so
-    the result is bit-identical to a bisection on the exact concurrence.
+    concurrence. The target must be a number from 0 to the base state's
+    concurrence.
+
+    White noise moves the state along a line, and concurrence is convex
+    (Wootters 1998), so the gap is convex and non-increasing in p. The
+    values known so far (the exact concurrence at p = 0, zero at p = 1 and
+    each evaluated step) bound the gap at the next mid, and a step whose
+    bounds put it more than `_FIT_MARGIN` clear of the 1e-6 stop takes its
+    branch unevaluated: a typical fit evaluates about 2 of its 18 or so
+    steps. Those use the base state's eigenbasis (one `eigh` per fit, then
+    one 4x4 svd a step), and the exact concurrence of the depolarized state
+    decides a step whose gap lies within the margin of the stop. The bounds
+    allow every value the margin as error, so the result is bit-identical
+    to a bisection on the exact concurrence.
     """
     from biphoton import optics, qstate
-    if target_concurrence < 0.0:
+    if not target_concurrence >= 0.0:
         raise ValueError("target concurrence must be non-negative")
     base_c = qstate.concurrence(base_state)
     if target_concurrence > base_c + 1e-12:
@@ -119,10 +128,21 @@ def fit_noise(target_concurrence: float, base_state: DensityMatrix) -> float:
     # depolarize(base, 0.0) has the base state's concurrence, bit for bit.
     if base_c - target_concurrence <= 0.0:
         return 0.0
-    lo, hi = 0.0, 1.0
     cheap = qstate._depolarized_concurrence(base_state.matrix)
+    # The (p, gap) points left and right of [lo, hi], innermost last.
+    left, right = [(0.0, base_c - target_concurrence)], [(1.0, -target_concurrence)]
+    lo_to, inside_from, inside_to, hi_from = _decided_spans(left, right)
+    lo, hi = 0.0, 1.0
     for _ in range(80):
         mid = 0.5 * (lo + hi)
+        if mid < lo_to:
+            lo = mid
+            continue
+        if mid > hi_from:
+            hi = mid
+            continue
+        if inside_from < mid < inside_to:
+            return mid
         gap = cheap(mid) - target_concurrence
         if abs(abs(gap) - 1e-6) <= _FIT_MARGIN:
             gap = miss(mid)
@@ -130,9 +150,52 @@ def fit_noise(target_concurrence: float, base_state: DensityMatrix) -> float:
             return mid
         if gap > 0.0:
             lo = mid
+            left.append((mid, gap))
         else:
             hi = mid
+            right.append((mid, gap))
+        lo_to, inside_from, inside_to, hi_from = _decided_spans(left, right)
     return 0.5 * (lo + hi)
+
+
+def _decided_spans(left, right) -> tuple:
+    """Where `fit_noise`'s bounds decide a step, from its (p, gap) points.
+
+    Every later mid lies between the innermost points, left[-1] and
+    right[-1]. There the gap lies below their chord, and above the nearest
+    right gap and the secant lines of the next segments out, extended
+    inwards; each bound allows every value `_FIT_MARGIN` of error. Returns
+    (lo_to, inside_from, inside_to, hi_from): a mid below lo_to has a gap
+    above 1e-6 + margin, one between inside_from and inside_to a gap within
+    1e-6 - margin of 0, and one above hi_from a gap below -1e-6 - margin.
+    """
+    # A negative margin (every step left to the eigenbasis gap) allows none.
+    margin = max(_FIT_MARGIN, 0.0)
+    (x0, y0), (x1, y1) = left[-1], right[-1]
+    # Left gaps are positive and right ones are not, so the chord falls.
+    drop = (y0 - y1) / (x1 - x0)
+    # Each secant line as its inner point and its fall per unit p, tilted
+    # down inwards by 2 margin / spacing: the most that the margin on its
+    # two values can tilt it.
+    lines = []
+    if len(left) > 1:
+        xa, ya = left[-2]
+        lines.append((x0, y0, (ya - y0 + 2.0 * margin) / (x0 - xa)))
+    if len(right) > 1:
+        xb, yb = right[-2]
+        lines.append((x1, y1, (y1 - yb - 2.0 * margin) / (xb - x1)))
+
+    def lower_above(level: float) -> float:
+        # Left of this p a lower bound, lowered by the margin, lies above level.
+        return max([x1 if y1 - margin > level else 0.0]
+                   + [x + (y - margin - level) / fall for x, y, fall in lines if fall > 0.0])
+
+    def chord_below(level: float) -> float:
+        # Right of this p the chord, raised by the margin, lies below level.
+        return x0 + (y0 + margin - level) / drop
+
+    return (lower_above(1e-6 + margin), chord_below(1e-6 - margin),
+            lower_above(-1e-6 + margin), chord_below(-1e-6 - margin))
 
 
 # ---------------------------------------------------------------------------

@@ -378,6 +378,13 @@ class TestFitNoise:
         with pytest.raises(ValueError, match="exceeds"):
             fit_noise(0.99, noisy)
 
+    def test_nan_target_rejected(self):
+        # NaN compares false with everything, so it passed both range checks
+        # and the bisection returned a tiny p.
+        rho = to_density(bell_state("phi+"))
+        with pytest.raises(ValueError, match="^target concurrence must be non-negative$"):
+            fit_noise(float("nan"), rho)
+
     def test_target_zero(self):
         rho = to_density(bell_state("phi+"))
         p = fit_noise(0.0, rho)
@@ -393,11 +400,55 @@ class TestFitNoise:
     def test_sweep_fits_match_the_exact_bisection(self):
         for config, target in sweep_configs(96):
             base = channel_output(config)
-            assert fit_outcome(fit_noise, target, base) == fit_outcome(
-                reference_fit_noise, target, base), config
+            # The sweep's target, then band edges: targets that put the
+            # exact gap at the first mid 1e-6 either side of zero, and one
+            # just below the base state's concurrence.
+            first = concurrence(depolarize(base, 0.5))
+            for t in (target, first + 1e-6, first - 1e-6, concurrence(base) - 1e-7):
+                assert fit_outcome(fit_noise, t, base) == fit_outcome(
+                    reference_fit_noise, t, base), (config, t)
             if config.noise_fit_concurrence is not None:
                 assert resolve_model(config).noise_p.hex() == fit_outcome(
                     reference_fit_noise, target, base)
+
+    def test_sweep_fits_evaluate_few_steps(self, monkeypatch):
+        # The convexity bounds decide all but a few steps of each fit; the
+        # bisection alone evaluates about 18.
+        counts = []
+
+        def counted(mat):
+            at = _depolarized_concurrence(mat)
+
+            def step(p):
+                counts[-1] += 1
+                return at(p)
+            return step
+
+        monkeypatch.setattr(qstate, "_depolarized_concurrence", counted)
+        for config, target in sweep_configs(96):
+            counts.append(0)
+            fit_noise(target, channel_output(config))
+        assert sum(counts) / len(counts) <= 5.0
+        assert max(counts) <= 8
+
+    def test_eigenbasis_concurrence_is_convex_and_non_increasing(self):
+        # What the bounds rest on, within the error they allow each value:
+        # along the white-noise line the concurrence never rises, and lies
+        # below its chords, also between close points.
+        allowance = cli._FIT_MARGIN
+        rng = np.random.default_rng(53)
+        bases = [base for base, _ in fit_bases(51, 100)]
+        bases += [channel_output(config) for config, _ in sweep_configs(48)]
+        grid = np.linspace(0.0, 1.0, 33)
+        for base in bases:
+            at = _depolarized_concurrence(base.matrix)
+            values = [at(p) for p in grid]
+            assert all(b <= a + allowance for a, b in zip(values, values[1:])), base.matrix
+            for _ in range(8):
+                half = 0.5 * 10.0 ** rng.uniform(-8.0, -1.0)
+                mid = rng.uniform(half, 1.0 - half)
+                chord = 0.5 * (at(mid - half) + at(mid + half))
+                assert at(mid) <= chord + allowance, (base.matrix, mid, half)
 
     @pytest.mark.parametrize("seed", [21, 22, 23, 24])
     def test_random_fits_match_the_exact_bisection(self, seed):

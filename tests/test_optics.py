@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from biphoton import optics
 from biphoton.optics import (AnnihilatedStateError, ChannelOutcome,
                              JonesOperator, KrausChannel, anisotropic_coupler,
                              apply_chain, apply_channel, compensated_source,
@@ -143,6 +144,18 @@ class TestApplyChannel:
         expected = np.kron(*pair)
         np.testing.assert_allclose(outcome.state.matrix,
                                    np.outer(expected, expected.conj()), atol=1e-12)
+
+    @pytest.mark.parametrize("arm", [1, 2])
+    def test_lifted_operator_is_bit_equal_to_kron(self, arm):
+        # Random complex operators, some with signed zeros, against the
+        # Kronecker product with the identity on the other arm.
+        rng = np.random.default_rng(109 + arm)
+        eye = np.eye(2, dtype=complex)
+        for _ in range(500):
+            op = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+            op[tuple(rng.integers(0, 2, size=2))] = complex(*rng.choice([0.0, -0.0], size=2))
+            want = np.kron(op, eye) if arm == 1 else np.kron(eye, op)
+            assert optics._lift(op, arm).tobytes() == want.tobytes()
 
     def test_preserves_hermiticity_and_psd(self):
         rng = np.random.default_rng(101)
