@@ -22,8 +22,8 @@ import numpy as np
 from biphoton import bell
 from biphoton.qstate import (PAULI_X, PAULI_Y, PAULI_Z, DensityMatrix,
                              MetricReport, PureState, _checked_density,
-                             _concurrence, _fidelity_with_pure, _frozen,
-                             bell_state, metric_report)
+                             _concurrence, _fidelity_with_pure, _freeze,
+                             _frozen, bell_state, metric_report)
 from biphoton.sim import _BOOTSTRAP_STREAM, stream
 
 _PROB_FLOOR = 1e-12
@@ -89,6 +89,10 @@ _HERM_BASIS = np.stack([
 
 _MIXED = np.eye(4, dtype=complex) / 4.0
 
+# Read-only 0-d float64 operands: a ufunc takes them with less argument
+# conversion than a Python float, and computes the same bytes.
+_ONE, _MINUS_TWO = (_freeze(np.array(value)) for value in (1.0, -2.0))
+
 # Parameter order: the real diagonal t[0:4], then (re, im) pairs of the
 # lower-triangular entries (1,0), (2,0), (2,1), (3,0), (3,1), (3,2), as
 # indices into the float64 view of the row-major 4x4 complex matrix.
@@ -131,8 +135,13 @@ def _trace_shifts(t: np.ndarray, trace: np.ndarray) -> np.ndarray | None:
 
 class _Work:
     """Buffers for every intermediate of `objective_and_gradient` at one
-    (rows, settings) shape, each view built once. `bind` replaces them for
-    another shape, so a fit that keeps one `_Work` holds one set at a time.
+    (rows, settings) shape, each view built once, and the fit's constants:
+    N_v and 2 N_v repeated on every row (an operand of the probabilities'
+    shape takes numpy's fast elementwise loop, where a broadcast one does
+    not) and the projectors' (re, im) floats. `bind` replaces them all for
+    another row count, from the pairs and projectors it is given, so a fit
+    that keeps one `_Work` holds one set at a time and its constants stay
+    those of the fit's records.
 
     T's floats are zeroed once: only the `_PARAM_FLOATS` places are ever
     written, so the upper triangle and the diagonal's imaginary parts stay
@@ -141,8 +150,12 @@ class _Work:
 
     shape = None
 
-    def bind(self, rows: int, settings: int) -> None:
+    def bind(self, rows: int, pairs: np.ndarray, projectors: np.ndarray) -> None:
+        settings = len(projectors)
         self.shape = rows, settings
+        self.pairs = np.broadcast_to(pairs, (rows, settings)).copy()
+        self.pairs2 = np.multiply(2.0, self.pairs)
+        self.projector_floats = projectors.reshape(settings, 16).view(np.float64)
         self.floats = np.zeros((rows, 32))
         self.tri = self.floats.view(np.complex128).reshape(rows, 4, 4)
         # T^H as the transposed view of a conjugate, the layout `tri.conj()
@@ -160,7 +173,6 @@ class _Work:
         self.probs, self.floored, self.residuals, self.squares, self.scratch, self.dldp = (
             np.empty((6, rows, settings)))
         self.above = np.empty((rows, settings), bool)
-        self.pairs2 = np.empty(settings)
         self.values = np.empty(rows)
         self.identity_term = np.empty((rows, 1))
         self.weight = np.empty((rows, 32))
@@ -180,15 +192,15 @@ def _unit_gram(rows: np.ndarray, work: _Work) -> np.ndarray | None:
     `ndarray.trace` runs over the diagonal: a reduce of the diagonal's real
     floats alone adds them in another order."""
     work.floats[:, _PARAM_FLOATS] = rows
-    np.conjugate(work.tri, out=work.conj)
-    np.matmul(work.tri, work.tri_h, out=work.gram)
-    np.add.reduce(work.gram_diagonal, axis=1, out=work.diagonal_sum)
+    np.conjugate(work.tri, work.conj)
+    np.matmul(work.tri, work.tri_h, work.gram)
+    np.add.reduce(work.gram_diagonal, 1, None, work.diagonal_sum)
     shifts = _trace_shifts(rows, work.trace)
     if shifts is not None:
         _unit_gram(np.ldexp(rows, shifts), work)
         return shifts
-    np.divide(1.0, work.trace, out=work.inv)
-    np.multiply(work.gram_floats, work.inv, out=work.gram_floats)
+    np.divide(_ONE, work.trace, work.inv)
+    np.multiply(work.gram_floats, work.inv, work.gram_floats)
     return None
 
 
@@ -196,7 +208,7 @@ def _density_from_params(t: np.ndarray) -> np.ndarray:
     """T T^H / tr(T T^H) of each parameter vector along the last axis."""
     rows = t.reshape(-1, 16)
     work = _Work()
-    work.bind(len(rows), 0)
+    work.bind(len(rows), np.empty(0), np.empty((0, 4, 4), complex))
     _unit_gram(rows, work)
     return work.gram.reshape(t.shape[:-1] + (4, 4))
 
@@ -318,9 +330,10 @@ def objective_and_gradient(t: np.ndarray, counts: np.ndarray,
     values and an (R, 16) gradient, row r equal to the call on row r alone.
 
     `work`, a `_Work`, holds the intermediates: a fit passes the same one
-    to every call, which rebinds it whenever the row count changes, and
-    None uses fresh buffers. Either way the values and gradient returned
-    are fresh arrays with the same bytes.
+    to every call, which rebinds it to this call's pairs and projectors
+    whenever the row count changes, so one `_Work` serves the records of
+    one fit; None uses fresh buffers. Either way the values and gradient
+    returned are fresh arrays with the same bytes.
 
     The bytes are those of the textbook form: rho = T T^H / tr, dldp =
     -r / f - r^2 / (2 N f^2) (r the residual, f the floored probability),
@@ -335,8 +348,14 @@ def objective_and_gradient(t: np.ndarray, counts: np.ndarray,
     depends on them, as T reaches them only through matmul sums, which
     start from +0.0. A row whose 1 / tr overflows is evaluated at t scaled
     by a power of two (`_unit_gram`), and its gradient scaled back once at
-    the end. Each step writes into `work` through `out=` with the kernel
-    and operand order of its allocating form, which gives the same bytes.
+    the end. When every probability is above the floor (the smallest is,
+    and none is NaN), f is p itself, the bytes of max(p, floor) there, and
+    no mask is built. Each step writes into `work` with the kernel and
+    operand order of its allocating form, which gives the same bytes; the
+    output goes by position, and constants are read-only 0-d float64
+    arrays, both cheaper to dispatch than `out=` and Python floats
+    (np.maximum keeps `out=`, as numpy deprecates a third positional
+    argument there).
     """
     t = np.asarray(t, dtype=float)
     projectors = np.asarray(projectors, dtype=complex)
@@ -344,7 +363,7 @@ def objective_and_gradient(t: np.ndarray, counts: np.ndarray,
     if work is None:
         work = _Work()
     if work.shape != (len(rows), len(projectors)):
-        work.bind(len(rows), len(projectors))
+        work.bind(len(rows), pairs, projectors)
     shifts = _unit_gram(rows, work)
     # Summed over j by the einsum, then over i in the order 0, 1, 2, 3, as the
     # one-row einsum "nij,ji->n" sums, so each row is bit-equal to a call on
@@ -353,43 +372,42 @@ def objective_and_gradient(t: np.ndarray, counts: np.ndarray,
     # at 64 rows) once an OpenBLAS matmul has run, until an op such as
     # np.where runs; the three adds take about 5 us.
     _einsum("nij,rji->rni", projectors, work.gram, out=work.terms)
-    probs, floored, residuals, squares, scratch, dldp2 = (
-        work.probs, work.floored, work.residuals, work.squares, work.scratch, work.dldp)
+    probs, residuals, squares, scratch, dldp2 = (
+        work.probs, work.residuals, work.squares, work.scratch, work.dldp)
     term_0, term_1, term_2, term_3 = work.term_columns
-    np.add(term_0, term_1, out=probs)
-    np.add(probs, term_2, out=probs)
-    np.add(probs, term_3, out=probs)
-    np.maximum(probs, _PROB_FLOOR, out=floored)
-    np.multiply(pairs, probs, out=residuals)
-    np.subtract(counts, residuals, out=residuals)
-    np.square(residuals, out=squares)
-    np.multiply(2.0, pairs, out=work.pairs2)
-    np.multiply(work.pairs2, floored, out=scratch)
-    np.divide(squares, scratch, out=scratch)
-    values = np.add.reduce(scratch, axis=1, out=work.values)
+    np.add(term_0, term_1, probs)
+    np.add(probs, term_2, probs)
+    np.add(probs, term_3, probs)
+    # False when a probability is NaN, as NaN propagates through the reduce.
+    floor_free = np.minimum.reduce(probs, axis=None) > _PROB_FLOOR
+    floored = probs if floor_free else np.maximum(probs, _PROB_FLOOR, out=work.floored)
+    np.multiply(work.pairs, probs, residuals)
+    np.subtract(counts, residuals, residuals)
+    np.square(residuals, squares)
+    np.multiply(work.pairs2, floored, scratch)
+    np.divide(squares, scratch, scratch)
+    values = np.add.reduce(scratch, 1, None, work.values)
 
     # Twice d(objective)/d(p_v); the floor freezes the denominator when active.
-    np.multiply(-2.0, residuals, out=dldp2)
-    np.divide(dldp2, floored, out=dldp2)
-    above = np.greater(probs, _PROB_FLOOR, out=work.above)
-    unfrozen = np.square(floored, out=scratch)
-    np.multiply(pairs, unfrozen, out=unfrozen)
-    np.divide(squares, unfrozen, out=unfrozen)
-    np.subtract(dldp2, unfrozen, out=unfrozen)
-    if np.logical_and.reduce(above, axis=None):
+    np.multiply(_MINUS_TWO, residuals, dldp2)
+    np.divide(dldp2, floored, dldp2)
+    unfrozen = np.square(floored, scratch)
+    np.multiply(work.pairs, unfrozen, unfrozen)
+    np.divide(squares, unfrozen, unfrozen)
+    np.subtract(dldp2, unfrozen, unfrozen)
+    if floor_free:
         dldp2 = unfrozen
     else:
-        np.copyto(dldp2, unfrozen, where=above)
+        np.copyto(dldp2, unfrozen, where=np.greater(probs, _PROB_FLOOR, work.above))
 
     # sum_v dldp2_v P_v as a real einsum over the (re, im) floats of each
     # projector: bit-equal to the complex einsum "rn,nij->rij", and faster.
-    flat = projectors.reshape(len(projectors), 16).view(np.float64)
-    weight = _einsum("rn,nk->rk", dldp2, flat, out=work.weight)
-    identity_term = np.multiply(dldp2, probs, out=residuals)
-    np.add.reduce(identity_term, axis=1, keepdims=True, out=work.identity_term)
-    np.subtract(work.weight_diagonal, work.identity_term, out=work.weight_diagonal)
-    np.multiply(weight, work.inv, out=weight)
-    np.matmul(work.weight_matrix, work.tri, out=work.product)
+    weight = _einsum("rn,nk->rk", dldp2, work.projector_floats, out=work.weight)
+    identity_term = np.multiply(dldp2, probs, residuals)
+    np.add.reduce(identity_term, 1, None, work.identity_term, True)
+    np.subtract(work.weight_diagonal, work.identity_term, work.weight_diagonal)
+    np.multiply(weight, work.inv, weight)
+    np.matmul(work.weight_matrix, work.tri, work.product)
     grads = work.product_floats.take(_PARAM_FLOATS, axis=1)
     if shifts is not None:
         grads = np.ldexp(grads, shifts)
@@ -520,18 +538,25 @@ def mle_reconstruct(records, init=None, *, target: PureState | None = None,
     (in which case the result is flagged via `converged=False`).
 
     `target` selects the pure state the fidelity metric is reported
-    against (default: phi+).
+    against (default: phi+). `max_iterations` must be a positive int.
     """
+    if (not isinstance(max_iterations, int) or isinstance(max_iterations, bool)
+            or max_iterations < 1):
+        raise ValueError(f"max_iterations must be a positive int, got {max_iterations!r}")
     projectors, counts, pairs, design = _record_plan(records)
     if target is None:
         target = bell_state("phi+")
     if init is None:
         init = _linear_start(design, counts, pairs)
     work = _Work()
+    counts = counts[None]  # the probabilities' shape, so not broadcast
     x, likelihood, iterations, converged, traces = _lbfgsb(
         lambda t, rows: objective_and_gradient(t, counts, pairs, projectors, work=work),
         params_from_density(init).t[None], max_iterations, traced=(0,))
-    rho = CholeskyParams(x[0]).density()
+    # The fitted state's T T^H / tr in the fit's own buffers, which every
+    # fit has bound to its one row by evaluating its start.
+    _unit_gram(x, work)
+    rho = DensityMatrix(work.gram[0])
     return TomographyResult(
         rho=rho,
         metrics=metric_report(rho, target),

@@ -744,6 +744,13 @@ class TestMleReconstruct:
         result = mle_reconstruct(sampled_records(rho, 10000, 37), max_iterations=1)
         assert not result.converged
 
+    @pytest.mark.parametrize("cap", [0, -1, 2.5, True, 3.0, np.int64(5), "5", None])
+    def test_invalid_iteration_cap_rejected(self, cap):
+        records = sampled_records(to_density(bell_state("phi+")), 2000, 38)
+        with pytest.raises(ValueError) as info:
+            mle_reconstruct(records, max_iterations=cap)
+        assert str(info.value) == f"max_iterations must be a positive int, got {cap!r}"
+
     @pytest.mark.parametrize("name", BUILTIN_SCENARIOS)
     def test_builtin_spectra_equal_eigen_hermitian(self, name):
         # metric_report sorts one eigh's eigenvalues; byte for byte they must
@@ -1109,7 +1116,7 @@ class TestSignedZeroAssembly:
                                 np.uint64(0xFFF8_0000_0000_0000)]).view(np.float64)
         rng = np.random.default_rng(113)
         work = tomo._Work()
-        work.bind(64, 0)
+        work.bind(64, np.empty(0), np.empty((0, 4, 4), complex))
         for _ in range(2):
             t = rng.choice(pool, (64, 16))
             with np.errstate(all="ignore"):
@@ -1340,6 +1347,73 @@ class TestWorkReuse:
         for array, data in returned:
             assert array.tobytes() == data
         assert below >= 16 and shifted == 8
+
+
+class TestFitConstants:
+    """A fit binds its `_Work` once per row count, and the constants bound
+    with it (N_v and 2 N_v on every row, the projectors' floats) are made
+    by that bind, not by each call."""
+
+    def test_one_row_fit_binds_once(self, monkeypatch):
+        records = sampled_records(random_density(np.random.default_rng(26)), 4000, 26)
+        projectors, counts, pairs = record_arrays(records)
+        expected = mle_reconstruct(records)
+        bind, bound = tomo._Work.bind, []
+
+        def counted(work, *args):
+            bind(work, *args)
+            bound.append((work, work.pairs, work.pairs2, work.projector_floats))
+
+        monkeypatch.setattr(tomo._Work, "bind", counted)
+        result = mle_reconstruct(records)
+        assert len(bound) == 1 and result.iterations > 1
+        work, *constants = bound[0]
+        now = (work.pairs, work.pairs2, work.projector_floats)
+        assert all(array is made for array, made in zip(now, constants))
+        assert work.pairs.tobytes() == pairs[None].tobytes()
+        assert work.pairs2.tobytes() == (2.0 * pairs)[None].tobytes()
+        assert np.shares_memory(work.projector_floats, projectors)
+        for got, want in [(result.rho.matrix, expected.rho.matrix),
+                          (result.likelihood, expected.likelihood),
+                          (result.objective_trace, expected.objective_trace)]:
+            assert np.array(got).tobytes() == np.array(want).tobytes()
+        assert (result.iterations, result.converged) == (expected.iterations,
+                                                         expected.converged)
+
+
+class TestFloorBranch:
+    """A stack whose probabilities are all above the floor skips the floor
+    mask; one with a NaN row or a row at or below the floor takes it. NaN rows among
+    finite rows above and below the floor: every finite row must keep the
+    bytes of `oracle_objective` and of its own one-row call, and every NaN
+    row those of its one-row call."""
+
+    @pytest.mark.parametrize("kinds", ["na", "nb", "anb", "bna"])
+    def test_nan_rows_among_finite_rows(self, kinds):
+        rng = np.random.default_rng(271)
+        projectors = record_arrays([CountRecord(s, 0.0, 1.0) for s in PLAN])[0]
+        pairs = np.full(16, 1000.0)
+        make = {"a": lambda: rng.standard_normal(16),
+                "b": lambda: np.r_[1.0, rng.standard_normal(15) * 3e-7],
+                "n": lambda: np.where(np.arange(16) == rng.integers(16), np.nan,
+                                      rng.standard_normal(16))}
+        t = np.array([make[kind]() for kind in kinds * 2])
+        nan = np.isnan(t).any(axis=1)
+        counts = rng.integers(1, 50, (len(t), 16)).astype(float)
+        with np.errstate(all="ignore"):
+            values, grads = objective_and_gradient(t, counts, pairs, projectors)
+            expected, expected_grads, probs = oracle_objective(t[~nan], counts[~nan],
+                                                               pairs, projectors)
+            single = [objective_and_gradient(row, row_counts, pairs, projectors)
+                      for row, row_counts in zip(t, counts)]
+        below = (probs < tomo._PROB_FLOOR).any(axis=1)
+        assert below.any() == ("b" in kinds) and (~below).any() == ("a" in kinds)
+        assert np.isnan(values[nan]).all() and np.isnan(grads[nan]).all()
+        assert values[~nan].tobytes() == expected.tobytes()
+        assert grads[~nan].tobytes() == expected_grads.tobytes()
+        for r, (value, grad) in enumerate(single):
+            assert np.float64(value).tobytes() == values[r].tobytes()
+            assert grad.tobytes() == grads[r].tobytes()
 
 
 class TestFitsCallTheModuleAttribute:
