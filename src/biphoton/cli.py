@@ -14,18 +14,18 @@ anisotropic coupling, and through the same junction with the pump adjusted
 to pre-compensate that anisotropy.
 
 Importing this module and building the parser loads `argparse` and little
-else. `json`, `dataclasses`, PyYAML, the scenario value types
-(`biphoton.scenario`), numpy and the physics modules (`qstate`, `optics`,
-`sim`, `bell`, `tomo`) load inside the functions that use them. So `--help`
-and argument errors load none of them, `budget` loads no PyYAML or numpy,
-and `chsh` and `fringe` never load `tomo` or scipy.
+else. `json`, `dataclasses`, PyYAML, the scenario value types and the
+budget arithmetic (`biphoton.scenario`), numpy and the physics modules
+(`qstate`, `optics`, `sim`, `bell`, `tomo`) load inside the functions that
+use them. So `--help` and argument errors load none of them, `budget`
+loads no PyYAML or numpy, and `chsh` and `fringe` never load `tomo` or
+scipy.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import math
 import os
 import sys
 from importlib import resources
@@ -41,7 +41,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 if TYPE_CHECKING:
     from biphoton import bell
     from biphoton.qstate import DensityMatrix
-    from biphoton.scenario import EfficiencyBudget, ScenarioConfig, ScenarioModel, ScenarioReport
+    from biphoton.scenario import ScenarioConfig, ScenarioModel, ScenarioReport
 
 #: `fit_noise` steps whose eigenbasis gap lies this close to the 1e-6 stop
 #: are decided by the exact concurrence; the two gaps differ by about 1e-14
@@ -57,42 +57,6 @@ def _fringe_grid():
     import numpy as np
     from biphoton.qstate import _freeze
     return _freeze(np.deg2rad(np.arange(0.0, 180.0, 10.0)))
-
-
-def efficiency_budget(stages, solve_total: float | None = None,
-                      quoted_unknown: float | None = None) -> EfficiencyBudget:
-    """Multiply stage efficiencies; optionally solve for one missing stage.
-
-    `stages` holds (name, efficiency) pairs or bare efficiencies, each in
-    (0, 1]. With `solve_total`, the unknown stage is target / product and
-    is reported next to `quoted_unknown` when one is given. Both lie in
-    (0, 1], as must the solved stage, and `quoted_unknown` needs `solve_total`.
-    """
-    from biphoton import scenario
-    for flag, value in (("--solve-total", solve_total),
-                        ("--quoted-unknown", quoted_unknown)):
-        if value is not None and not 0.0 < float(value) <= 1.0:
-            raise ValueError(f"{flag} must be a number in (0, 1], got {float(value)!r}")
-    if quoted_unknown is not None and solve_total is None:
-        raise ValueError("--quoted-unknown needs --solve-total")
-    named = []
-    for i, entry in enumerate(stages):
-        if isinstance(entry, (tuple, list)):
-            name, eff = entry
-        else:
-            name, eff = f"stage{i + 1}", entry
-        eff = float(eff)
-        if not 0.0 < eff <= 1.0:
-            raise ValueError(f"stage efficiency must lie in (0, 1], got {eff!r}")
-        named.append((str(name), eff))
-    if not named:
-        raise ValueError("budget needs at least one stage")
-    total = math.prod(eff for _, eff in named)
-    solved = None if solve_total is None else float(solve_total) / total
-    if solved is not None and solved > 1.0:
-        raise ValueError(f"--solve-total {float(solve_total)!r} over the stage product "
-                         f"{total!r} puts the unknown stage at {solved!r} > 1")
-    return scenario.EfficiencyBudget(tuple(named), total, solved, quoted_unknown)
 
 
 def fit_noise(target_concurrence: float, base_state: DensityMatrix) -> float:
@@ -114,7 +78,9 @@ def fit_noise(target_concurrence: float, base_state: DensityMatrix) -> float:
     allow every value the margin as error, so the result is bit-identical
     to a bisection on the exact concurrence.
     """
-    from biphoton import optics, qstate
+    from biphoton import optics, qstate, scenario
+    if target_concurrence == target_concurrence:  # NaN fails the range check
+        scenario._number(target_concurrence, "target concurrence")
     if not target_concurrence >= 0.0:
         raise ValueError("target concurrence must be non-negative")
     base_c = qstate.concurrence(base_state)
@@ -313,8 +279,7 @@ def run_scenario(config: ScenarioConfig) -> ScenarioReport:
                                   plan_id=config.tomography_plan)
     if config.bootstrap_replicas >= 2:
         errors = tomo.bootstrap_errors(records, config.bootstrap_replicas,
-                                       config.seed, target=model.target,
-                                       jobs=tomo.bootstrap_jobs(config.bootstrap_replicas))
+                                       config.seed, target=model.target)
         from dataclasses import replace
         result = replace(result, uncertainties=errors)
 
@@ -443,8 +408,9 @@ def _cmd_budget(args) -> int:
             stages.append((name, float(value)))
         else:
             stages.append(float(token))
-    budget = efficiency_budget(stages, solve_total=args.solve_total,
-                               quoted_unknown=args.quoted_unknown)
+    from biphoton import scenario
+    budget = scenario.efficiency_budget(stages, solve_total=args.solve_total,
+                                        quoted_unknown=args.quoted_unknown)
     print(json.dumps(budget.to_json_dict(), indent=2, sort_keys=True))
     return 0
 

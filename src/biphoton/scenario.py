@@ -7,9 +7,10 @@ a `ScenarioConfig` checks every key by its row of `_KEYS` and that a
 parameters by `_CHANNEL_PARAMS`; so a faulty scenario is rejected when it
 is built. A config gives its source and target states, a spec its optics
 channel. `ScenarioModel` holds a resolved model, `ScenarioReport` a
-finished run and `EfficiencyBudget` the result of the `budget` command.
-`_strict_loader` is the YAML dialect of scenario files: libyaml's loader
-where PyYAML has it, with repeated keys rejected.
+finished run and `EfficiencyBudget` the result of the `budget` command,
+which `efficiency_budget` computes. `_strict_loader` is the YAML dialect
+of scenario files: libyaml's loader where PyYAML has it, with repeated
+keys rejected.
 
 Importing this module loads neither numpy nor PyYAML: `qstate` and
 `optics` load when a state or channel is first built, PyYAML when the
@@ -262,6 +263,42 @@ class EfficiencyBudget:
                 payload["solved_unknown"]["quoted"] = self.quoted_unknown
                 payload["solved_unknown"]["recomputed_minus_quoted"] = self.quoted_gap
         return payload
+
+
+def efficiency_budget(stages, solve_total: float | None = None,
+                      quoted_unknown: float | None = None) -> EfficiencyBudget:
+    """Multiply stage efficiencies; optionally solve for one missing stage.
+
+    `stages` holds (name, efficiency) pairs or bare efficiencies, each a
+    number (not a bool or a string, by `_number`) in (0, 1]. With
+    `solve_total`, the unknown stage is target / product and is reported
+    next to `quoted_unknown` when one is given. Both lie in (0, 1], as must
+    the solved stage, and `quoted_unknown` needs `solve_total`.
+    """
+    for flag, value in (("--solve-total", solve_total),
+                        ("--quoted-unknown", quoted_unknown)):
+        if value is not None and not 0.0 < _number(value, flag) <= 1.0:
+            raise ValueError(f"{flag} must be a number in (0, 1], got {float(value)!r}")
+    if quoted_unknown is not None and solve_total is None:
+        raise ValueError("--quoted-unknown needs --solve-total")
+    named = []
+    for i, entry in enumerate(stages):
+        if isinstance(entry, (tuple, list)):
+            name, eff = entry
+        else:
+            name, eff = f"stage{i + 1}", entry
+        eff = _number(eff, "stage efficiency")
+        if not 0.0 < eff <= 1.0:
+            raise ValueError(f"stage efficiency must lie in (0, 1], got {eff!r}")
+        named.append((str(name), eff))
+    if not named:
+        raise ValueError("budget needs at least one stage")
+    total = math.prod(eff for _, eff in named)
+    solved = None if solve_total is None else float(solve_total) / total
+    if solved is not None and solved > 1.0:
+        raise ValueError(f"--solve-total {float(solve_total)!r} over the stage product "
+                         f"{total!r} puts the unknown stage at {solved!r} > 1")
+    return EfficiencyBudget(tuple(named), total, solved, quoted_unknown)
 
 
 def _pure_state(spec, key: str) -> PureState:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import functools
 import io
+import math
 import operator
 import os
 from dataclasses import dataclass
@@ -227,11 +228,12 @@ def _probabilities(rho: DensityMatrix, pairs: np.ndarray) -> list:
 
 
 def sample_counts(p: float, mean_pairs: float, rng: np.random.Generator) -> int:
-    """Poisson draw with mean p * mean_pairs from the generator `rng`."""
+    """Poisson draw with mean p * mean_pairs from the generator `rng`; p
+    lies in [0, 1] and mean_pairs is finite and non-negative."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"probability {p!r} outside [0, 1]")
-    if mean_pairs < 0:
-        raise ValueError("mean_pairs must be non-negative")
+    if not 0.0 <= mean_pairs < math.inf:  # NaN fails too
+        raise ValueError(f"mean_pairs must be a non-negative finite number, got {mean_pairs!r}")
     return int(rng.poisson(p * mean_pairs))
 
 

@@ -24,7 +24,7 @@ from biphoton.qstate import (PAULI_X, PAULI_Y, PAULI_Z, DensityMatrix,
                              MetricReport, PureState, _checked_density,
                              _concurrence, _fidelity_with_pure, _freeze,
                              _frozen, bell_state, metric_report)
-from biphoton.sim import _BOOTSTRAP_STREAM, stream
+from biphoton.sim import _BOOTSTRAP_STREAM, CountRecord, stream
 
 _PROB_FLOOR = 1e-12
 _OVERFLOW_TRACE = 2.0 ** -1024  # 1 / tr is finite above this, inf at or below
@@ -44,8 +44,8 @@ _F = 5  # the objective value's place in setulb's arguments
 # Rows of one `_lbfgsb` pass in `bootstrap_errors`. Each row holds about
 # 18 kB of solver state and `_Work` buffers, so this bounds peak memory.
 _FIT_ROWS = 256
-# `bootstrap_jobs` gives no process fewer replicas than this: smaller
-# blocks cost more CPU time per replica.
+# `_blocks` gives no process fewer replicas than this: smaller blocks cost
+# more CPU time per replica.
 _JOB_REPLICAS = 64
 _GRAM_COND_LIMIT = 1e6
 _INIT_EIGEN_FLOOR = 1e-6
@@ -236,12 +236,15 @@ def _params_from_densities(mats: np.ndarray) -> np.ndarray:
 
 def record_arrays(records) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The stacked projectors (read-only, shared per plan), counts and
-    expected pairs of `records`, any non-empty iterable (a list is read as
-    given, anything else listed first)."""
+    expected pairs of `records`, any non-empty iterable of CountRecords (a
+    list is read as given, anything else listed first)."""
     if not isinstance(records, list):
         records = list(records)
     if not records:
         raise ValueError("no records to reconstruct from")
+    for rec in records:
+        if not isinstance(rec, CountRecord):
+            raise ValueError(f"records must be CountRecords, got {rec!r}")
     projectors = _plan(records)[0]
     counts = np.array([rec.counts for rec in records], dtype=float)
     pairs = np.array([rec.expected_pairs for rec in records], dtype=float)
@@ -530,7 +533,7 @@ def mle_reconstruct(records, init=None, *, target: PureState | None = None,
                     max_iterations: int = _MAX_ITERATIONS) -> TomographyResult:
     """Maximum-likelihood reconstruction over the Cholesky parameterization.
 
-    `init` seeds the optimizer (matrix or DensityMatrix); by default the
+    `init` seeds the optimizer (4x4 matrix or DensityMatrix); by default the
     linear-inversion estimate is used, falling back to the maximally mixed
     state when the plan is ill-conditioned for inversion. The optimizer is
     L-BFGS-B with the analytic gradient; it stops when the objective
@@ -548,6 +551,8 @@ def mle_reconstruct(records, init=None, *, target: PureState | None = None,
         target = bell_state("phi+")
     if init is None:
         init = _linear_start(design, counts, pairs)
+    elif not isinstance(init, DensityMatrix):
+        init = _frozen(init, complex, (4, 4), "init")
     work = _Work()
     counts = counts[None]  # the probabilities' shape, so not broadcast
     x, likelihood, iterations, converged, traces = _lbfgsb(
@@ -569,33 +574,29 @@ def mle_reconstruct(records, init=None, *, target: PureState | None = None,
     )
 
 
-def _blocks(rows: int, jobs: int) -> list[tuple[int, int]]:
-    """`jobs` contiguous (lo, hi) blocks of `range(rows)`, sizes within one."""
-    if not 1 <= jobs <= rows:
-        raise ValueError(f"jobs must lie in 1..{rows} (the replica count), got {jobs!r}")
+def _blocks(rows: int) -> list[tuple[int, int]]:
+    """Contiguous (lo, hi) blocks of `range(rows)`, sizes within one: one per
+    usable CPU (`taskset -c 0` gives one) with at least `_JOB_REPLICAS` rows
+    each, as smaller blocks cost more CPU time per replica. A fork copies
+    only the calling thread, so there is one block unless `/proc/self/task`
+    shows a single thread and `os.sched_getaffinity` names the usable CPUs."""
+    jobs = 1
+    if (hasattr(os, "sched_getaffinity") and os.path.isdir("/proc/self/task")
+            and len(os.listdir("/proc/self/task")) == 1):
+        jobs = max(1, min(len(os.sched_getaffinity(0)), rows // _JOB_REPLICAS))
     edges = [rows * k // jobs for k in range(jobs + 1)]
     return list(zip(edges, edges[1:]))
-
-
-def bootstrap_jobs(replicas: int) -> int:
-    """`bootstrap_errors`'s `jobs` for `run`: one process per usable CPU
-    (`taskset -c 0` gives one) with at least `_JOB_REPLICAS` replicas each,
-    as smaller blocks cost more CPU time per replica; 1 where the platform
-    does not tell which CPUs are usable."""
-    if not hasattr(os, "sched_getaffinity"):
-        return 1
-    return max(1, min(len(os.sched_getaffinity(0)), replicas // _JOB_REPLICAS))
 
 
 def _fit_blocks(fit, blocks) -> np.ndarray:
     """`fit(lo, hi)` of every block, in block order: the first fitted here,
     each other in a forked child that sends back its array's bytes, or its
     exception's repr with exit status 1, through a pipe. A fork copies only
-    the calling thread, so `fit` must not need others (the command line
-    asks OpenBLAS for one thread unless OPENBLAS_NUM_THREADS is set). A
-    child that fails or dies raises RuntimeError. Signals wait while a
-    child is forked and recorded, so an error or interrupt here kills every
-    child; each child is reaped and each pipe closed."""
+    the calling thread, so `blocks` holds more than one block only in a
+    single-threaded process (`_blocks` checks that). A child that fails or
+    dies raises RuntimeError. Signals wait while a child is forked and
+    recorded, so an error or interrupt here kills every child; each child
+    is reaped and each pipe closed."""
     pids, readers = [], []
     try:
         for lo, hi in blocks[1:]:
@@ -640,23 +641,23 @@ def _fit_blocks(fit, blocks) -> np.ndarray:
 
 
 def bootstrap_errors(records, replicas: int = 200, seed: int = 0, *,
-                     target: PureState | None = None, jobs: int = 1) -> dict:
+                     target: PureState | None = None) -> dict:
     """Standard deviations of concurrence, fidelity and S over resampled data.
 
     Each replica redraws every count as Poisson(n_v) (stream derived from
     (seed, replica index)), re-runs the reconstruction from its own
     linear-inversion start and recomputes the metrics. The CHSH statistic
     is evaluated on each replica's state at the optimal analyzer set,
-    `bell.OPTIMAL_PLAN`. The replicas are split into `jobs` (1 to
-    `replicas`) contiguous blocks, all but the first fitted in forked
-    processes (`_fit_blocks`); `jobs=1` forks nothing. Each block is fitted
-    in consecutive `_lbfgsb` passes of at most `_FIT_ROWS` replicas, which
-    all start together. Each fit equals the replica's own `mle_reconstruct`
-    fit, so every `jobs` gives the same bytes.
+    `bell.OPTIMAL_PLAN`. The replicas are split into contiguous blocks,
+    one per usable CPU in a single-threaded process and one otherwise
+    (`_blocks`), all but the first fitted in forked processes
+    (`_fit_blocks`). Each block is fitted in consecutive `_lbfgsb` passes
+    of at most `_FIT_ROWS` replicas, which all start together. Each fit
+    equals the replica's own `mle_reconstruct` fit, so every split gives
+    the same bytes. `replicas` must be an int of at least 2.
     """
-    if replicas < 2:
-        raise ValueError("bootstrap needs at least 2 replicas")
-    blocks = _blocks(replicas, jobs)
+    if not isinstance(replicas, int) or isinstance(replicas, bool) or replicas < 2:
+        raise ValueError(f"replicas must be an int of at least 2, got {replicas!r}")
     projectors, counts, pairs, design = _record_plan(records)
     if target is None:
         target = bell_state("phi+")
@@ -675,7 +676,7 @@ def bootstrap_errors(records, replicas: int = 200, seed: int = 0, *,
                 starts[span], _MAX_ITERATIONS)[0])
         return np.concatenate(fits)
 
-    fits = _fit_blocks(fit, blocks)
+    fits = _fit_blocks(fit, _blocks(replicas))
     rhos = _checked_density(_density_from_params(fits))
     metrics = (_concurrence(rhos), _fidelity_with_pure(rhos, target.amplitudes),
                bell._chsh_S(rhos, bell.OPTIMAL_PLAN)[1])

@@ -15,7 +15,7 @@ import time
 import numpy as np
 import pytest
 
-from biphoton import bell, cli, optics, sim, tomo
+from biphoton import bell, cli, optics, scenario, sim, tomo
 from biphoton.qstate import (DensityMatrix, bell_state, concurrence,
                              eigen_hermitian, fidelity_with_pure, random_density,
                              random_pure, schmidt_pure, to_density)
@@ -205,8 +205,8 @@ def test_criterion_7_fringes():
 
 
 def test_criterion_8_budget():
-    budget = cli.efficiency_budget([0.401, 0.705, 0.702], solve_total=0.075,
-                                   quoted_unknown=0.403)
+    budget = scenario.efficiency_budget([0.401, 0.705, 0.702], solve_total=0.075,
+                                        quoted_unknown=0.403)
     ok_total = abs(budget.total - 0.1985) <= 1e-4
     ok_solved = abs(budget.solved_unknown - 0.378) <= 5e-4
     payload = budget.to_json_dict()["solved_unknown"]

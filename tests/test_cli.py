@@ -20,9 +20,9 @@ import pytest
 import yaml
 
 from biphoton import cli, optics, qstate, scenario, tomo
-from biphoton.cli import (builtin_scenario, efficiency_budget, fit_noise,
-                          load_scenario, resolve_model, run_scenario)
-from biphoton.scenario import ChannelSpec, ScenarioConfig
+from biphoton.cli import (builtin_scenario, fit_noise, load_scenario, resolve_model,
+                          run_scenario)
+from biphoton.scenario import ChannelSpec, ScenarioConfig, efficiency_budget
 from biphoton.qstate import (DensityMatrix, PureState, _depolarized_concurrence,
                              bell_state, concurrence, fidelity_with_pure,
                              random_density, to_density)
@@ -271,6 +271,19 @@ class TestEfficiencyBudget:
         b = efficiency_budget([0.9, 0.5, 0.3]).total
         assert a == pytest.approx(b, abs=1e-12)
 
+    @pytest.mark.parametrize("stages, kwargs, what", [
+        ([True], {}, "stage efficiency"),
+        (["0.5"], {}, "stage efficiency"),
+        ([("fiber", "0.5")], {}, "stage efficiency"),
+        ([1.0], {"solve_total": True}, "--solve-total"),
+        ([1.0], {"solve_total": "0.5"}, "--solve-total"),
+        ([1.0], {"solve_total": 0.5, "quoted_unknown": True}, "--quoted-unknown"),
+    ], ids=["stage-bool", "stage-str", "named-stage-str", "total-bool", "total-str",
+            "quoted-bool"])
+    def test_rejects_bools_and_strings(self, stages, kwargs, what):
+        with pytest.raises(ValueError, match=f"^{what} must be a number, got "):
+            efficiency_budget(stages, **kwargs)
+
 
 def reference_fit_noise(target_concurrence: float, base_state: DensityMatrix) -> float:
     """The noise-fit bisection with every step on the exact concurrence of
@@ -377,6 +390,11 @@ class TestFitNoise:
         noisy = depolarize(rho, 0.5)
         with pytest.raises(ValueError, match="exceeds"):
             fit_noise(0.99, noisy)
+
+    @pytest.mark.parametrize("target", ["a", True, None])
+    def test_target_that_is_not_a_number_is_named(self, target):
+        with pytest.raises(ValueError, match="^target concurrence must be a number, got "):
+            fit_noise(target, to_density(bell_state("phi+")))
 
     def test_nan_target_rejected(self):
         # NaN compares false with everything, so it passed both range checks
@@ -670,8 +688,13 @@ class TestChannelSpec:
         config = builtin_scenario("nanowire-compensated")
         want = resolve_model(config)
 
-        def no_parse(*args, **kwargs):
-            raise AssertionError("a channel parameter was parsed again")
+        number = scenario._number
+
+        def no_parse(value, what, *args, **kwargs):
+            # The noise fit reads its target, which is not a channel parameter.
+            if what != "target concurrence":
+                raise AssertionError("a channel parameter was parsed again")
+            return number(value, what, *args, **kwargs)
 
         monkeypatch.setattr(scenario, "_number", no_parse)
         got = resolve_model(config)
@@ -1317,3 +1340,22 @@ class TestParallelBootstrap:
             signal.signal(signal.SIGALRM, previous)
         assert time.monotonic() - start < 60.0
         assert_no_child_left()
+
+
+class TestThreadedHost:
+    """A fork copies only the calling thread, so `run` in a process that
+    runs another thread fits every replica itself."""
+
+    def test_run_beside_a_live_thread_forks_nothing_and_writes_the_serial_bytes(
+            self, tmp_path, monkeypatch, second_thread):
+        # One usable CPU: the serial run forks nothing, thread or not.
+        path = parallel_scenario(tmp_path, monkeypatch, replicas=5, cpus=(0,))
+        assert cli.main(["run", str(path), "--outputs", str(tmp_path / "serial")]) == 0
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked beside a thread"))
+        assert cli.main(["run", str(path)]) == 0
+        names = sorted(p.name for p in (tmp_path / "serial").iterdir())
+        assert names == EXPECTED_ARTIFACTS
+        for name in names:
+            assert ((tmp_path / "out" / name).read_bytes()
+                    == (tmp_path / "serial" / name).read_bytes()), name

@@ -280,6 +280,18 @@ class TestSampleCounts:
         with pytest.raises(ValueError, match="mean_pairs"):
             sample_counts(0.5, -1.0, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("call", [
+        lambda mean: acquire_tomography(to_density(bell_state("phi+")),
+                                        tomography_plan(), mean, 1),
+        lambda mean: biphoton_fringe(to_density(bell_state("phi+")), "H",
+                                     np.deg2rad([0.0, 45.0]), mean_pairs=mean, seed=1),
+    ], ids=["acquire_tomography", "biphoton_fringe"])
+    @pytest.mark.parametrize("mean", [np.nan, np.inf, -np.inf])
+    def test_mean_pairs_that_is_not_finite_is_named(self, call, mean):
+        with pytest.raises(ValueError, match="^mean_pairs must be a non-negative finite "
+                                             r"number, got -?(nan|inf)$"):
+            call(mean)
+
 
 class TestFringeFit:
     def test_recovers_synthetic_sinusoid(self):

@@ -934,14 +934,23 @@ def fork_record_sets():
 FORK_RECORD_SETS = fork_record_sets()
 
 
+def split_over(monkeypatch, jobs):
+    """Makes `tomo._blocks` split up to `jobs` ways: `jobs` usable CPUs and
+    a split floor of one replica a process."""
+    monkeypatch.setattr(tomo, "_JOB_REPLICAS", 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(jobs)))
+
+
 class TestForkedBootstrap:
     """The replicas split over `jobs` processes against the serial fits (one
     `_lbfgsb` call over every replica), byte for byte."""
 
     @staticmethod
     def fits_and_errors(monkeypatch, records, replicas, seed, jobs, target=None):
-        """`bootstrap_errors(..., jobs=jobs)` and the stacked fits it took
-        its metrics from."""
+        """`bootstrap_errors` split over `jobs` processes, forced through the
+        usable CPUs and the split floor, and the stacked fits it took its
+        metrics from."""
+        split_over(monkeypatch, jobs)
         seen = []
         fit_blocks = tomo._fit_blocks
 
@@ -950,9 +959,9 @@ class TestForkedBootstrap:
             return seen[-1][1]
 
         monkeypatch.setattr(tomo, "_fit_blocks", spy)
-        errors = bootstrap_errors(records, replicas, seed, target=target, jobs=jobs)
+        errors = bootstrap_errors(records, replicas, seed, target=target)
         [(blocks, fits)] = seen
-        assert blocks == tomo._blocks(replicas, jobs)
+        assert len(blocks) == jobs
         return fits, errors
 
     def assert_every_split_matches(self, monkeypatch, records, replicas, seed,
@@ -1010,27 +1019,47 @@ class TestForkedBootstrap:
     def test_one_worker_per_cpu_none_under_one_set_of_slots(self, monkeypatch, cpus,
                                                             replicas, jobs):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
-        assert tomo.bootstrap_jobs(replicas) == jobs
+        assert len(tomo._blocks(replicas)) == jobs
 
     def test_serial_without_sched_getaffinity(self, monkeypatch):
         monkeypatch.delattr(os, "sched_getaffinity")
-        assert tomo.bootstrap_jobs(100_000) == 1
+        assert tomo._blocks(100_000) == [(0, 100_000)]
+
+    def test_serial_in_a_threaded_process(self, monkeypatch, second_thread):
+        # A fork copies only the calling thread: no split beside another.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
+        assert tomo._blocks(100_000) == [(0, 100_000)]
 
     @pytest.mark.parametrize("rows", [2, 3, 64, 65, 200])
-    def test_blocks_are_contiguous_and_even(self, rows):
+    def test_blocks_are_contiguous_and_even(self, monkeypatch, rows):
         for jobs in range(1, min(4, rows) + 1):
-            blocks = tomo._blocks(rows, jobs)
+            split_over(monkeypatch, jobs)
+            blocks = tomo._blocks(rows)
             assert len(blocks) == jobs
             assert [r for lo, hi in blocks for r in range(lo, hi)] == list(range(rows))
             sizes = [hi - lo for lo, hi in blocks]
             assert max(sizes) - min(sizes) <= 1
 
-    @pytest.mark.parametrize("replicas, jobs", [(2, 3), (3, 4), (65, 66), (5, 0), (5, -1)])
-    def test_jobs_outside_1_to_replicas_rejected(self, monkeypatch, replicas, jobs):
-        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
+
+class TestEntryChecks:
+    """A malformed argument to a fit raises a one-line ValueError that
+    names it, before anything is fitted."""
+
+    @pytest.mark.parametrize("call, name", [
+        (lambda records: bootstrap_errors(records, 2.5), "replicas"),
+        (lambda records: bootstrap_errors(records, True), "replicas"),
+        (lambda records: bootstrap_errors(records, "200"), "replicas"),
+        (lambda records: mle_reconstruct(records, init=np.eye(3)), "init"),
+        (lambda records: mle_reconstruct([1, 2]), "records"),
+        (lambda records: mle_reconstruct([*records[:15], "HH"]), "records"),
+    ], ids=["replicas-float", "replicas-bool", "replicas-str", "init-3x3", "records-ints",
+            "records-with-a-str"])
+    def test_message_names_the_argument(self, monkeypatch, call, name):
+        monkeypatch.setattr(tomo, "_lbfgsb", lambda *args, **kwargs: pytest.fail("fitted"))
         records = sampled_records(to_density(bell_state("phi+")), 1000, 2)
-        with pytest.raises(ValueError, match="jobs must lie in 1"):
-            bootstrap_errors(records, replicas=replicas, seed=0, jobs=jobs)
+        with pytest.raises(ValueError, match=f"^{name} must ") as info:
+            call(records)
+        assert "\n" not in str(info.value)
 
 
 LOW_COUNT_STATES = {
@@ -1423,7 +1452,7 @@ class TestFitsCallTheModuleAttribute:
 
     @pytest.mark.parametrize("fit", [
         lambda records: mle_reconstruct(records).rho.matrix.tobytes(),
-        lambda records: bootstrap_errors(records, 5, seed=6, jobs=1),
+        lambda records: bootstrap_errors(records, 5, seed=6),
     ], ids=["mle_reconstruct", "bootstrap_errors"])
     def test_wrapper_sees_every_round(self, monkeypatch, fit):
         records = sampled_records(random_density(np.random.default_rng(16)), 2000, 16)
