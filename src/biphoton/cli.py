@@ -276,12 +276,8 @@ def run_scenario(config: ScenarioConfig) -> ScenarioReport:
     records = sim.acquire_tomography(model.state, plan,
                                      model.effective_pairs, config.seed)
     result = tomo.mle_reconstruct(records, target=model.target,
-                                  plan_id=config.tomography_plan)
-    if config.bootstrap_replicas >= 2:
-        errors = tomo.bootstrap_errors(records, config.bootstrap_replicas,
-                                       config.seed, target=model.target)
-        from dataclasses import replace
-        result = replace(result, uncertainties=errors)
+                                  plan_id=config.tomography_plan,
+                                  replicas=config.bootstrap_replicas, seed=config.seed)
 
     chsh_result, chsh_model = _chsh(config, model)
     fringes = scenario_fringes(config, model)

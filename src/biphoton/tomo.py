@@ -41,11 +41,12 @@ _LBFGSB_MAXLS = 20
 _TASK_FG, _TASK_NEW_X, _TASK_CONVERGED, _TASK_STOP = 3, 1, 4, 5
 _STOP_MAXITER, _STOP_MAXFUN = 504, 502
 _F = 5  # the objective value's place in setulb's arguments
-# Rows of one `_lbfgsb` pass in `bootstrap_errors`. Each row holds about
-# 18 kB of solver state and `_Work` buffers, so this bounds peak memory.
+# Rows of one `_lbfgsb` pass in `mle_reconstruct`: the main fit's row and
+# the bootstrap replicas' alike. Each row holds about 18 kB of solver state
+# and `_Work` buffers, so this bounds peak memory.
 _FIT_ROWS = 256
-# `_blocks` gives no process fewer replicas than this: smaller blocks cost
-# more CPU time per replica.
+# `_blocks` gives no process fewer rows than this: smaller blocks cost more
+# CPU time per row.
 _JOB_REPLICAS = 64
 _GRAM_COND_LIMIT = 1e6
 _INIT_EIGEN_FLOOR = 1e-6
@@ -204,11 +205,13 @@ def _unit_gram(rows: np.ndarray, work: _Work) -> np.ndarray | None:
     return None
 
 
-def _density_from_params(t: np.ndarray) -> np.ndarray:
-    """T T^H / tr(T T^H) of each parameter vector along the last axis."""
+def _density_from_params(t: np.ndarray, work: _Work | None = None) -> np.ndarray:
+    """T T^H / tr(T T^H) of each parameter vector along the last axis, in
+    the buffers of `work` (bound to as many rows) or else in fresh ones."""
     rows = t.reshape(-1, 16)
-    work = _Work()
-    work.bind(len(rows), np.empty(0), np.empty((0, 4, 4), complex))
+    if work is None:
+        work = _Work()
+        work.bind(len(rows), np.empty(0), np.empty((0, 4, 4), complex))
     _unit_gram(rows, work)
     return work.gram.reshape(t.shape[:-1] + (4, 4))
 
@@ -528,62 +531,87 @@ def _lbfgsb(fun, x0: np.ndarray, max_iterations: int, traced=()):
     return x, [call[_F] for call in calls], iterations, converged, traces
 
 
-def mle_reconstruct(records, init=None, *, target: PureState | None = None,
-                    plan_id: str | None = None,
-                    max_iterations: int = _MAX_ITERATIONS) -> TomographyResult:
-    """Maximum-likelihood reconstruction over the Cholesky parameterization.
+def mle_reconstruct(records, *, target: PureState | None = None,
+                    plan_id: str | None = None, replicas: int = 0,
+                    seed: int = 0) -> TomographyResult:
+    """Maximum-likelihood reconstruction over the Cholesky parameterization,
+    and with `replicas` of 2 or more the bootstrap standard deviations of
+    concurrence, fidelity and S in `uncertainties` (None with 0; any other
+    value is refused).
 
-    `init` seeds the optimizer (4x4 matrix or DensityMatrix); by default the
-    linear-inversion estimate is used, falling back to the maximally mixed
-    state when the plan is ill-conditioned for inversion. The optimizer is
-    L-BFGS-B with the analytic gradient; it stops when the objective
-    improvement per iteration falls below 1e-9 or at `max_iterations`
-    (in which case the result is flagged via `converged=False`).
+    The fit starts from the linear-inversion estimate, or from the maximally
+    mixed state when the plan is ill-conditioned for inversion, and runs
+    L-BFGS-B with the analytic gradient until the objective improves by less
+    than 1e-9 per iteration or for `_MAX_ITERATIONS` (then `converged` is
+    False). Fidelity is reported against `target`, a PureState (default
+    phi+). Each replica redraws every count as Poisson(n_v) (stream derived
+    from (seed, replica index)) and is fitted from its own linear-inversion
+    start; its S is taken at `bell.OPTIMAL_PLAN`.
 
-    `target` selects the pure state the fidelity metric is reported
-    against (default: phi+). `max_iterations` must be a positive int.
+    The records' counts are row 0 of one stack with the redraws, split into
+    contiguous blocks, one per usable CPU in a single-threaded process
+    (`_blocks`), all but the first, which holds row 0, fitted in forked
+    processes (`_fit_blocks`). Each block is fitted in passes of at most
+    `_FIT_ROWS` rows that all start together. A row's fit does not depend on
+    the rows fitted with it, so every split gives the same bytes, and row 0
+    those of the records fitted alone.
     """
-    if (not isinstance(max_iterations, int) or isinstance(max_iterations, bool)
-            or max_iterations < 1):
-        raise ValueError(f"max_iterations must be a positive int, got {max_iterations!r}")
-    projectors, counts, pairs, design = _record_plan(records)
+    if (not isinstance(replicas, int) or isinstance(replicas, bool)
+            or replicas < 0 or replicas == 1):
+        raise ValueError(f"replicas must be 0 or an int of at least 2, got {replicas!r}")
     if target is None:
         target = bell_state("phi+")
-    if init is None:
-        init = _linear_start(design, counts, pairs)
-    elif not isinstance(init, DensityMatrix):
-        init = _frozen(init, complex, (4, 4), "init")
-    work = _Work()
-    counts = counts[None]  # the probabilities' shape, so not broadcast
-    x, likelihood, iterations, converged, traces = _lbfgsb(
-        lambda t, rows: objective_and_gradient(t, counts, pairs, projectors, work=work),
-        params_from_density(init).t[None], max_iterations, traced=(0,))
-    # The fitted state's T T^H / tr in the fit's own buffers, which every
-    # fit has bound to its one row by evaluating its start.
-    _unit_gram(x, work)
-    rho = DensityMatrix(work.gram[0])
-    return TomographyResult(
-        rho=rho,
-        metrics=metric_report(rho, target),
-        uncertainties=None,
-        likelihood=likelihood[0],
-        iterations=iterations[0],
-        converged=converged[0],
-        plan_id=plan_id,
-        objective_trace=tuple(traces[0]),
-    )
+    elif not isinstance(target, PureState):
+        raise ValueError(f"target must be a PureState, got {type(target).__name__}")
+    projectors, counts, pairs, design = _record_plan(records)
+    rngs = stream(seed, _BOOTSTRAP_STREAM, count=replicas) if replicas else ()
+    draws = np.array([counts, *(rng.poisson(counts) for rng in rngs)], dtype=float)
+    starts = _params_from_densities(_linear_start(design, draws, pairs))
+    work, main = _Work(), {}
+
+    def fit(lo, hi):
+        fits = []
+        for first in range(lo, hi, _FIT_ROWS):
+            span = slice(first, min(first + _FIT_ROWS, hi))
+            # A round that every row asks in takes the counts without a copy.
+            span_counts = draws[span]
+            x, values, iterations, converged, traces = _lbfgsb(
+                lambda t, rows: objective_and_gradient(
+                    t, span_counts if len(rows) == len(span_counts) else span_counts[rows],
+                    pairs, projectors, work=work),
+                starts[span], _MAX_ITERATIONS, traced=(0,) if first == 0 else ())
+            if first == 0:
+                main.update(likelihood=values[0], iterations=iterations[0],
+                            converged=converged[0], objective_trace=tuple(traces[0]))
+            fits.append(x)
+        return np.concatenate(fits)
+
+    fits = _fit_blocks(fit, _blocks(len(draws)))
+    # A one-row fit's `_Work` is bound to its row: its buffers serve.
+    raw = _density_from_params(fits, work if len(fits) == 1 else None)
+    rho = DensityMatrix(raw[0])
+    uncertainties = None
+    if replicas:
+        mats = _checked_density(raw[1:])
+        metrics = (_concurrence(mats), _fidelity_with_pure(mats, target.amplitudes),
+                   bell._chsh_S(mats, bell.OPTIMAL_PLAN)[1])
+        uncertainties = {name: float(np.std(values, ddof=1))
+                         for name, values in zip(("concurrence", "fidelity", "S"), metrics)}
+    return TomographyResult(rho=rho, metrics=metric_report(rho, target),
+                            uncertainties=uncertainties, plan_id=plan_id, **main)
 
 
 def _blocks(rows: int) -> list[tuple[int, int]]:
     """Contiguous (lo, hi) blocks of `range(rows)`, sizes within one: one per
     usable CPU (`taskset -c 0` gives one) with at least `_JOB_REPLICAS` rows
-    each, as smaller blocks cost more CPU time per replica. A fork copies
-    only the calling thread, so there is one block unless `/proc/self/task`
-    shows a single thread and `os.sched_getaffinity` names the usable CPUs."""
+    each, as smaller blocks cost more CPU time per row. A fork copies only
+    the calling thread, so there is one block unless `/proc/self/task` shows
+    a single thread and `os.sched_getaffinity` names the usable CPUs; fewer
+    than 2 * `_JOB_REPLICAS` rows make one block without reading either."""
     jobs = 1
-    if (hasattr(os, "sched_getaffinity") and os.path.isdir("/proc/self/task")
-            and len(os.listdir("/proc/self/task")) == 1):
-        jobs = max(1, min(len(os.sched_getaffinity(0)), rows // _JOB_REPLICAS))
+    if (rows >= 2 * _JOB_REPLICAS and hasattr(os, "sched_getaffinity")
+            and os.path.isdir("/proc/self/task") and len(os.listdir("/proc/self/task")) == 1):
+        jobs = min(len(os.sched_getaffinity(0)), rows // _JOB_REPLICAS)
     edges = [rows * k // jobs for k in range(jobs + 1)]
     return list(zip(edges, edges[1:]))
 
@@ -635,50 +663,18 @@ def _fit_blocks(fit, blocks) -> np.ndarray:
         if code:
             why = (f"killed by signal {-code}" if code < 0
                    else data.decode(errors="replace") or f"exit status {code}")
-            raise RuntimeError(f"bootstrap worker for replicas {lo}-{hi - 1} failed: {why}")
+            raise RuntimeError(f"bootstrap worker for rows {lo}-{hi - 1} failed: {why}")
         parts.append(np.frombuffer(data).reshape(hi - lo, -1))
     return np.concatenate(parts)
 
 
 def bootstrap_errors(records, replicas: int = 200, seed: int = 0, *,
                      target: PureState | None = None) -> dict:
-    """Standard deviations of concurrence, fidelity and S over resampled data.
-
-    Each replica redraws every count as Poisson(n_v) (stream derived from
-    (seed, replica index)), re-runs the reconstruction from its own
-    linear-inversion start and recomputes the metrics. The CHSH statistic
-    is evaluated on each replica's state at the optimal analyzer set,
-    `bell.OPTIMAL_PLAN`. The replicas are split into contiguous blocks,
-    one per usable CPU in a single-threaded process and one otherwise
-    (`_blocks`), all but the first fitted in forked processes
-    (`_fit_blocks`). Each block is fitted in consecutive `_lbfgsb` passes
-    of at most `_FIT_ROWS` replicas, which all start together. Each fit
-    equals the replica's own `mle_reconstruct` fit, so every split gives
-    the same bytes. `replicas` must be an int of at least 2.
+    """Standard deviations of concurrence, fidelity and S over `replicas`
+    resampled data sets: the `uncertainties` of `mle_reconstruct` with
+    these arguments, whose fit of the records themselves is dropped.
+    `replicas` must be an int of at least 2.
     """
     if not isinstance(replicas, int) or isinstance(replicas, bool) or replicas < 2:
         raise ValueError(f"replicas must be an int of at least 2, got {replicas!r}")
-    projectors, counts, pairs, design = _record_plan(records)
-    if target is None:
-        target = bell_state("phi+")
-    draws = np.array([rng.poisson(counts)
-                      for rng in stream(seed, _BOOTSTRAP_STREAM, count=replicas)],
-                     dtype=float)
-    starts = _params_from_densities(_linear_start(design, draws, pairs))
-
-    def fit(lo, hi):
-        work = _Work()
-        fits = []
-        for first in range(lo, hi, _FIT_ROWS):
-            span = slice(first, min(first + _FIT_ROWS, hi))
-            fits.append(_lbfgsb(lambda t, rows: objective_and_gradient(
-                t, draws[span][rows], pairs, projectors, work=work),
-                starts[span], _MAX_ITERATIONS)[0])
-        return np.concatenate(fits)
-
-    fits = _fit_blocks(fit, _blocks(replicas))
-    rhos = _checked_density(_density_from_params(fits))
-    metrics = (_concurrence(rhos), _fidelity_with_pure(rhos, target.amplitudes),
-               bell._chsh_S(rhos, bell.OPTIMAL_PLAN)[1])
-    return {name: float(np.std(values, ddof=1))
-            for name, values in zip(("concurrence", "fidelity", "S"), metrics)}
+    return mle_reconstruct(records, target=target, replicas=replicas, seed=seed).uncertainties

@@ -1196,9 +1196,10 @@ class TestStartUp:
 
 
 def parallel_scenario(tmp_path, monkeypatch, replicas=2, cpus=(0, 1)):
-    """A small scenario file whose `run` splits its `replicas` bootstrap
-    replicas over one process per CPU in `cpus`: a split floor of one
-    replica a process lets every replica have a process of its own."""
+    """A small scenario file whose `run` splits the rows of its fit (the
+    main fit's and `replicas` bootstrap replicas') over one process per CPU
+    in `cpus`: a split floor of one row a process lets every row have a
+    process of its own."""
     monkeypatch.setattr(tomo, "_JOB_REPLICAS", 1)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(cpus))
     path = tmp_path / "parallel.yaml"
@@ -1280,7 +1281,7 @@ class TestParallelBootstrap:
         with pipes_closed():
             assert cli.main(["run", str(path)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: bootstrap worker for replicas 1-1 ")
+        assert err.startswith("error: bootstrap worker for rows 1-2 ")
         assert err.count("\n") == 1 and "Traceback" not in err
         assert err.rstrip().endswith(why)
         assert not (tmp_path / "out" / "manifest.json").exists()
@@ -1330,8 +1331,8 @@ class TestParallelBootstrap:
         previous = signal.signal(signal.SIGALRM, interrupt)
         start = time.monotonic()
         try:
-            # The parent's own block is one replica; by then it waits on the
-            # three stalled workers.
+            # The parent's own block is the main fit's row; by then it waits
+            # on the three stalled workers.
             signal.setitimer(signal.ITIMER_REAL, 1.0)
             with pipes_closed(), pytest.raises(KeyboardInterrupt):
                 cli.main(["run", str(path)])

@@ -547,10 +547,11 @@ class TestStackedTail:
         assert str(info.value).startswith(message)
 
 
-def assert_matches_reference(records, **kwargs):
-    result = mle_reconstruct(records, **kwargs)
-    res, mat, trace = reference_fit(records, **kwargs)
-    max_iterations = kwargs.get("max_iterations", 10_000)
+def assert_matches_reference(records, max_iterations=10_000):
+    """`mle_reconstruct` against `reference_fit` at `max_iterations`, the
+    cap patched into `tomo._MAX_ITERATIONS` when it is not the default."""
+    result = mle_reconstruct(records)
+    res, mat, trace = reference_fit(records, max_iterations=max_iterations)
     assert np.array_equal(result.rho.matrix, mat)
     assert result.likelihood == res.fun
     assert result.iterations == res.nit
@@ -581,16 +582,12 @@ class TestMatchesMinimize:
                                       for s, c in zip(PLAN, counts)])
 
     @pytest.mark.parametrize("max_iterations", [1, 2, 5])
-    def test_iteration_caps(self, max_iterations):
+    def test_iteration_caps(self, monkeypatch, max_iterations):
+        monkeypatch.setattr(tomo, "_MAX_ITERATIONS", max_iterations)
         rng = np.random.default_rng(67)
         for seed in range(4):
             records = sampled_records(random_density(rng), 3000, seed)
             assert_matches_reference(records, max_iterations=max_iterations)
-
-    def test_given_start(self):
-        rng = np.random.default_rng(71)
-        records = sampled_records(random_density(rng), 3000, 5)
-        assert_matches_reference(records, init=random_density(rng))
 
     @staticmethod
     def kinked(x):
@@ -651,16 +648,6 @@ class TestMleReconstruct:
                 assert array.tobytes() == want.tobytes()
             assert arrays[0] is expected[0]
 
-    def test_init_as_matrix_or_density_matrix(self):
-        rng = np.random.default_rng(14)
-        init = random_density(rng)
-        records = sampled_records(random_density(rng), 3000, 14)
-        fits = [mle_reconstruct(records, init=start)
-                for start in (init, init.matrix, init.matrix.tolist())]
-        for fit in fits[1:]:
-            assert fit.rho.matrix.tobytes() == fits[0].rho.matrix.tobytes()
-            assert fit.objective_trace == fits[0].objective_trace
-
     def test_round_trip_fidelity(self):
         rho = to_density(bell_state("phi+"))
         result = mle_reconstruct(sampled_records(rho, 10000, 21))
@@ -670,10 +657,12 @@ class TestMleReconstruct:
     def test_exact_init_stays_put(self):
         rng = np.random.default_rng(13)
         rho = random_density(rng)
-        records = exact_tomography(rho, PLAN, 10000)
-        result = mle_reconstruct(records, init=rho)
-        assert result.iterations <= 1
-        assert np.max(np.abs(result.rho.matrix - rho.matrix)) <= 1e-9
+        projectors, counts, pairs = record_arrays(exact_tomography(rho, PLAN, 10000))
+        x, _, iterations, _, _ = tomo._lbfgsb(
+            lambda t, rows: objective_and_gradient(t, counts[None], pairs, projectors),
+            params_from_density(rho).t[None], 10_000)
+        assert iterations[0] <= 1
+        assert np.max(np.abs(tomo._density_from_params(x[0]) - rho.matrix)) <= 1e-9
 
     def test_agrees_with_linear_inversion_on_exact_data(self):
         rng = np.random.default_rng(17)
@@ -739,17 +728,11 @@ class TestMleReconstruct:
         errors = bootstrap_errors(records, replicas=3, seed=0)
         assert all(np.isfinite(v) and v >= 0.0 for v in errors.values())
 
-    def test_iteration_cap_flags_result(self):
+    def test_iteration_cap_flags_result(self, monkeypatch):
+        monkeypatch.setattr(tomo, "_MAX_ITERATIONS", 1)
         rho = to_density(bell_state("phi+"))
-        result = mle_reconstruct(sampled_records(rho, 10000, 37), max_iterations=1)
+        result = mle_reconstruct(sampled_records(rho, 10000, 37))
         assert not result.converged
-
-    @pytest.mark.parametrize("cap", [0, -1, 2.5, True, 3.0, np.int64(5), "5", None])
-    def test_invalid_iteration_cap_rejected(self, cap):
-        records = sampled_records(to_density(bell_state("phi+")), 2000, 38)
-        with pytest.raises(ValueError) as info:
-            mle_reconstruct(records, max_iterations=cap)
-        assert str(info.value) == f"max_iterations must be a positive int, got {cap!r}"
 
     @pytest.mark.parametrize("name", BUILTIN_SCENARIOS)
     def test_builtin_spectra_equal_eigen_hermitian(self, name):
@@ -826,16 +809,17 @@ class TestBootstrapErrors:
         assert bootstrap_errors(records, replicas=5, seed=1) == expected
 
     def test_passes_keep_every_fit(self, monkeypatch):
-        # Seven low-count replicas whose fits take different iteration
-        # counts, fitted in `_lbfgsb` passes of 1, 2, 3, 7 and 256 rows.
-        # Within a pass the rows asking for the objective never grow, and
-        # with more than one row a round in which a fit has ended evaluates
-        # only the others. Every pass size must give each replica its own
-        # `minimize` fit, and the same sigma bytes.
+        # The main fit and seven low-count replicas, whose fits take
+        # different iteration counts, fitted in `_lbfgsb` passes of 1, 2, 3,
+        # 7 and 256 rows. Within a pass the rows asking for the objective
+        # never grow, and with more than one row a round in which a fit has
+        # ended evaluates only the others. Every pass size must give each
+        # row its own `minimize` fit, and the same sigma bytes.
         records = sampled_records(random_density(np.random.default_rng(101)),
                                   500, 9)
         counts = record_arrays(records)[1]
-        draws = [stream(4, _BOOTSTRAP_STREAM, r).poisson(counts) for r in range(7)]
+        draws = [counts] + [stream(4, _BOOTSTRAP_STREAM, r).poisson(counts)
+                            for r in range(7)]
         references = [reference_fit([dataclasses.replace(rec, counts=float(n))
                                      for rec, n in zip(records, row)])
                       for row in draws]
@@ -846,7 +830,7 @@ class TestBootstrapErrors:
             monkeypatch.setattr(tomo, "_FIT_ROWS", rows_per_pass)
             passes = []
 
-            def spy(fun, x0, max_iterations):
+            def spy(fun, x0, max_iterations, traced=()):
                 asked = []
 
                 def counted(t, rows):
@@ -860,7 +844,7 @@ class TestBootstrapErrors:
             monkeypatch.setattr(tomo, "_lbfgsb", spy)
             sigmas.append(bootstrap_errors(records, replicas=7, seed=4))
             sizes = [len(x) for _, (x, *_) in passes]
-            assert sizes == [min(rows_per_pass, 7 - lo) for lo in range(0, 7, rows_per_pass)]
+            assert sizes == [min(rows_per_pass, 8 - lo) for lo in range(0, 8, rows_per_pass)]
             for asked, _ in passes:
                 assert max(map(len, asked)) <= rows_per_pass
                 assert all(set(later) <= set(earlier)
@@ -870,6 +854,7 @@ class TestBootstrapErrors:
             fits = [(x[k], values[k], iterations[k], converged[k], traces[k])
                     for _, (x, values, iterations, converged, traces) in passes
                     for k in range(len(x))]
+            assert len(fits) == len(references)
             for (x, value, nit, success, trace), (res, _, expected) in zip(fits, references):
                 assert np.array_equal(x, res.x)
                 assert value == res.fun
@@ -936,14 +921,15 @@ FORK_RECORD_SETS = fork_record_sets()
 
 def split_over(monkeypatch, jobs):
     """Makes `tomo._blocks` split up to `jobs` ways: `jobs` usable CPUs and
-    a split floor of one replica a process."""
+    a split floor of one row a process."""
     monkeypatch.setattr(tomo, "_JOB_REPLICAS", 1)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(jobs)))
 
 
 class TestForkedBootstrap:
-    """The replicas split over `jobs` processes against the serial fits (one
-    `_lbfgsb` call over every replica), byte for byte."""
+    """The rows, the main fit's and the replicas', split over `jobs`
+    processes against the serial fits (one `_lbfgsb` call over every row),
+    byte for byte."""
 
     @staticmethod
     def fits_and_errors(monkeypatch, records, replicas, seed, jobs, target=None):
@@ -977,7 +963,7 @@ class TestForkedBootstrap:
         serial, errors = self.fits_and_errors(monkeypatch, records, replicas, seed, 1,
                                               target)
         assert not forks
-        assert serial.shape == (replicas, 16)
+        assert serial.shape == (replicas + 1, 16)
         splits = [jobs for jobs in splits if jobs <= replicas]
         for jobs in splits:
             fits, split_errors = self.fits_and_errors(monkeypatch, records, replicas,
@@ -1041,6 +1027,71 @@ class TestForkedBootstrap:
             assert max(sizes) - min(sizes) <= 1
 
 
+def fit_bytes(result):
+    """The bytes of a fit's state, likelihood, iterations, convergence flag,
+    objective trace and metrics."""
+    metrics = result.metrics
+    assert type(result.iterations) is int and type(result.converged) is bool
+    return (result.rho.matrix.tobytes(), np.float64(result.likelihood).tobytes(),
+            result.iterations, result.converged,
+            np.array(result.objective_trace).tobytes(),
+            np.array([metrics.concurrence, metrics.fidelity_target, metrics.purity,
+                      *metrics.eigen_spectrum]).tobytes())
+
+
+class TestOneFitPath:
+    """`mle_reconstruct` with replicas fits the records as row 0 of the
+    bootstrap's stack: split 1 to 4 ways, it must give the bytes of the fit
+    without replicas, and the uncertainties of `bootstrap_errors`."""
+
+    @staticmethod
+    def assert_main_row_and_errors(monkeypatch, records, replicas, seed, target=None):
+        alone = mle_reconstruct(records, target=target)
+        assert alone.uncertainties is None
+        errors = bootstrap_errors(records, replicas, seed, target=target)
+        for jobs in (1, 2, 3, 4):
+            split_over(monkeypatch, jobs)
+            assert len(tomo._blocks(replicas + 1)) == jobs
+            result = mle_reconstruct(records, target=target, replicas=replicas, seed=seed)
+            assert fit_bytes(result) == fit_bytes(alone), jobs
+            assert result.uncertainties == errors, jobs
+
+    @pytest.mark.parametrize("name", BUILTIN_SCENARIOS)
+    def test_builtins(self, monkeypatch, name):
+        config = builtin_scenario(name)
+        model = resolve_model(config)
+        records = acquire_tomography(model.state, tomography_plan(config.tomography_plan),
+                                     model.effective_pairs, config.seed)
+        self.assert_main_row_and_errors(monkeypatch, records, 20, config.seed, model.target)
+
+    @pytest.mark.parametrize("name", ["mixed-0", "low-psi-", "floored-HH"])
+    @pytest.mark.parametrize("fit_rows", [256, 2])
+    def test_seeded_record_sets(self, monkeypatch, name, fit_rows):
+        # With passes of 2 rows, the main fit shares its pass with one replica.
+        monkeypatch.setattr(tomo, "_FIT_ROWS", fit_rows)
+        [(_, rho, mean_pairs, seed)] = [s for s in FORK_RECORD_SETS if s[0] == name]
+        self.assert_main_row_and_errors(monkeypatch, sampled_records(rho, mean_pairs, seed),
+                                        5, seed)
+
+    @pytest.mark.parametrize("replicas", [0, 2])
+    def test_small_fits_fork_nothing_and_read_no_cpus(self, monkeypatch, replicas):
+        # Fewer than 2 * _JOB_REPLICAS rows: one block, decided from the row
+        # count alone. A fit without replicas draws no stream either.
+        records = sampled_records(random_density(np.random.default_rng(47)), 2000, 47)
+        expected = mle_reconstruct(records, replicas=replicas, seed=3)
+        for name in ("fork", "listdir", "sched_getaffinity"):
+            monkeypatch.setattr(os, name, lambda *args, name=name: pytest.fail(name),
+                                raising=False)
+        if not replicas:
+            monkeypatch.setattr(tomo, "stream", lambda *args, **kwargs: pytest.fail("drawn"))
+        result = mle_reconstruct(records, replicas=replicas, seed=3)
+        assert fit_bytes(result) == fit_bytes(expected)
+        assert result.uncertainties == expected.uncertainties
+        assert (result.uncertainties is None) == (replicas == 0)
+        rows = 2 * tomo._JOB_REPLICAS - 1
+        assert tomo._blocks(rows) == [(0, rows)]
+
+
 class TestEntryChecks:
     """A malformed argument to a fit raises a one-line ValueError that
     names it, before anything is fitted."""
@@ -1049,13 +1100,20 @@ class TestEntryChecks:
         (lambda records: bootstrap_errors(records, 2.5), "replicas"),
         (lambda records: bootstrap_errors(records, True), "replicas"),
         (lambda records: bootstrap_errors(records, "200"), "replicas"),
-        (lambda records: mle_reconstruct(records, init=np.eye(3)), "init"),
+        (lambda records: mle_reconstruct(records, replicas=1), "replicas"),
+        (lambda records: mle_reconstruct(records, replicas=2.5), "replicas"),
+        (lambda records: mle_reconstruct(records, replicas=True), "replicas"),
+        (lambda records: mle_reconstruct(records, replicas="200"), "replicas"),
+        (lambda records: mle_reconstruct(records, target="phi+"), "target"),
+        (lambda records: bootstrap_errors(records, target="phi+"), "target"),
         (lambda records: mle_reconstruct([1, 2]), "records"),
         (lambda records: mle_reconstruct([*records[:15], "HH"]), "records"),
-    ], ids=["replicas-float", "replicas-bool", "replicas-str", "init-3x3", "records-ints",
-            "records-with-a-str"])
+    ], ids=["replicas-float", "replicas-bool", "replicas-str", "mle-replicas-1",
+            "mle-replicas-float", "mle-replicas-bool", "mle-replicas-str", "mle-target-str",
+            "bootstrap-target-str", "records-ints", "records-with-a-str"])
     def test_message_names_the_argument(self, monkeypatch, call, name):
         monkeypatch.setattr(tomo, "_lbfgsb", lambda *args, **kwargs: pytest.fail("fitted"))
+        monkeypatch.setattr(tomo, "stream", lambda *args, **kwargs: pytest.fail("drawn"))
         records = sampled_records(to_density(bell_state("phi+")), 1000, 2)
         with pytest.raises(ValueError, match=f"^{name} must ") as info:
             call(records)
