@@ -79,9 +79,8 @@ def fit_noise(target_concurrence: float, base_state: DensityMatrix) -> float:
     to a bisection on the exact concurrence.
     """
     from biphoton import optics, qstate, scenario
-    if target_concurrence == target_concurrence:  # NaN fails the range check
-        scenario._number(target_concurrence, "target concurrence")
-    if not target_concurrence >= 0.0:
+    target_concurrence = scenario._number(target_concurrence, "target concurrence")
+    if target_concurrence < 0.0:
         raise ValueError("target concurrence must be non-negative")
     base_c = qstate.concurrence(base_state)
     if target_concurrence > base_c + 1e-12:

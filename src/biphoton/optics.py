@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from biphoton.qstate import DensityMatrix, PureState, _frozen, linear_ket, schmidt_pure
+from biphoton.scenario import _ARM, _FINITE_POSITIVE, _UNIT, _integer, _number
 
 _UNITARY_TOL = 1e-12
 _CP_TOL = 1e-10
@@ -58,8 +59,8 @@ def waveplate(retardance: float, angle: float) -> JonesOperator:
 class KrausChannel:
     """Completely positive, trace non-increasing map on one photon.
 
-    `arm` selects which photon of the pair the channel acts on (1 or 2).
-    The operators satisfy sum(K^H K) <= I within 1e-10.
+    `arm` selects which photon of the pair the channel acts on (1 or 2,
+    kept as a Python int). The operators satisfy sum(K^H K) <= I within 1e-10.
     """
 
     operators: tuple
@@ -69,8 +70,7 @@ class KrausChannel:
         ops = tuple(_frozen(op, complex, (2, 2), "Kraus operator") for op in self.operators)
         if not ops:
             raise ValueError("channel needs at least one Kraus operator")
-        if isinstance(self.arm, bool) or self.arm not in (1, 2):
-            raise ValueError(f"arm must be 1 or 2, got {self.arm!r}")
+        object.__setattr__(self, "arm", _integer(self.arm, "arm", *_ARM))
         total = sum(op.conj().T @ op for op in ops)
         slack = np.linalg.eigvalsh(np.eye(2) - total)
         # Written so that NaN fails the comparison and is rejected too.
@@ -108,9 +108,7 @@ def anisotropic_coupler(eta_h: float, eta_v: float, arm: int = 1) -> KrausChanne
     Models a junction whose transmission differs for H and V photons,
     e.g. an asymmetric contact between a fiber taper and a nanowire.
     """
-    for name, eta in (("eta_h", eta_h), ("eta_v", eta_v)):
-        if not 0.0 <= eta <= 1.0:
-            raise ValueError(f"{name} must lie in [0, 1], got {eta!r}")
+    eta_h, eta_v = _number(eta_h, "eta_h", *_UNIT), _number(eta_v, "eta_v", *_UNIT)
     op = np.diag([np.sqrt(eta_h), np.sqrt(eta_v)]).astype(complex)
     return KrausChannel((op,), arm)
 
@@ -156,8 +154,7 @@ def apply_chain(rho: DensityMatrix, channels) -> ChannelOutcome:
 
 def depolarize(rho: DensityMatrix, p: float) -> DensityMatrix:
     """Isotropic white-noise admixture (1-p) rho + p I/4."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"noise fraction must lie in [0, 1], got {p!r}")
+    p = _number(p, "p", *_UNIT)
     return DensityMatrix((1.0 - p) * rho.matrix + p * np.eye(4) / 4.0)
 
 
@@ -168,8 +165,8 @@ def pump_compensation(eta_h: float, eta_v: float) -> float:
     post-selecting on coincidences restores the balanced Bell state: the
     arm with the weaker transmission gets the larger input amplitude.
     """
-    if eta_h <= 0.0 or eta_v <= 0.0:
-        raise ValueError("pump compensation needs strictly positive efficiencies")
+    eta_h = _number(eta_h, "eta_h", *_FINITE_POSITIVE)
+    eta_v = _number(eta_v, "eta_v", *_FINITE_POSITIVE)
     return float(np.arctan(np.sqrt(eta_h / eta_v)))
 
 

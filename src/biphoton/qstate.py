@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from biphoton.scenario import _integer, _number
+
 #: Two-qubit basis ordering used by every matrix and file in this package.
 BASIS = ("HH", "HV", "VH", "VV")
 
@@ -196,8 +198,7 @@ def bell_state(kind: str) -> PureState:
 
 def schmidt_pure(theta: float) -> PureState:
     """Schmidt-form state cos(theta)|HH> + sin(theta)|VV>, theta in [0, pi/2]."""
-    if not 0.0 <= theta <= np.pi / 2:
-        raise ValueError(f"theta {theta!r} outside [0, pi/2]")
+    theta = _number(theta, "theta", lambda v: 0.0 <= v <= np.pi / 2, "a number in [0, pi/2]")
     return PureState(np.array([np.cos(theta), 0.0, 0.0, np.sin(theta)], dtype=complex))
 
 
@@ -328,8 +329,7 @@ def random_pure(rng: np.random.Generator) -> PureState:
 
 def random_density(rng: np.random.Generator, rank: int = 4) -> DensityMatrix:
     """Random mixed state from a Ginibre factor of the given rank."""
-    if not 1 <= rank <= 4:
-        raise ValueError("rank must be in 1..4")
+    rank = _integer(rank, "rank", lambda v: 1 <= v <= 4, "an integer from 1 to 4")
     g = rng.standard_normal((4, rank)) + 1j * rng.standard_normal((4, rank))
     mat = g @ g.conj().T
     return DensityMatrix(mat / np.trace(mat))

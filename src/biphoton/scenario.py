@@ -10,7 +10,8 @@ channel. `ScenarioModel` holds a resolved model, `ScenarioReport` a
 finished run and `EfficiencyBudget` the result of the `budget` command,
 which `efficiency_budget` computes. `_strict_loader` is the YAML dialect
 of scenario files: libyaml's loader where PyYAML has it, with repeated
-keys rejected.
+keys rejected. `_number` and `_integer` are the package's one rule for a
+real-number and for an integer argument, in every module's entry checks.
 
 Importing this module loads neither numpy nor PyYAML: `qstate` and
 `optics` load when a state or channel is first built, PyYAML when the
@@ -49,24 +50,41 @@ _YAML_LOADER = None
 PLAN_HVDR16 = "hvdr16"
 
 
-def _number(value, what: str, finite: bool = False) -> float:
-    """`value` as a float if it is a real number: not a bool, a string, NaN,
-    an integer beyond float range or, with `finite`, an infinity. Anything
-    else raises a ValueError naming `what`."""
-    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+def _number(value, what: str, test=None, phrase: str = "a number") -> float:
+    """`value` as a float if it is a real number (not a bool, a string, NaN
+    or an integer beyond float range) that passes `test`; else a one-line
+    ValueError "`what` must be `phrase`, got `value`" or its own message."""
+    real = type(value) is float or isinstance(value, numbers.Real) and not isinstance(value, bool)
     try:
         number = float(value) if real else math.nan
     except OverflowError:
         raise ValueError(f"{what} lies beyond float range") from None
-    if math.isnan(number) or finite and math.isinf(number):
-        kind = "a finite number" if finite else "a number"
-        raise ValueError(f"{what} must be {kind}, got {value!r}")
+    if number != number or test is not None and not test(number):
+        raise ValueError(f"{what} must be {phrase}, got {value!r}")
     return number
+
+
+def _integer(value, what: str, test=None, phrase: str = "an integer") -> int:
+    """`value` as an int if it is a Python or numpy integer (not a bool) that
+    passes `test`; else a one-line ValueError as `_number` raises."""
+    if type(value) is int or isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        number = int(value)
+        if test is None or test(number):
+            return number
+    raise ValueError(f"{what} must be {phrase}, got {value!r}")
+
+
+#: (range test, error phrase) pairs that several checks share.
+_NATURAL = (lambda v: v >= 0, "a non-negative integer")
+_UNIT = (lambda v: 0.0 <= v <= 1.0, "a number in [0, 1]")
+_EFFICIENCY = (lambda v: 0.0 < v <= 1.0, "a number in (0, 1]")
+_FINITE_POSITIVE = (lambda v: 0.0 < v < math.inf, "a finite positive number")
+_ARM = (lambda v: v in (1, 2), "1 or 2")
 
 
 #: Each channel kind's parameters and their defaults, None where required.
 #: A coupler's eta_v may be given instead as ratio = eta_h / eta_v > 0, and
-#: its efficiencies lie in [0, 1]. Every channel acts on arm 1 or 2, an int.
+#: its efficiencies lie in [0, 1]; all are finite. Every arm is 1 or 2.
 _CHANNEL_PARAMS = {
     "coupler": {"eta_h": None, "eta_v": None},
     "polarizer": {"angle": None},
@@ -89,24 +107,21 @@ class ChannelSpec:
         kind = self.kind
         if not isinstance(kind, str) or kind not in _CHANNEL_PARAMS:
             raise ValueError(f"unknown channel kind {kind!r}")
-        if type(self.arm) is not int or self.arm not in (1, 2):
-            raise ValueError(f"{kind} arm must be 1 or 2, got {self.arm!r}")
+        object.__setattr__(self, "arm", _integer(self.arm, f"{kind} arm", *_ARM))
         given = dict(self.params)
         params = {}
+        rule = _UNIT if kind == "coupler" else (math.isfinite, "a finite number")
         for key, default in _CHANNEL_PARAMS[kind].items():
             if kind == "coupler" and key == "eta_v" and "ratio" in given:
-                ratio = _number(given.pop("ratio"), "coupler ratio", finite=True)
-                if not ratio > 0.0:
-                    raise ValueError(f"coupler ratio must be positive, got {ratio!r}")
-                params[key] = params["eta_h"] / ratio
+                ratio = _number(given.pop("ratio"), "coupler ratio", *_FINITE_POSITIVE)
+                value = params["eta_h"] / ratio
             elif key in given:
-                params[key] = _number(given.pop(key), f"{kind} {key}", finite=True)
+                value = given.pop(key)
             elif default is None:
                 raise ValueError(f"{kind} needs {'ratio or eta_v' if key == 'eta_v' else key}")
             else:
-                params[key] = default
-            if kind == "coupler" and not 0.0 <= params[key] <= 1.0:
-                raise ValueError(f"coupler {key} must lie in [0, 1], got {params[key]!r}")
+                value = default
+            params[key] = _number(value, f"{kind} {key}", *rule)
         if given:
             raise ValueError(f"unexpected {kind} parameters: {sorted(given, key=str)}")
         object.__setattr__(self, "params", params)
@@ -129,25 +144,25 @@ def _state_test(key: str, *names):
     return lambda spec: spec in names or _pure_state(spec, key) is not None
 
 
-_STATE, _UNIT = "a state name or a schmidt_theta mapping", "a number in [0, 1]"
+_STATE = "a state name or a schmidt_theta mapping"
 
 #: Every scenario key but channel_chain: (accepted types, range test or None,
 #: the phrase its error gives, whether a scenario file must give it). A float
-#: key takes a real number by `_number`, an int key an int that is not a
-#: bool; None lets a key stay unset. A range test returns False or raises its
-#: own ValueError.
+#: key takes a real number by `_number`, an int key an integer by `_integer`,
+#: kept as a Python int; None lets a key stay unset. A range test returns
+#: False or raises its own ValueError.
 _KEYS = {
     "name": ((str,), None, "a string", True),
     "source": ((str, dict), _state_test("source", "compensated"), _STATE, True),
     "fidelity_target": ((str, dict), _state_test("fidelity_target"), _STATE, False),
     "outputs": ((str, os.PathLike), lambda v: v != "", "a directory path", False),
-    "seed": ((int,), lambda v: v >= 0, "a non-negative integer", True),
+    "seed": ((int,), *_NATURAL, True),
     "bootstrap_replicas": ((int,), lambda v: v == 0 or 2 <= v <= MAX_BOOTSTRAP_REPLICAS,
                            f"0 or an integer from 2 to {MAX_BOOTSTRAP_REPLICAS}", False),
     "mean_pairs": ((float,), lambda v: 0 < v <= MAX_MEAN_PAIRS,
                    f"a number in (0, {MAX_MEAN_PAIRS:g}]", False),
-    "noise_p": ((float, type(None)), lambda v: 0 <= v <= 1, _UNIT, False),
-    "noise_fit_concurrence": ((float, type(None)), lambda v: 0 <= v <= 1, _UNIT, False),
+    "noise_p": ((float, type(None)), *_UNIT, False),
+    "noise_fit_concurrence": ((float, type(None)), *_UNIT, False),
     # An infinite extinction ratio is a polarizer that leaks nothing.
     "singles_extinction": ((float, type(None)), lambda v: v > 1, "a number above 1", False),
     "tomography_plan": ((str,), lambda v: v == PLAN_HVDR16, repr(PLAN_HVDR16), False),
@@ -177,9 +192,10 @@ class ScenarioConfig:
             if value is None and type(None) in types:
                 continue
             if float in types:
-                _number(value, key)
-            typed = float in types or isinstance(value, types) and not isinstance(value, bool)
-            if not typed or test is not None and not test(value):
+                _number(value, key, test, phrase)
+            elif int in types:
+                object.__setattr__(self, key, _integer(value, key, test, phrase))
+            elif not isinstance(value, types) or test is not None and not test(value):
                 raise ValueError(f"{key} must be {phrase}, got {value!r}")
         if self.noise_p is not None and self.noise_fit_concurrence is not None:
             raise ValueError("give noise_p or noise_fit_concurrence, not both")
@@ -275,10 +291,9 @@ def efficiency_budget(stages, solve_total: float | None = None,
     next to `quoted_unknown` when one is given. Both lie in (0, 1], as must
     the solved stage, and `quoted_unknown` needs `solve_total`.
     """
-    for flag, value in (("--solve-total", solve_total),
-                        ("--quoted-unknown", quoted_unknown)):
-        if value is not None and not 0.0 < _number(value, flag) <= 1.0:
-            raise ValueError(f"{flag} must be a number in (0, 1], got {float(value)!r}")
+    for flag, value in (("--solve-total", solve_total), ("--quoted-unknown", quoted_unknown)):
+        if value is not None:
+            _number(value, flag, *_EFFICIENCY)
     if quoted_unknown is not None and solve_total is None:
         raise ValueError("--quoted-unknown needs --solve-total")
     named = []
@@ -287,10 +302,7 @@ def efficiency_budget(stages, solve_total: float | None = None,
             name, eff = entry
         else:
             name, eff = f"stage{i + 1}", entry
-        eff = _number(eff, "stage efficiency")
-        if not 0.0 < eff <= 1.0:
-            raise ValueError(f"stage efficiency must lie in (0, 1], got {eff!r}")
-        named.append((str(name), eff))
+        named.append((str(name), _number(eff, "stage efficiency", *_EFFICIENCY)))
     if not named:
         raise ValueError("budget needs at least one stage")
     total = math.prod(eff for _, eff in named)
@@ -312,7 +324,7 @@ def _pure_state(spec, key: str) -> PureState:
             raise ValueError(f"{key} mapping must hold schmidt_theta alone, "
                              f"got keys {sorted(spec, key=str)}")
         key = f"{key} schmidt_theta"
-        build, spec = qstate.schmidt_pure, _number(spec["schmidt_theta"], key)
+        build, spec = qstate.schmidt_pure, spec["schmidt_theta"]
     try:
         return build(spec)
     except ValueError as exc:

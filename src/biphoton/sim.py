@@ -13,7 +13,6 @@ import csv
 import functools
 import io
 import math
-import operator
 import os
 from dataclasses import dataclass
 
@@ -22,7 +21,7 @@ import numpy as np
 from biphoton.optics import anisotropic_coupler
 from biphoton.qstate import (DensityMatrix, _checked_density, _clip_unit, _freeze,
                              _frozen, _unit_ket, ket, linear_ket)
-from biphoton.scenario import PLAN_HVDR16
+from biphoton.scenario import _NATURAL, PLAN_HVDR16, _integer, _number
 
 # Purpose tags for derived RNG streams; disjoint so that reusing one master
 # seed across activities never aliases streams.
@@ -62,27 +61,17 @@ def stream(seed: int, *key: int, count: int | None = None):
     PCG64 generator, as `default_rng` would. Where up to 4 words below
     2**32, the index included, seed `count` streams, `_hashed_seeds` hashes
     them all at once, giving the same states at a fraction of the cost.
-    Each word must be a non-negative integer: a float is refused, not
-    truncated.
+    Each word and `count` must be a non-negative integer by
+    `scenario._integer`: a bool or a float is refused, not truncated.
     """
-    words = [_word(word) for word in (seed, *key)]
+    words = [_integer(word, "seed", *_NATURAL) for word in (seed, *key)]
     if count is not None:
-        count = _word(count, "count")
+        count = _integer(count, "count", *_NATURAL)
         if len(words) < 4 and count <= _WORD_LIMIT and max(words) < _WORD_LIMIT:
             return (np.random.Generator(np.random.PCG64(_HashedSeed(row)))
                     for row in _hashed_seeds(words, count))
         return (stream(*words, i) for i in range(count))
     return np.random.default_rng(words)
-
-
-def _word(value, what: str = "seed") -> int:
-    try:
-        value = operator.index(value)
-    except TypeError:  # a float or a string: refused, not truncated
-        value = -1
-    if value < 0:
-        raise ValueError(f"{what} must be a non-negative integer")
-    return value
 
 
 class _HashedSeed(np.random.bit_generator.ISeedSequence):
@@ -301,15 +290,13 @@ def leak_fraction_for_extinction(extinction: float,
     The max/min ratio of the transmitted fringe after the coupler is
     eta_h (1 - eps) / (eta_v eps); solve for eps.
     """
-    if extinction <= 1.0:
-        raise ValueError("extinction ratio must exceed 1")
+    extinction = _number(extinction, "extinction", lambda v: v > 1.0, "a number above 1")
     return eta_h / (eta_h + extinction * eta_v)
 
 
 def h_state_with_leak(leak: float) -> np.ndarray:
     """Single-photon mixed state diag(1 - leak, leak): H with a V admixture."""
-    if not 0.0 <= leak < 1.0:
-        raise ValueError("leak fraction must lie in [0, 1)")
+    leak = _number(leak, "leak", lambda v: 0.0 <= v < 1.0, "a number in [0, 1)")
     return np.diag([1.0 - leak, leak]).astype(complex)
 
 

@@ -24,6 +24,7 @@ from biphoton.qstate import (PAULI_X, PAULI_Y, PAULI_Z, DensityMatrix,
                              MetricReport, PureState, _checked_density,
                              _concurrence, _fidelity_with_pure, _freeze,
                              _frozen, bell_state, metric_report)
+from biphoton.scenario import _NATURAL, _integer
 from biphoton.sim import _BOOTSTRAP_STREAM, CountRecord, stream
 
 _PROB_FLOOR = 1e-12
@@ -56,8 +57,9 @@ def _load_lbfgsb():
     """scipy's compiled L-BFGS-B core, without importing `scipy.optimize`.
 
     That package takes most of a command's start-up time and memory, and
-    the fits need only the extension module. It is registered under its
-    own name, so a later `import scipy.optimize` reuses it.
+    the fits need only the extension module. It leaves `sys.modules`, where
+    CPython enters a single-phase extension, so that a later `import
+    scipy.optimize` loads it again, same `setulb`, as the package's `_lbfgsb`.
     """
     name = "scipy.optimize._lbfgsb"
     if name in sys.modules:
@@ -69,8 +71,8 @@ def _load_lbfgsb():
     if spec is None:
         raise ImportError(f"no module named {name!r}", name=name)
     module = importlib.util.module_from_spec(spec)
-    sys.modules[name] = module
     spec.loader.exec_module(module)
+    sys.modules.pop(name, None)
     return module
 
 
@@ -537,7 +539,8 @@ def mle_reconstruct(records, *, target: PureState | None = None,
     """Maximum-likelihood reconstruction over the Cholesky parameterization,
     and with `replicas` of 2 or more the bootstrap standard deviations of
     concurrence, fidelity and S in `uncertainties` (None with 0; any other
-    value is refused).
+    value is refused) and `seed` a non-negative integer, both checked by
+    `scenario._integer` before anything is drawn.
 
     The fit starts from the linear-inversion estimate, or from the maximally
     mixed state when the plan is ill-conditioned for inversion, and runs
@@ -556,9 +559,9 @@ def mle_reconstruct(records, *, target: PureState | None = None,
     the rows fitted with it, so every split gives the same bytes, and row 0
     those of the records fitted alone.
     """
-    if (not isinstance(replicas, int) or isinstance(replicas, bool)
-            or replicas < 0 or replicas == 1):
-        raise ValueError(f"replicas must be 0 or an int of at least 2, got {replicas!r}")
+    replicas = _integer(replicas, "replicas", lambda v: v == 0 or v >= 2,
+                        "0 or an int of at least 2")
+    seed = _integer(seed, "seed", *_NATURAL)
     if target is None:
         target = bell_state("phi+")
     elif not isinstance(target, PureState):
@@ -675,6 +678,5 @@ def bootstrap_errors(records, replicas: int = 200, seed: int = 0, *,
     these arguments, whose fit of the records themselves is dropped.
     `replicas` must be an int of at least 2.
     """
-    if not isinstance(replicas, int) or isinstance(replicas, bool) or replicas < 2:
-        raise ValueError(f"replicas must be an int of at least 2, got {replicas!r}")
+    _integer(replicas, "replicas", lambda v: v >= 2, "an int of at least 2")
     return mle_reconstruct(records, target=target, replicas=replicas, seed=seed).uncertainties

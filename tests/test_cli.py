@@ -281,7 +281,7 @@ class TestEfficiencyBudget:
     ], ids=["stage-bool", "stage-str", "named-stage-str", "total-bool", "total-str",
             "quoted-bool"])
     def test_rejects_bools_and_strings(self, stages, kwargs, what):
-        with pytest.raises(ValueError, match=f"^{what} must be a number, got "):
+        with pytest.raises(ValueError, match=rf"^{what} must be a number in \(0, 1\], got "):
             efficiency_budget(stages, **kwargs)
 
 
@@ -400,7 +400,7 @@ class TestFitNoise:
         # NaN compares false with everything, so it passed both range checks
         # and the bisection returned a tiny p.
         rho = to_density(bell_state("phi+"))
-        with pytest.raises(ValueError, match="^target concurrence must be non-negative$"):
+        with pytest.raises(ValueError, match="^target concurrence must be a number, got nan$"):
             fit_noise(float("nan"), rho)
 
     def test_target_zero(self):
@@ -681,7 +681,8 @@ class TestChannelSpec:
 
     @pytest.mark.parametrize("eta_h, ratio", [(1.5, 2.0), (0.9, 0.5), (-0.1, 1.0)])
     def test_coupler_efficiencies_outside_0_1_rejected(self, eta_h, ratio):
-        with pytest.raises(ValueError, match=r"coupler eta_[hv] must lie in \[0, 1\]"):
+        with pytest.raises(ValueError,
+                           match=r"^coupler eta_[hv] must be a number in \[0, 1\], got -?\d"):
             ChannelSpec("coupler", {"eta_h": eta_h, "ratio": ratio})
 
     def test_resolving_a_model_parses_no_channel(self, monkeypatch):
@@ -1181,6 +1182,9 @@ class TestStartUp:
 
     @pytest.mark.parametrize("first", ["biphoton.tomo", "scipy.optimize"])
     def test_fits_and_minimize_share_one_core(self, first):
+        # Loaded by the fits first, the core is loaded again by
+        # `scipy.optimize`, so that the package binds it: a single-phase
+        # extension loaded again is a new module holding the same functions.
         probe = (f"import {first}\n"
                  "import sys\n"
                  "import numpy as np\n"
@@ -1190,8 +1194,19 @@ class TestStartUp:
                  "               jac=lambda x: 2.0 * (x - 1.0), method='L-BFGS-B')\n"
                  "assert fit.success and np.allclose(fit.x, 1.0), fit\n"
                  "core = sys.modules['scipy.optimize._lbfgsb']\n"
-                 "assert core.setulb is tomo.setulb\n"
-                 "assert core is tomo.setulb.__self__\n")
+                 "assert core.setulb is tomo.setulb\n")
+        if first == "scipy.optimize":
+            probe += "assert core is tomo.setulb.__self__\n"
+        run_python(probe)
+
+    def test_scipy_optimize_imported_after_the_fits_binds_the_core(self):
+        # The fits load the core without the package; the package imported
+        # later must still hold it as `_lbfgsb`, where `mock.patch` finds it.
+        probe = ("import biphoton.tomo, scipy.optimize\n"
+                 "from unittest import mock\n"
+                 "assert scipy.optimize._lbfgsb.setulb is biphoton.tomo.setulb\n"
+                 "with mock.patch('scipy.optimize._lbfgsb.setulb') as fake:\n"
+                 "    assert scipy.optimize._lbfgsb.setulb is fake\n")
         run_python(probe)
 
 

@@ -340,11 +340,11 @@ class TestSinglePhotonFringe:
 
     def test_extinction_of_exactly_1_rejected(self):
         # A ratio of 1 is no fringe at all: the leak would be 1/2.
-        with pytest.raises(ValueError, match="exceed 1"):
+        with pytest.raises(ValueError, match="^extinction must be a number above 1, got 1.0$"):
             leak_fraction_for_extinction(1.0)
 
     def test_leak_of_1_rejected(self):
-        with pytest.raises(ValueError, match="leak fraction"):
+        with pytest.raises(ValueError, match=r"^leak must be a number in \[0, 1\), got 1.0$"):
             h_state_with_leak(1.0)
 
     def test_state_of_another_shape_rejected(self):

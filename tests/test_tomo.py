@@ -1108,9 +1108,17 @@ class TestEntryChecks:
         (lambda records: bootstrap_errors(records, target="phi+"), "target"),
         (lambda records: mle_reconstruct([1, 2]), "records"),
         (lambda records: mle_reconstruct([*records[:15], "HH"]), "records"),
+        (lambda records: mle_reconstruct(records, seed="x"), "seed"),
+        (lambda records: mle_reconstruct(records, seed=-1), "seed"),
+        (lambda records: mle_reconstruct(records, seed=3.0), "seed"),
+        (lambda records: mle_reconstruct(records, seed=True), "seed"),
+        (lambda records: mle_reconstruct(records, replicas=2, seed=-1), "seed"),
+        (lambda records: bootstrap_errors(records, 2, seed="x"), "seed"),
     ], ids=["replicas-float", "replicas-bool", "replicas-str", "mle-replicas-1",
             "mle-replicas-float", "mle-replicas-bool", "mle-replicas-str", "mle-target-str",
-            "bootstrap-target-str", "records-ints", "records-with-a-str"])
+            "bootstrap-target-str", "records-ints", "records-with-a-str", "mle-seed-str",
+            "mle-seed-negative", "mle-seed-float", "mle-seed-bool",
+            "mle-replicas-2-seed-negative", "bootstrap-seed-str"])
     def test_message_names_the_argument(self, monkeypatch, call, name):
         monkeypatch.setattr(tomo, "_lbfgsb", lambda *args, **kwargs: pytest.fail("fitted"))
         monkeypatch.setattr(tomo, "stream", lambda *args, **kwargs: pytest.fail("drawn"))
