@@ -9,13 +9,13 @@ quantum states.
 
 from __future__ import annotations
 
-import math
+import functools
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from biphoton.qstate import DensityMatrix, _freeze, _frozen, linear_ket
+from biphoton.scenario import _FINITE, _number
 from biphoton.sim import CountRecord, MeasurementSetting, _CHSH_STREAM, _records
 
 #: Sign of each correlation in S, indexed [alice setting][bob setting].
@@ -24,24 +24,42 @@ SIGNS = np.array([[1.0, -1.0], [1.0, 1.0]])
 
 @dataclass(frozen=True)
 class ChshPlan:
-    """Two analyzer angles per party, radians."""
+    """Two analyzer angles per party, radians, each a finite number."""
 
     alice: tuple[float, float]
     bob: tuple[float, float]
 
     def __post_init__(self):
-        alice = tuple(float(a) for a in self.alice)
-        bob = tuple(float(b) for b in self.bob)
-        if len(alice) != 2 or len(bob) != 2:
-            raise ValueError("each party needs exactly two analyzer angles")
-        # Written so that NaN fails the comparison and is rejected too.
-        if not (abs(alice[0] - alice[1]) >= 1e-12 and abs(bob[0] - bob[1]) >= 1e-12):
+        for party in ("alice", "bob"):
+            try:
+                angles = tuple(getattr(self, party))
+            except TypeError:
+                angles = ()
+            if len(angles) != 2:
+                raise ValueError("each party needs exactly two analyzer angles")
+            object.__setattr__(self, party, tuple(_number(angle, f"{party} angle", *_FINITE)
+                                                  for angle in angles))
+        if abs(self.alice[0] - self.alice[1]) < 1e-12 or abs(self.bob[0] - self.bob[1]) < 1e-12:
             raise ValueError("analyzer angles must be distinct within a party")
-        object.__setattr__(self, "alice", alice)
-        object.__setattr__(self, "bob", bob)
 
     def to_json_dict(self) -> dict:
         return {"alice": list(self.alice), "bob": list(self.bob)}
+
+    @functools.cached_property
+    def _settings(self) -> tuple[MeasurementSetting, ...]:
+        """The 16 outcome settings, built on first use: setting pairs (a1,b1),
+        (a1,b2), (a2,b1), (a2,b2), outcomes ++, +-, -+, -- within each pair.
+        Held by the plan, so a plan at -0.0 keeps its lin:-0 label."""
+        half_pi = np.pi / 2
+        return tuple(MeasurementSetting.of(x, y) for a in self.alice for b in self.bob
+                     for x in (a, a + half_pi) for y in (b, b + half_pi))
+
+    @functools.cached_property
+    def _joints(self) -> np.ndarray:
+        """The (2, 2, 4, 4) joint observables, [alice][bob], read-only,
+        built on first use."""
+        return _freeze(np.array([[_joint_observable(a, b) for b in self.bob]
+                                 for a in self.alice]))
 
 
 #: Analyzer set maximizing S for phi+ (Tsirelson value 2*sqrt(2)).
@@ -71,11 +89,10 @@ class ChshResult:
         }
 
 
-@lru_cache(maxsize=64)
 def _joint_observable(a: float, b: float) -> np.ndarray:
-    """The joint +/-1 observable at analyzer angles (a, b), read-only."""
+    """The joint +/-1 observable at analyzer angles (a, b)."""
     kets = (linear_ket(a), linear_ket(b))
-    return _freeze(np.kron(*(2.0 * np.outer(k, k.conj()) - np.eye(2) for k in kets)))
+    return np.kron(*(2.0 * np.outer(k, k.conj()) - np.eye(2) for k in kets))
 
 
 def _correlation(mats: np.ndarray, joints: np.ndarray) -> np.ndarray:
@@ -84,20 +101,15 @@ def _correlation(mats: np.ndarray, joints: np.ndarray) -> np.ndarray:
 
 
 def correlation(rho: DensityMatrix, a: float, b: float) -> float:
-    """Expectation of the joint +/-1 observable at analyzer angles (a, b)."""
-    return float(_correlation(rho.matrix, _joint_observable(float(a), float(b))))
-
-
-@lru_cache(maxsize=16)
-def _plan_joints(plan: ChshPlan) -> np.ndarray:
-    """The (2, 2, 4, 4) joint observables of `plan`, [alice][bob], read-only."""
-    return _freeze(np.array([[_joint_observable(a, b) for b in plan.bob]
-                             for a in plan.alice]))
+    """Expectation of the joint +/-1 observable at analyzer angles (a, b),
+    each a finite number."""
+    a, b = _number(a, "a", *_FINITE), _number(b, "b", *_FINITE)
+    return float(_correlation(rho.matrix, _joint_observable(a, b)))
 
 
 def _chsh_S(mats: np.ndarray, plan: ChshPlan) -> tuple[np.ndarray, np.ndarray]:
     """The (..., 2, 2) correlations and S of each state along the last two axes."""
-    e = _correlation(mats[..., None, None, :, :], _plan_joints(plan))
+    e = _correlation(mats[..., None, None, :, :], plan._joints)
     return e, np.sum(SIGNS * e, axis=(-2, -1))
 
 
@@ -107,42 +119,16 @@ def chsh_S(rho: DensityMatrix, plan: ChshPlan = OPTIMAL_PLAN) -> ChshResult:
     return ChshResult(e, float(s_val), 0.0, plan)
 
 
-def _outcome_settings(a: float, b: float) -> tuple[MeasurementSetting, ...]:
-    """The settings of outcomes ++, +-, -+, -- at analyzer angles (a, b).
-
-    Built once per process: the settings are frozen and their kets
-    read-only. The cache key carries the signs of the angles, since 0.0
-    and -0.0 are equal but label differently (lin:0, lin:-0).
-    """
-    return _signed_outcome_settings(a, b, math.copysign(1.0, a),
-                                    math.copysign(1.0, b))
-
-
-@lru_cache(maxsize=64)
-def _signed_outcome_settings(a: float, b: float, sign_a: float,
-                             sign_b: float) -> tuple[MeasurementSetting, ...]:
-    half_pi = np.pi / 2
-    return tuple(MeasurementSetting.of(x, y)
-                 for x in (a, a + half_pi) for y in (b, b + half_pi))
-
-
-def _plan_settings(plan: ChshPlan) -> list[MeasurementSetting]:
-    """The 16 outcome settings of `plan`: setting pairs (a1,b1), (a1,b2),
-    (a2,b1), (a2,b2), outcomes ++, +-, -+, -- within each pair."""
-    return [setting for a in plan.alice for b in plan.bob
-            for setting in _outcome_settings(a, b)]
-
-
 def exact_chsh_counts(rho: DensityMatrix, plan: ChshPlan,
                       mean_pairs: float) -> list[CountRecord]:
     """Expected (infinite-statistics) counts for the 16 outcome settings."""
-    return _records(rho, _plan_settings(plan), mean_pairs, None, _CHSH_STREAM)
+    return _records(rho, plan._settings, mean_pairs, None, _CHSH_STREAM)
 
 
 def simulate_chsh_counts(rho: DensityMatrix, plan: ChshPlan,
                          mean_pairs: float, seed: int) -> list[CountRecord]:
     """Poisson-sampled counts, `mean_pairs` pairs per setting pair."""
-    return _records(rho, _plan_settings(plan), mean_pairs, seed, _CHSH_STREAM)
+    return _records(rho, plan._settings, mean_pairs, seed, _CHSH_STREAM)
 
 
 def chsh_from_counts(records, plan: ChshPlan = OPTIMAL_PLAN) -> ChshResult:
@@ -157,7 +143,7 @@ def chsh_from_counts(records, plan: ChshPlan = OPTIMAL_PLAN) -> ChshResult:
     records = list(records)
     if len(records) != 16:
         raise ValueError(f"expected 16 outcome records, got {len(records)}")
-    expected = [(s.label_1, s.label_2) for s in _plan_settings(plan)]
+    expected = [(s.label_1, s.label_2) for s in plan._settings]
     for i, (rec, labels) in enumerate(zip(records, expected)):
         if (rec.setting.label_1, rec.setting.label_2) != labels:
             raise ValueError(f"record {i} is at setting {rec.setting.label_1}/"

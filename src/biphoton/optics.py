@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from biphoton.qstate import DensityMatrix, PureState, _frozen, linear_ket, schmidt_pure
-from biphoton.scenario import _ARM, _FINITE_POSITIVE, _UNIT, _integer, _number
+from biphoton.scenario import _ARM, _FINITE, _FINITE_POSITIVE, _UNIT, _integer, _number
 
 _UNITARY_TOL = 1e-12
 _CP_TOL = 1e-10
@@ -25,7 +25,8 @@ class AnnihilatedStateError(ValueError):
 
 
 def rotation(angle: float) -> np.ndarray:
-    """2x2 rotation of the polarization plane by `angle` radians."""
+    """2x2 rotation of the polarization plane by `angle` radians, a finite number."""
+    angle = _number(angle, "angle", *_FINITE)
     c, s = np.cos(angle), np.sin(angle)
     return np.array([[c, -s], [s, c]], dtype=complex)
 
@@ -49,7 +50,7 @@ def waveplate(retardance: float, angle: float) -> JonesOperator:
 
     retardance pi is a half-wave plate, pi/2 a quarter-wave plate.
     """
-    half = retardance / 2.0
+    half = _number(retardance, "retardance", *_FINITE) / 2.0
     core = np.diag([np.exp(-1j * half), np.exp(1j * half)])
     rot = rotation(angle)
     return JonesOperator(rot @ core @ rot.conj().T)
@@ -97,8 +98,8 @@ class ChannelOutcome:
 
 
 def polarizer(angle: float, arm: int = 1) -> KrausChannel:
-    """Ideal linear polarizer: projector onto the ket at `angle` from H."""
-    vec = linear_ket(angle)
+    """Ideal linear polarizer: projector onto the ket at a finite `angle` from H."""
+    vec = linear_ket(_number(angle, "angle", *_FINITE))
     return KrausChannel((np.outer(vec, vec.conj()),), arm)
 
 
@@ -179,7 +180,8 @@ def transmission_fringe(eta_h: float, eta_v: float, angles) -> np.ndarray:
     """Transmitted power for linear input polarization at each angle.
 
     T(theta) = eta_h cos^2(theta) + eta_v sin^2(theta); the curve is flat
-    exactly when the two efficiencies coincide.
+    exactly when the two efficiencies coincide; each lies in [0, 1].
     """
+    eta_h, eta_v = _number(eta_h, "eta_h", *_UNIT), _number(eta_v, "eta_v", *_UNIT)
     theta = np.asarray(angles, dtype=float)
     return eta_h * np.cos(theta) ** 2 + eta_v * np.sin(theta) ** 2

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from biphoton.scenario import _integer, _number
+from biphoton.scenario import _FINITE, _integer, _number
 
 #: Two-qubit basis ordering used by every matrix and file in this package.
 BASIS = ("HH", "HV", "VH", "VV")
@@ -51,8 +51,8 @@ def linear_ket(angle: float) -> np.ndarray:
 def ket(which) -> np.ndarray:
     """Resolve a single-photon ket from a label (H, V, D, A, R, L) or an angle.
 
-    A float/int argument is interpreted as a linear-polarization angle in
-    radians. Unknown labels are rejected.
+    A real-number argument is interpreted as a linear-polarization angle in
+    radians and must be finite. Unknown labels are rejected.
     """
     if isinstance(which, str):
         try:
@@ -60,7 +60,7 @@ def ket(which) -> np.ndarray:
         except KeyError:
             raise ValueError(f"unknown polarization label {which!r}; "
                              f"expected one of {sorted(SINGLE_KETS)}") from None
-    return linear_ket(float(which))
+    return linear_ket(_number(which, "angle", *_FINITE))
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:

@@ -78,6 +78,7 @@ def _integer(value, what: str, test=None, phrase: str = "an integer") -> int:
 _NATURAL = (lambda v: v >= 0, "a non-negative integer")
 _UNIT = (lambda v: 0.0 <= v <= 1.0, "a number in [0, 1]")
 _EFFICIENCY = (lambda v: 0.0 < v <= 1.0, "a number in (0, 1]")
+_FINITE = (math.isfinite, "a finite number")
 _FINITE_POSITIVE = (lambda v: 0.0 < v < math.inf, "a finite positive number")
 _ARM = (lambda v: v in (1, 2), "1 or 2")
 
@@ -110,7 +111,7 @@ class ChannelSpec:
         object.__setattr__(self, "arm", _integer(self.arm, f"{kind} arm", *_ARM))
         given = dict(self.params)
         params = {}
-        rule = _UNIT if kind == "coupler" else (math.isfinite, "a finite number")
+        rule = _UNIT if kind == "coupler" else _FINITE
         for key, default in _CHANNEL_PARAMS[kind].items():
             if kind == "coupler" and key == "eta_v" and "ratio" in given:
                 ratio = _number(given.pop("ratio"), "coupler ratio", *_FINITE_POSITIVE)

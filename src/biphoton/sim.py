@@ -21,7 +21,7 @@ import numpy as np
 from biphoton.optics import anisotropic_coupler
 from biphoton.qstate import (DensityMatrix, _checked_density, _clip_unit, _freeze,
                              _frozen, _unit_ket, ket, linear_ket)
-from biphoton.scenario import _NATURAL, PLAN_HVDR16, _integer, _number
+from biphoton.scenario import _NATURAL, _UNIT, PLAN_HVDR16, _integer, _number
 
 # Purpose tags for derived RNG streams; disjoint so that reusing one master
 # seed across activities never aliases streams.
@@ -288,10 +288,14 @@ def leak_fraction_for_extinction(extinction: float,
     """V-leak fraction of a nominally H input giving the target extinction.
 
     The max/min ratio of the transmitted fringe after the coupler is
-    eta_h (1 - eps) / (eta_v eps); solve for eps.
+    eta_h (1 - eps) / (eta_v eps); solve for eps. The efficiencies lie in
+    [0, 1], not both 0; at eta_v = 0 every extinction gives eps = 1.
     """
     extinction = _number(extinction, "extinction", lambda v: v > 1.0, "a number above 1")
-    return eta_h / (eta_h + extinction * eta_v)
+    eta_h, eta_v = _number(eta_h, "eta_h", *_UNIT), _number(eta_v, "eta_v", *_UNIT)
+    if eta_h == eta_v == 0.0:
+        raise ValueError("eta_h and eta_v are both 0: no photon is transmitted")
+    return 1.0 if eta_v == 0.0 else eta_h / (eta_h + extinction * eta_v)
 
 
 def h_state_with_leak(leak: float) -> np.ndarray:

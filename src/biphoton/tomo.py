@@ -270,7 +270,7 @@ def _plan(records) -> tuple[np.ndarray, np.ndarray | None]:
     return _plan_arrays(tuple([rec.setting for rec in records]))
 
 
-@functools.lru_cache(maxsize=4)  # a run's fits share one; each run adds one
+@functools.lru_cache(maxsize=4)  # count files of one plan share one; a run reads its own twice
 def _plan_arrays(settings: tuple) -> tuple[np.ndarray, np.ndarray | None]:
     projectors = np.stack([setting.projector() for setting in settings])
     design = _design_matrix(projectors)

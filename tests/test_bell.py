@@ -35,7 +35,7 @@ class TestPlan:
     @pytest.mark.parametrize("alice, bob", [((0.1, np.nan), (0.0, 1.0)),
                                             ((0.0, 1.0), (np.nan, np.nan))])
     def test_nan_angle_rejected(self, alice, bob):
-        with pytest.raises(ValueError, match="distinct"):
+        with pytest.raises(ValueError, match=r"^(alice|bob) angle must be a finite number, got nan$"):
             ChshPlan(alice, bob)
 
     def test_one_angle_rejected(self):
@@ -213,23 +213,67 @@ class TestChshFromCounts:
         assert isinstance(result, ChshResult)
 
 
+def counting_builds(monkeypatch) -> list:
+    """Record each MeasurementSetting.of and _joint_observable call."""
+    calls = []
+    of, joint = MeasurementSetting.of.__func__, bell._joint_observable
+    monkeypatch.setattr(MeasurementSetting, "of",
+                        classmethod(lambda cls, *a: calls.append("of") or of(cls, *a)))
+    monkeypatch.setattr(bell, "_joint_observable",
+                        lambda *a: calls.append("joint") or joint(*a))
+    return calls
+
+
 class TestPlanCaches:
-    def test_outcome_settings_built_once(self):
-        first = bell._outcome_settings(0.1, 0.3)
-        assert bell._outcome_settings(0.1, 0.3) is first
-        assert isinstance(first, tuple) and len(first) == 4
+    def test_outcome_settings_built_once(self, monkeypatch):
+        calls = counting_builds(monkeypatch)
+        plan = ChshPlan((0.1, 0.7), (0.3, 1.1))
+        first = plan._settings
+        assert plan._settings is first and calls == ["of"] * 16
+        assert isinstance(first, tuple) and len(first) == 16
+        half_pi = np.pi / 2
+        want = [MeasurementSetting.of(x, y) for a in plan.alice for b in plan.bob
+                for x in (a, a + half_pi) for y in (b, b + half_pi)]
+        assert ([(s.label_1, s.label_2) for s in first]
+                == [(s.label_1, s.label_2) for s in want])
 
     def test_cached_kets_are_read_only(self):
-        for setting in bell._outcome_settings(*OPTIMAL_PLAN.alice):
+        for setting in OPTIMAL_PLAN._settings:
             for vec in (setting.ket_1, setting.ket_2):
                 with pytest.raises(ValueError, match="read-only"):
                     vec[0] = 0.0
 
     def test_signed_zero_keeps_its_label(self):
-        assert bell._outcome_settings(0.0, 0.3)[0].label_1 == "lin:0"
-        assert bell._outcome_settings(-0.0, 0.3)[0].label_1 == "lin:-0"
+        assert ChshPlan((0.0, 0.7), (0.3, 1.1))._settings[0].label_1 == "lin:0"
+        assert ChshPlan((-0.0, 0.7), (0.3, 1.1))._settings[0].label_1 == "lin:-0"
 
-    def test_plan_joints_built_once_and_read_only(self):
-        joints = bell._plan_joints(OPTIMAL_PLAN)
-        assert bell._plan_joints(OPTIMAL_PLAN) is joints
+    def test_plan_joints_built_once_and_read_only(self, monkeypatch):
+        calls = counting_builds(monkeypatch)
+        plan = ChshPlan((0.1, 0.7), (0.3, 1.1))
+        joints = plan._joints
+        assert plan._joints is joints and calls == ["joint"] * 4
         assert joints.shape == (2, 2, 4, 4) and not joints.flags.writeable
+
+    def test_equal_plans_at_signed_zero_keep_their_own_tables(self, monkeypatch):
+        calls = counting_builds(monkeypatch)
+        rho = random_density(np.random.default_rng(216), 3)
+        plans = [ChshPlan((zero, 0.7), (0.3, 1.1)) for zero in (0.0, -0.0)]
+        assert plans[0] == plans[1] and hash(plans[0]) == hash(plans[1])
+        records = []
+        for plan in plans:
+            records.append(simulate_chsh_counts(rho, plan, 500, 9))
+            assert record_bytes(simulate_chsh_counts(rho, plan, 500, 9)) == record_bytes(records[-1])
+            chsh_S(rho, plan)
+            chsh_S(rho, plan)
+        assert calls == (["of"] * 16 + ["joint"] * 4) * 2
+        labels = [[rec.setting.label_1 for rec in recs[:2]] for recs in records]
+        assert labels == [["lin:0", "lin:0"], ["lin:-0", "lin:-0"]]
+        unsigned = [[("lin:0" if row[0] == "lin:-0" else row[0], *row[1:])
+                     for row in record_bytes(recs)] for recs in records]
+        assert unsigned[0] == unsigned[1]
+
+
+def record_bytes(records) -> list:
+    """What `records_to_csv` writes of each record, with the value types."""
+    return [(r.setting.label_1, r.setting.label_2, repr(r.counts), type(r.counts),
+             repr(r.expected_pairs), type(r.expected_pairs)) for r in records]

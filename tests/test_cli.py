@@ -122,6 +122,9 @@ MALFORMED_SCENARIOS = [
     (None, "singles_extinction: 25\n"
            "channel_chain:\n  - {kind: coupler, eta_h: 0.4, eta_v: 0}\n",
      "singles_extinction"),
+    (None, "singles_extinction: .inf\n"
+           "channel_chain:\n  - {kind: coupler, eta_h: 0.4, eta_v: 0}\n",
+     "singles_extinction inf cannot be reached"),
     (None, "1: 2\nwavelength: 808\n", "unknown scenario keys"),
     (None, "channel_chain:\n  - {kind: identity, 1: 2, tilt: 3}\n", "unexpected"),
     (None, "seed: 9\n", "seed"),
@@ -149,6 +152,7 @@ MALFORMED_IDS = [
     "schmidt_theta-beyond-float-range", "polarizer-angle-a-bool",
     "waveplate-retardance-a-quoted-number", "schmidt_theta-a-bool",
     "schmidt-mapping-with-another-key", "singles_extinction-behind-eta_v-zero",
+    "singles_extinction-infinite-behind-eta_v-zero",
     "unknown-keys-of-two-types", "channel-parameters-of-two-types", "seed-repeated",
     "polarizer-angle-repeated", "mean_pairs-beyond-the-int-digit-limit",
     "noise_fit_concurrence-negative", "noise_fit_concurrence-above-1",
@@ -157,8 +161,9 @@ MALFORMED_IDS = [
 
 #: The malformed cases whose fault shows only in the resolved model: a
 #: singles extinction that the channel chain puts out of reach.
-PHYSICS_FAULTS = [(None, "singles_extinction: 25\n"
-                         "channel_chain:\n  - {kind: coupler, eta_h: 0.4, eta_v: 0}\n")]
+PHYSICS_FAULTS = [(None, f"singles_extinction: {extinction}\n"
+                         "channel_chain:\n  - {kind: coupler, eta_h: 0.4, eta_v: 0}\n")
+                  for extinction in ("25", ".inf")]
 
 
 def malformed_scenario(dropped, text, outputs) -> str:

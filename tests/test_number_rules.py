@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from biphoton import cli, optics, qstate, sim, tomo
+from biphoton import bell, cli, optics, qstate, sim, tomo
 from biphoton.scenario import ChannelSpec, ScenarioConfig
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "biphoton"
@@ -61,6 +61,32 @@ ENTRIES = [
      "coupler ratio", "a finite positive number", [*NOT_NUMBERS, 0.0, math.inf]),
     ("fit-noise", lambda v: cli.fit_noise(v, RHO), "target concurrence", "a number",
      [math.nan, np.float64(math.nan)]),
+    ("plan-alice", lambda v: bell.ChshPlan((v, 0.5), (0, 1)), "alice angle",
+     "a finite number", [*NOT_NUMBERS, "a", math.inf]),
+    ("plan-bob", lambda v: bell.ChshPlan((0, 1), (0.5, v)), "bob angle",
+     "a finite number", [*NOT_NUMBERS, -math.inf]),
+    ("correlation-a", lambda v: bell.correlation(RHO, v, 0), "a", "a finite number",
+     [*NOT_NUMBERS, math.inf]),
+    ("correlation-b", lambda v: bell.correlation(RHO, 0, v), "b", "a finite number",
+     [*NOT_NUMBERS, -math.inf]),
+    ("ket", lambda v: qstate.ket(v), "angle", "a finite number",
+     [True, np.False_, math.nan, math.inf]),
+    ("rotation", lambda v: optics.rotation(v), "angle", "a finite number",
+     [*NOT_NUMBERS, "a", math.inf]),
+    ("polarizer", lambda v: optics.polarizer(v), "angle", "a finite number",
+     [*NOT_NUMBERS, -math.inf]),
+    ("waveplate-retardance", lambda v: optics.waveplate(v, 0.0), "retardance",
+     "a finite number", [*NOT_NUMBERS, math.inf]),
+    ("waveplate-angle", lambda v: optics.waveplate(np.pi, v), "angle", "a finite number",
+     [*NOT_NUMBERS, math.inf]),
+    ("fringe-eta_h", lambda v: optics.transmission_fringe(v, 1.0, [0.0]), "eta_h",
+     "a number in [0, 1]", [*NOT_NUMBERS, 2.0, -0.5]),
+    ("fringe-eta_v", lambda v: optics.transmission_fringe(1.0, v, [0.0]), "eta_v",
+     "a number in [0, 1]", [*NOT_NUMBERS, math.inf]),
+    ("extinction-eta_h", lambda v: sim.leak_fraction_for_extinction(25.0, v, 1.0),
+     "eta_h", "a number in [0, 1]", [*NOT_NUMBERS, 1.5]),
+    ("extinction-eta_v", lambda v: sim.leak_fraction_for_extinction(25.0, 1.0, v),
+     "eta_v", "a number in [0, 1]", [*NOT_NUMBERS, -1.0, math.inf]),
 ]
 CASES = [(entry, call, f"{name} must be {phrase}, got {value!r}", value)
          for entry, call, name, phrase, values in ENTRIES for value in values]
@@ -86,6 +112,23 @@ def test_numpy_integers_are_accepted_and_kept_as_python_ints():
     held = [spec.arm, config.seed, config.bootstrap_replicas, kraus.arm]
     assert held == [1, 3, 2, 2] and [type(v) for v in held] == [int] * 4
     assert json.dumps({"seed": config.seed}) == '{"seed": 3}'
+
+
+@pytest.mark.parametrize("alice, bob", [(1.0, (0, 1)), ((0, 1), None),
+                                        ((0, 1), (0.1, 0.2, 0.3))])
+def test_a_party_that_is_not_a_pair_is_refused(alice, bob):
+    with pytest.raises(ValueError, match="^each party needs exactly two analyzer angles$"):
+        bell.ChshPlan(alice, bob)
+
+
+def test_leak_behind_a_coupler_that_passes_no_v():
+    # eta_v = 0 leaves every extinction reachable only by a pure V leak.
+    for extinction in (25.0, 1e300, math.inf):
+        assert sim.leak_fraction_for_extinction(extinction, 0.4, 0.0) == 1.0
+    with pytest.raises(ValueError) as raised:
+        sim.leak_fraction_for_extinction(25.0, 0.0, 0.0)
+    assert str(raised.value) == "eta_h and eta_v are both 0: no photon is transmitted"
+    assert sim.leak_fraction_for_extinction(math.inf, 1.0, 0.5) == 0.0
 
 
 def rule_breaches(tree: ast.Module) -> list:

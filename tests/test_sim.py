@@ -222,7 +222,7 @@ class TestStackedForms:
             for _ in range(3):
                 rho = random_density(rng, rank)
                 for plan in plans:
-                    settings = bell._plan_settings(plan)
+                    settings = plan._settings
                     for mean_pairs, seed in self.SAMPLING:
                         got = bell.simulate_chsh_counts(rho, plan, mean_pairs, seed)
                         want = frozen_records(rho, settings, mean_pairs, seed, sim._CHSH_STREAM)
