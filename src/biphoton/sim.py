@@ -155,14 +155,10 @@ class MeasurementSetting:
         """The read-only product ket ket_1 x ket_2, built on first use."""
         return _freeze(_pair_ket(self.ket_1, self.ket_2))
 
-    @functools.cached_property
-    def _projector(self) -> np.ndarray:
-        return _freeze(np.outer(self.pair, self.pair.conj()))
-
     def projector(self) -> np.ndarray:
-        """Rank-1 coincidence projector P1 x P2 on the pair, read-only,
-        built on first use."""
-        return self._projector
+        """Rank-1 coincidence projector P1 x P2 on the pair, read-only, built
+        on each call: `tomo._plan_arrays` stacks a plan's once per process."""
+        return _freeze(np.outer(self.pair, self.pair.conj()))
 
 
 @dataclass(frozen=True)
@@ -191,12 +187,12 @@ def tomography_plan(plan_id: str = PLAN_HVDR16) -> tuple:
     """The 16-setting plan {H,V,D,R} x {H,V,D,R}, row-major.
 
     The four analyzer states per photon span the single-qubit operator
-    space, so the product projectors are informationally complete.
+    space, so the product projectors are informationally complete. Its
+    settings are `_labelled_setting`'s, which `records_from_csv` shares.
     """
     if plan_id != PLAN_HVDR16:
         raise ValueError(f"unknown tomography plan {plan_id!r}")
-    return tuple(MeasurementSetting.of(a, b)
-                 for a in _PLAN_LABELS for b in _PLAN_LABELS)
+    return tuple(_labelled_setting(a, b) for a in _PLAN_LABELS for b in _PLAN_LABELS)
 
 
 def coincidence_probability(rho: DensityMatrix, setting: MeasurementSetting) -> float:
@@ -439,10 +435,10 @@ def records_to_csv(records, path) -> None:
 
 @functools.lru_cache(maxsize=64)
 def _labelled_setting(label_1: str, label_2: str) -> MeasurementSetting:
-    """The setting of a CSV label pair, built once per process: settings are
-    frozen, their kets and projector read-only. Labels are the key, so
-    lin:0 and lin:-0 stay two settings; a label that fails to parse raises
-    each time, as nothing is cached for it."""
+    """The setting of a label pair, built once per process and shared by
+    `tomography_plan` and `records_from_csv`: frozen, its kets read-only.
+    Labels are the key, so lin:0 and lin:-0 stay two settings; a label that
+    fails to parse raises each time, as nothing is cached for it."""
     return MeasurementSetting(parse_label(label_1), parse_label(label_2),
                               label_1, label_2)
 

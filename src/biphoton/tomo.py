@@ -243,6 +243,12 @@ def record_arrays(records) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The stacked projectors (read-only, shared per plan), counts and
     expected pairs of `records`, any non-empty iterable of CountRecords (a
     list is read as given, anything else listed first)."""
+    return _record_plan(records)[:3]
+
+
+def _record_plan(records) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
+    """`record_arrays` of `records` and their `_design_matrix`, from one
+    list of the records and one lookup of their plan's arrays."""
     if not isinstance(records, list):
         records = list(records)
     if not records:
@@ -250,27 +256,13 @@ def record_arrays(records) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     for rec in records:
         if not isinstance(rec, CountRecord):
             raise ValueError(f"records must be CountRecords, got {rec!r}")
-    projectors = _plan(records)[0]
+    projectors, design = _plan_arrays(tuple([rec.setting for rec in records]))
     counts = np.array([rec.counts for rec in records], dtype=float)
     pairs = np.array([rec.expected_pairs for rec in records], dtype=float)
-    return projectors, counts, pairs
+    return projectors, counts, pairs, design
 
 
-def _record_plan(records) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
-    """`record_arrays` of `records`, any non-empty iterable, and their
-    `_design_matrix`, from one list of the records."""
-    records = list(records)
-    return (*record_arrays(records), _plan(records)[1])
-
-
-def _plan(records) -> tuple[np.ndarray, np.ndarray | None]:
-    """The stacked projectors of `records`' settings and their
-    `_design_matrix`, read-only and built once per tuple of setting objects
-    (compared by identity; `sim.records_from_csv` shares them)."""
-    return _plan_arrays(tuple([rec.setting for rec in records]))
-
-
-@functools.lru_cache(maxsize=4)  # count files of one plan share one; a run reads its own twice
+@functools.lru_cache(maxsize=4)  # by identity: one entry per plan, runs and files alike
 def _plan_arrays(settings: tuple) -> tuple[np.ndarray, np.ndarray | None]:
     projectors = np.stack([setting.projector() for setting in settings])
     design = _design_matrix(projectors)

@@ -40,18 +40,14 @@ CACHES = {
     "scenario._strict_loader": (
         "the base YAML loader", "model-sweep", "399 hits, 1 miss; scenario-run 7, 1"),
     "sim._labelled_setting": (
-        "the CSV label pair", "tomo-stream", "3,184 hits, 16 misses"),
+        "the label pair", "tomo-stream",
+        "3,184 hits, 16 misses; scenario-run 112, 16 (tomography_plan's)"),
     "sim.MeasurementSetting.pair": (
         "the setting object", "model-sweep",
-        "3,184 hits, 16 misses (the CHSH settings); scenario-run 368, 144"),
-    "sim.MeasurementSetting._projector": (
-        "the setting object", None,
-        "never hit: built once per setting by tomo._plan_arrays's miss "
-        "(tomo-stream 16 misses, scenario-run 128)"),
+        "3,184 hits, 16 misses (the CHSH settings); scenario-run 256, 32"),
     "tomo._plan_arrays": (
         "the tuple of setting objects, by identity", "tomo-stream",
-        "399 hits, 1 miss across files; scenario-run 8 hits, 8 misses, "
-        "each the second lookup of _record_plan"),
+        "199 hits, 1 miss across files; scenario-run 7 hits, 1 miss across runs"),
 }
 
 

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 import yaml
 
-from biphoton import cli, optics, qstate, scenario, tomo
+from biphoton import cli, optics, qstate, scenario, sim, tomo
 from biphoton.cli import (builtin_scenario, fit_noise, load_scenario, resolve_model,
                           run_scenario)
 from biphoton.scenario import ChannelSpec, ScenarioConfig, efficiency_budget
@@ -747,6 +747,19 @@ class TestRunScenario:
         report_a = run_scenario(small_config(tmp_path, name="s1", seed=1))
         report_b = run_scenario(small_config(tmp_path, name="s2", seed=2))
         assert report_a.chsh.S != report_b.chsh.S
+
+    def test_runs_share_one_plan(self, tmp_path, capsys):
+        # The second run of a process finds the plan's arrays built.
+        assert cli.main(["run", "source", "--outputs", str(tmp_path / "source")]) == 0
+        misses = tomo._plan_arrays.cache_info().misses
+        assert cli.main(["run", "taper", "--outputs", str(tmp_path / "taper")]) == 0
+        assert tomo._plan_arrays.cache_info().misses == misses
+        # The plan's settings are the objects its count files read back as.
+        plan = sim.tomography_plan()
+        for name in ("source", "taper"):
+            records = sim.records_from_csv(tmp_path / name / "counts.csv")
+            assert len(records) == len(plan)
+            assert all(rec.setting is setting for rec, setting in zip(records, plan))
 
 
 class TestCommandLine:

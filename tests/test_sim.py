@@ -142,9 +142,10 @@ class TestPairKet:
         pair = setting.pair
         assert setting.pair is pair and not pair.flags.writeable
         assert pair.tobytes() == np.kron(setting.ket_1, setting.ket_2).tobytes()
-        projector = setting.projector()
-        assert setting.projector() is projector and not projector.flags.writeable
-        assert projector.tobytes() == np.outer(pair, pair.conj()).tobytes()
+        # The projector is built on each call, bit-equal and read-only each time.
+        for projector in (setting.projector(), setting.projector()):
+            assert not projector.flags.writeable
+            assert projector.tobytes() == np.outer(pair, pair.conj()).tobytes()
 
     def test_probabilities_from_the_cached_pair_are_bit_equal(self):
         rng = np.random.default_rng(23)

@@ -1544,19 +1544,23 @@ class TestFitsCallTheModuleAttribute:
 
 class TestPlanCache:
     def test_arrays_are_shared_per_tuple_of_settings(self):
-        records = sampled_records(random_density(np.random.default_rng(4)), 2000, 4)
-        other = sampled_records(random_density(np.random.default_rng(5)), 3000, 5)
-        projectors, design = tomo._plan(records)
-        assert tomo._plan(other)[0] is projectors and tomo._plan(other)[1] is design
+        plan = tomography_plan()
+        records = acquire_tomography(random_density(np.random.default_rng(4)), plan, 2000, 4)
+        # Each call of tomography_plan() returns the same settings, so shares the arrays.
+        other = acquire_tomography(random_density(np.random.default_rng(5)),
+                                   tomography_plan(), 3000, 5)
+        projectors, _, _, design = tomo._record_plan(records)
+        assert tomo._record_plan(other)[0] is projectors and tomo._record_plan(other)[3] is design
         assert record_arrays(other)[0] is projectors
         for array in (projectors, design):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0.0
-        expected = np.stack([setting.projector() for setting in PLAN])
+        expected = np.stack([setting.projector() for setting in plan])
         assert projectors.tobytes() == expected.tobytes()
         assert design.tobytes() == tomo._design_matrix(expected).tobytes()
         # New setting objects of the same plan build their own equal arrays.
-        rebuilt = tomo._plan([CountRecord(setting, 0.0, 1.0) for setting in tomography_plan()])
-        assert rebuilt[0] is not projectors
+        fresh = [MeasurementSetting.of(s.label_1, s.label_2) for s in plan]
+        rebuilt = tomo._record_plan([CountRecord(setting, 0.0, 1.0) for setting in fresh])
+        assert rebuilt[0] is not projectors and rebuilt[3] is not design
         assert rebuilt[0].tobytes() == projectors.tobytes()
-        assert rebuilt[1].tobytes() == design.tobytes()
+        assert rebuilt[3].tobytes() == design.tobytes()
