@@ -119,12 +119,6 @@ def chsh_S(rho: DensityMatrix, plan: ChshPlan = OPTIMAL_PLAN) -> ChshResult:
     return ChshResult(e, float(s_val), 0.0, plan)
 
 
-def exact_chsh_counts(rho: DensityMatrix, plan: ChshPlan,
-                      mean_pairs: float) -> list[CountRecord]:
-    """Expected (infinite-statistics) counts for the 16 outcome settings."""
-    return _records(rho, plan._settings, mean_pairs, None, _CHSH_STREAM)
-
-
 def simulate_chsh_counts(rho: DensityMatrix, plan: ChshPlan,
                          mean_pairs: float, seed: int) -> list[CountRecord]:
     """Poisson-sampled counts, `mean_pairs` pairs per setting pair."""

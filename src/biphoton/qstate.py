@@ -208,10 +208,6 @@ def to_density(psi: PureState) -> DensityMatrix:
     return DensityMatrix(np.outer(amps, amps.conj()))
 
 
-def maximally_mixed() -> DensityMatrix:
-    return DensityMatrix(np.eye(4, dtype=complex) / 4.0)
-
-
 def _as_matrix(rho) -> np.ndarray:
     if isinstance(rho, DensityMatrix):
         return rho.matrix
@@ -319,12 +315,6 @@ def metric_report(rho, target: PureState) -> MetricReport:
         purity=purity(rho),
         eigen_spectrum=tuple(float(v) for v in evals),
     )
-
-
-def random_pure(rng: np.random.Generator) -> PureState:
-    """Haar-random two-qubit pure state."""
-    vec = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    return PureState(vec / np.linalg.norm(vec))
 
 
 def random_density(rng: np.random.Generator, rank: int = 4) -> DensityMatrix:

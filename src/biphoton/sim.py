@@ -30,8 +30,6 @@ _FRINGE_STREAM = 2
 _CHSH_STREAM = 3
 _BOOTSTRAP_STREAM = 4
 
-_PLAN_LABELS = ("H", "V", "D", "R")
-
 #: Entropy words below this fit one uint32 each.
 _WORD_LIMIT = 1 << 32
 
@@ -125,12 +123,6 @@ def parse_label(label: str) -> np.ndarray:
     return ket(label)
 
 
-def _pair_ket(ket_1: np.ndarray, ket_2: np.ndarray) -> np.ndarray:
-    """The product ket ket_1 x ket_2: bit-equal to `np.kron` of two 2-kets,
-    which multiplies the same pairs, at a tenth of its cost."""
-    return (ket_1[:, None] * ket_2).reshape(4)
-
-
 @dataclass(frozen=True, eq=False)
 class MeasurementSetting:
     """Projective basis pair: one analyzer state per photon."""
@@ -153,7 +145,7 @@ class MeasurementSetting:
     @functools.cached_property
     def pair(self) -> np.ndarray:
         """The read-only product ket ket_1 x ket_2, built on first use."""
-        return _freeze(_pair_ket(self.ket_1, self.ket_2))
+        return _freeze(np.kron(self.ket_1, self.ket_2))
 
     def projector(self) -> np.ndarray:
         """Rank-1 coincidence projector P1 x P2 on the pair, read-only, built
@@ -165,10 +157,10 @@ class MeasurementSetting:
 class CountRecord:
     """Coincidence counts for one setting.
 
-    `counts` is integer-valued for sampled data; exact-probability records
-    (the infinite-count limit) store the expected count, which may be
-    fractional. `expected_pairs` is the mean number of pairs delivered to
-    the analyzers for this setting.
+    `counts` is integer-valued for sampled data; a record of the infinite-count
+    limit holds the expected count, `coincidence_probability(rho, s) * n`, which
+    may be fractional. `expected_pairs` is the mean number of pairs delivered
+    to the analyzers for this setting.
     """
 
     setting: MeasurementSetting
@@ -183,16 +175,22 @@ class CountRecord:
             raise ValueError("expected_pairs must be finite and positive")
 
 
+#: The hvdr16 plan's settings, built once at import and held for the
+#: process, so that no other label pair read can evict them.
+_PLAN = tuple(MeasurementSetting.of(a, b) for a in "HVDR" for b in "HVDR")
+_PLAN_BY_LABELS = {(setting.label_1, setting.label_2): setting for setting in _PLAN}
+
+
 def tomography_plan(plan_id: str = PLAN_HVDR16) -> tuple:
     """The 16-setting plan {H,V,D,R} x {H,V,D,R}, row-major.
 
     The four analyzer states per photon span the single-qubit operator
-    space, so the product projectors are informationally complete. Its
-    settings are `_labelled_setting`'s, which `records_from_csv` shares.
+    space, so the product projectors are informationally complete. Every
+    call returns the same settings, which `records_from_csv` shares.
     """
     if plan_id != PLAN_HVDR16:
         raise ValueError(f"unknown tomography plan {plan_id!r}")
-    return tuple(_labelled_setting(a, b) for a in _PLAN_LABELS for b in _PLAN_LABELS)
+    return _PLAN
 
 
 def coincidence_probability(rho: DensityMatrix, setting: MeasurementSetting) -> float:
@@ -345,7 +343,7 @@ def biphoton_fringe(rho: DensityMatrix, fixed, scan_angles,
     """
     fixed_ket = ket(fixed) if isinstance(fixed, str) else _unit_ket(fixed, 2, "fixed ket")
     theta = _scan_angles(scan_angles)
-    # The pair kets of `_pair_ket`, one row per angle.
+    # The pair kets np.kron(fixed_ket, linear_ket(angle)), one row per angle.
     pairs = (fixed_ket[:, None] * linear_ket(theta).T[:, None, :]).reshape(-1, 4)
     probs = _probabilities(rho, pairs)
     ref = polarization_angle(fixed_ket)
@@ -361,30 +359,18 @@ def biphoton_fringe(rho: DensityMatrix, fixed, scan_angles,
 # Tomography acquisition
 # ---------------------------------------------------------------------------
 
-def _check_plan(settings) -> tuple:
-    settings = tuple(settings)
-    if len(settings) != 16:
-        raise ValueError(f"tomography plan must have 16 settings, "
-                         f"got {len(settings)}")
-    return settings
-
-
 def _draws(probs: list, mean_pairs: float, seed: int, tag: int) -> list:
     """Poisson counts, the i-th drawn from the stream (seed, tag, i)."""
     return [float(sample_counts(p, mean_pairs, rng))
             for p, rng in zip(probs, stream(seed, tag, count=len(probs)))]
 
 
-def _records(rho: DensityMatrix, settings, mean_pairs: float, seed, tag: int) -> list:
-    """One CountRecord per setting: a Poisson draw from the stream (seed,
-    tag, setting index), or the expected count when `seed` is None."""
+def _records(rho: DensityMatrix, settings, mean_pairs: float, seed: int, tag: int) -> list:
+    """One CountRecord per setting, its count a Poisson draw from the stream
+    (seed, tag, setting index)."""
     probs = _probabilities(rho, np.array([setting.pair for setting in settings]))
-    if seed is None:
-        counts = [p * mean_pairs for p in probs]
-    else:
-        counts = _draws(probs, mean_pairs, seed, tag)
     return [CountRecord(setting, c, float(mean_pairs))
-            for setting, c in zip(settings, counts)]
+            for setting, c in zip(settings, _draws(probs, mean_pairs, seed, tag))]
 
 
 def acquire_tomography(rho: DensityMatrix, settings, mean_pairs: float,
@@ -394,12 +380,10 @@ def acquire_tomography(rho: DensityMatrix, settings, mean_pairs: float,
     Each setting draws from its own stream (seed, tag, setting index), so
     records are reproducible and independent of evaluation order.
     """
-    return _records(rho, _check_plan(settings), mean_pairs, seed, _TOMO_STREAM)
-
-
-def exact_tomography(rho: DensityMatrix, settings, mean_pairs: float) -> list:
-    """Infinite-count records: counts equal probability * mean_pairs."""
-    return _records(rho, _check_plan(settings), mean_pairs, None, _TOMO_STREAM)
+    settings = tuple(settings)
+    if len(settings) != 16:
+        raise ValueError(f"tomography plan must have 16 settings, got {len(settings)}")
+    return _records(rho, settings, mean_pairs, seed, _TOMO_STREAM)
 
 
 def _open_in_place(path, flags: int) -> int:
@@ -435,12 +419,14 @@ def records_to_csv(records, path) -> None:
 
 @functools.lru_cache(maxsize=64)
 def _labelled_setting(label_1: str, label_2: str) -> MeasurementSetting:
-    """The setting of a label pair, built once per process and shared by
-    `tomography_plan` and `records_from_csv`: frozen, its kets read-only.
-    Labels are the key, so lin:0 and lin:-0 stay two settings; a label that
-    fails to parse raises each time, as nothing is cached for it."""
-    return MeasurementSetting(parse_label(label_1), parse_label(label_2),
-                              label_1, label_2)
+    """The setting of a label pair that `records_from_csv` shares: the
+    plan's own for its 16 pairs, however many others were read; any other
+    is built once and kept while among the 64 pairs last read. Frozen, its
+    kets read-only. Labels are the key, so lin:0 and lin:-0 stay two
+    settings; a label that fails to parse raises each time, as nothing is
+    cached for it."""
+    return _PLAN_BY_LABELS.get((label_1, label_2)) or MeasurementSetting(
+        parse_label(label_1), parse_label(label_2), label_1, label_2)
 
 
 def records_from_csv(path) -> list:

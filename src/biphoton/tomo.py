@@ -23,7 +23,7 @@ from biphoton import bell
 from biphoton.qstate import (PAULI_X, PAULI_Y, PAULI_Z, DensityMatrix,
                              MetricReport, PureState, _checked_density,
                              _concurrence, _fidelity_with_pure, _freeze,
-                             _frozen, bell_state, metric_report)
+                             bell_state, metric_report)
 from biphoton.scenario import _NATURAL, _integer
 from biphoton.sim import _BOOTSTRAP_STREAM, CountRecord, stream
 
@@ -101,19 +101,6 @@ _ONE, _MINUS_TWO = (_freeze(np.array(value)) for value in (1.0, -2.0))
 # indices into the float64 view of the row-major 4x4 complex matrix.
 _PARAM_FLOATS = np.r_[np.arange(4) * 10,
                       (2 * np.flatnonzero(np.tri(4, k=-1))[:, None] + [0, 1]).ravel()]
-
-
-@dataclass(frozen=True, eq=False)
-class CholeskyParams:
-    """16 real parameters of a lower-triangular T with rho = T T^H / tr."""
-
-    t: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "t", _frozen(self.t, float, (16,), "Cholesky parameters"))
-
-    def density(self) -> DensityMatrix:
-        return DensityMatrix(_density_from_params(self.t))
 
 
 def _params_from_lower(tri: np.ndarray) -> np.ndarray:
@@ -218,14 +205,15 @@ def _density_from_params(t: np.ndarray, work: _Work | None = None) -> np.ndarray
     return work.gram.reshape(t.shape[:-1] + (4, 4))
 
 
-def params_from_density(rho) -> CholeskyParams:
-    """Parameters whose induced state matches `rho` after flooring eigenvalues.
+def params_from_density(rho) -> np.ndarray:
+    """The 16 real parameters, read-only, of a lower-triangular T whose
+    T T^H / tr(T T^H) is `rho` after flooring its eigenvalues.
 
     Eigenvalues below 1e-6 are raised to it (and the state renormalized)
     so the Cholesky factor exists even for rank-deficient inputs.
     """
     mat = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
-    return CholeskyParams(_params_from_densities(mat[None])[0])
+    return _freeze(_params_from_densities(mat[None])[0])
 
 
 def _params_from_densities(mats: np.ndarray) -> np.ndarray:

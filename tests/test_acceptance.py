@@ -18,7 +18,8 @@ import pytest
 from biphoton import bell, cli, optics, scenario, sim, tomo
 from biphoton.qstate import (DensityMatrix, bell_state, concurrence,
                              eigen_hermitian, fidelity_with_pure, random_density,
-                             random_pure, schmidt_pure, to_density)
+                             schmidt_pure, to_density)
+from helpers import random_pure
 
 PHI_PLUS = bell_state("phi+")
 RHO_PHI_PLUS = to_density(PHI_PLUS)

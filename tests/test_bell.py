@@ -6,10 +6,11 @@ import pytest
 from biphoton import bell
 from biphoton.bell import (ChshPlan, ChshResult, OPTIMAL_PLAN, SIGNS,
                            chsh_S, chsh_from_counts, correlation,
-                           exact_chsh_counts, simulate_chsh_counts)
+                           simulate_chsh_counts)
 from biphoton.qstate import (bell_state, random_density, schmidt_pure,
                              to_density)
 from biphoton.sim import MeasurementSetting, coincidence_probability
+from helpers import exact_records
 
 TSIRELSON = 2 * np.sqrt(2)
 
@@ -117,7 +118,7 @@ class TestChshS:
 class TestChshFromCounts:
     def test_perfect_correlation(self):
         rho = to_density(bell_state("phi+"))
-        records = exact_chsh_counts(rho, OPTIMAL_PLAN, 1000)
+        records = exact_records(rho, OPTIMAL_PLAN._settings, 1000)
         # overwrite first pair with perfectly correlated counts
         import dataclasses
         for i, c in zip(range(4), (500.0, 0.0, 0.0, 500.0)):
@@ -129,15 +130,15 @@ class TestChshFromCounts:
         rng = np.random.default_rng(67)
         for _ in range(30):
             rho = random_density(rng)
-            records = exact_chsh_counts(rho, OPTIMAL_PLAN, 5000)
+            records = exact_records(rho, OPTIMAL_PLAN._settings, 5000)
             from_counts = chsh_from_counts(records)
             exact = chsh_S(rho)
             assert from_counts.S == pytest.approx(exact.S, abs=1e-9)
             np.testing.assert_allclose(from_counts.E, exact.E, atol=1e-9)
 
     def test_uniform_counts_give_zero(self):
-        records = exact_chsh_counts(to_density(bell_state("phi+")),
-                                    OPTIMAL_PLAN, 1000)
+        records = exact_records(to_density(bell_state("phi+")),
+                                OPTIMAL_PLAN._settings, 1000)
         import dataclasses
         flat = [dataclasses.replace(r, counts=250.0) for r in records]
         result = chsh_from_counts(flat)
@@ -171,7 +172,7 @@ class TestChshFromCounts:
         rho = to_density(bell_state("phi+"))
         plans = (ChshPlan((0.1, 0.9), (0.3, 1.2)), ChshPlan((0.2, 1.1), (0.5, 1.4)))
         for plan, other in zip(plans, plans[::-1]):
-            records = exact_chsh_counts(rho, plan, 1000)
+            records = exact_records(rho, plan._settings, 1000)
             assert chsh_from_counts(records, plan).plan == plan
             with pytest.raises(ValueError, match="record 0"):
                 chsh_from_counts(records)
@@ -183,8 +184,8 @@ class TestChshFromCounts:
             chsh_from_counts([])
 
     def test_zero_total_pair_rejected(self):
-        records = exact_chsh_counts(to_density(bell_state("phi+")),
-                                    OPTIMAL_PLAN, 1000)
+        records = exact_records(to_density(bell_state("phi+")),
+                                OPTIMAL_PLAN._settings, 1000)
         import dataclasses
         dead = [dataclasses.replace(r, counts=0.0) if i < 4 else r
                 for i, r in enumerate(records)]

@@ -41,7 +41,8 @@ CACHES = {
         "the base YAML loader", "model-sweep", "399 hits, 1 miss; scenario-run 7, 1"),
     "sim._labelled_setting": (
         "the label pair", "tomo-stream",
-        "3,184 hits, 16 misses; scenario-run 112, 16 (tomography_plan's)"),
+        "3,184 hits, 16 misses; scenario-run none (tomography_plan returns "
+        "sim._PLAN, which a miss on a plan pair hands back)"),
     "sim.MeasurementSetting.pair": (
         "the setting object", "model-sweep",
         "3,184 hits, 16 misses (the CHSH settings); scenario-run 256, 32"),

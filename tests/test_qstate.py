@@ -9,12 +9,10 @@ from biphoton.bell import OPTIMAL_PLAN, ChshResult
 from biphoton.optics import JonesOperator, KrausChannel, depolarize
 from biphoton.qstate import (BASIS, DensityMatrix, MetricReport, PureState,
                              _depolarized_concurrence, bell_state, concurrence, eigen_hermitian,
-                             fidelity_with_pure, ket, linear_ket,
-                             maximally_mixed, metric_report, purity,
-                             random_density, random_pure, schmidt_pure,
-                             to_density)
+                             fidelity_with_pure, ket, linear_ket, metric_report, purity,
+                             random_density, schmidt_pure, to_density)
 from biphoton.sim import FringeCurve, MeasurementSetting
-from biphoton.tomo import CholeskyParams
+from helpers import maximally_mixed, random_pure
 
 # Normalizing the (0.801, 0.594) Schmidt pair gives these amplitudes; the
 # frozen metric values below follow from 2*a*d and ((a+d)/sqrt(2))^2.
@@ -297,8 +295,6 @@ VALUE_OBJECTS = {
                      np.diag([1.0, 0.5]).astype(complex), np.eye(3, dtype=complex), True),
     "ChshResult": (lambda arr: ChshResult(arr, 2.0, 0.1, OPTIMAL_PLAN), lambda obj: obj.E,
                    np.array([[0.7, -0.7], [0.7, 0.7]]), np.zeros(4), False),
-    "CholeskyParams": (CholeskyParams, lambda obj: obj.t, np.arange(16.0), np.arange(15.0),
-                       False),
     "FringeCurve": (lambda arr: FringeCurve(np.arange(4.0), arr, 1.0, 0.0, 0.0, 0.0, 0.0),
                     lambda obj: obj.values, np.arange(4.0), np.arange(5.0), False),
 }

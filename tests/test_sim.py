@@ -6,18 +6,18 @@ import warnings
 import numpy as np
 import pytest
 
-from biphoton import bell, sim
+from biphoton import bell, sim, tomo
 from biphoton.optics import anisotropic_coupler
-from biphoton.qstate import (bell_state, ket, linear_ket, maximally_mixed,
-                             random_density, schmidt_pure, to_density)
+from biphoton.qstate import (bell_state, ket, linear_ket, random_density,
+                             schmidt_pure, to_density)
 from biphoton.sim import (CountRecord, FringeCurve, MeasurementSetting,
                           PLAN_HVDR16, acquire_tomography, biphoton_fringe,
-                          coincidence_probability, exact_tomography,
-                          h_state_with_leak, leak_fraction_for_extinction,
-                          polarization_angle, records_from_csv, records_to_csv,
-                          sample_counts, single_photon_fringe, stream,
-                          tomography_plan)
+                          coincidence_probability, h_state_with_leak,
+                          leak_fraction_for_extinction, polarization_angle,
+                          records_from_csv, records_to_csv, sample_counts,
+                          single_photon_fringe, stream, tomography_plan)
 from biphoton.tomo import record_arrays
+from helpers import exact_records, maximally_mixed
 
 
 # Frozen copies of the per-item forms that the stacked ones replaced: one
@@ -62,10 +62,7 @@ def frozen_records(rho, settings, mean_pairs, seed, tag):
     records = []
     for i, setting in enumerate(settings):
         p = frozen_pair_probability(rho, np.kron(setting.ket_1, setting.ket_2))
-        if seed is None:
-            counts = p * mean_pairs
-        else:
-            counts = float(sample_counts(p, mean_pairs, oracle_stream(seed, tag, i)))
+        counts = float(sample_counts(p, mean_pairs, oracle_stream(seed, tag, i)))
         records.append(CountRecord(setting, counts, float(mean_pairs)))
     return records
 
@@ -124,17 +121,6 @@ class TestCoincidenceProbability:
 
 
 class TestPairKet:
-    def test_bit_equal_to_kron(self):
-        rng = np.random.default_rng(19)
-        pairs = [tuple(rng.standard_normal((2, 2, 2)) @ [1.0, 1j]) for _ in range(500)]
-        # Every sign of zero in either part, against zeros and unit entries.
-        parts = (0.0, -0.0, 1.0, -1.0)
-        edges = [np.array([complex(a, b), complex(c, d)])
-                 for a in parts for b in parts for c in parts[:2] for d in parts[:2]]
-        pairs += [(k1, k2) for k1 in edges for k2 in edges]
-        for k1, k2 in pairs:
-            assert sim._pair_ket(k1, k2).tobytes() == np.kron(k1, k2).tobytes()
-
     def test_setting_builds_its_pair_once_on_first_use(self):
         setting = MeasurementSetting.of("R", 0.3)
         # Construction stays as cheap as before: no pair until one is asked for.
@@ -212,9 +198,6 @@ class TestStackedForms:
                         got = acquire_tomography(rho, plan, mean_pairs, seed)
                         want = frozen_records(rho, plan, mean_pairs, seed, sim._TOMO_STREAM)
                         assert record_bytes(got) == record_bytes(want)
-                        got = exact_tomography(rho, plan, mean_pairs)
-                        want = frozen_records(rho, plan, mean_pairs, None, sim._TOMO_STREAM)
-                        assert record_bytes(got) == record_bytes(want)
 
     def test_chsh_records(self):
         rng = np.random.default_rng(2204)
@@ -227,9 +210,6 @@ class TestStackedForms:
                     for mean_pairs, seed in self.SAMPLING:
                         got = bell.simulate_chsh_counts(rho, plan, mean_pairs, seed)
                         want = frozen_records(rho, settings, mean_pairs, seed, sim._CHSH_STREAM)
-                        assert record_bytes(got) == record_bytes(want)
-                        got = bell.exact_chsh_counts(rho, plan, mean_pairs)
-                        want = frozen_records(rho, settings, mean_pairs, None, sim._CHSH_STREAM)
                         assert record_bytes(got) == record_bytes(want)
 
     def test_clipping_keeps_signed_zero_and_nan(self, monkeypatch):
@@ -467,12 +447,12 @@ class TestTomographyAcquisition:
 
     def test_exact_records_hold_probabilities(self):
         rho = to_density(bell_state("phi+"))
-        records = exact_tomography(rho, tomography_plan(), 10000)
+        records = exact_records(rho, tomography_plan(), 10000)
         assert records[0].counts == pytest.approx(5000.0, abs=1e-9)
 
     def test_product_basis_counts_are_complete(self):
         rho = to_density(bell_state("phi+"))
-        records = exact_tomography(rho, tomography_plan(), 10000)
+        records = exact_records(rho, tomography_plan(), 10000)
         by_label = {(r.setting.label_1, r.setting.label_2): r.counts for r in records}
         total = sum(by_label[k] for k in (("H", "H"), ("H", "V"),
                                           ("V", "H"), ("V", "V")))
@@ -684,6 +664,22 @@ class TestRecordCsv:
                            sim.parse_label(rec.setting.label_2))
             assert rec.setting.pair.tobytes() == original.setting.pair.tobytes()
             assert rec.setting.projector().tobytes() == np.outer(pair, pair.conj()).tobytes()
+
+    def test_plan_settings_outlive_other_label_pairs(self, tmp_path):
+        plan = tomography_plan()
+        records = acquire_tomography(to_density(bell_state("phi+")), plan, 3000, 4)
+        path, others = tmp_path / "counts.csv", tmp_path / "others.csv"
+        records_to_csv(records, path)
+        others.write_text("setting_1,setting_2,counts,expected_pairs\n"
+                          + "".join(f"lin:{i},H,5,100\n" for i in range(64)))
+        record_arrays(records)
+        misses = tomo._plan_arrays.cache_info().misses
+        assert len(records_from_csv(others)) == 64
+        read = records_from_csv(path)
+        assert all(a is b for a, b in zip(tomography_plan(), plan))
+        assert all(rec.setting is setting for rec, setting in zip(read, plan))
+        record_arrays(read)
+        assert tomo._plan_arrays.cache_info().misses == misses
 
     def test_two_reads_give_the_same_arrays(self, tmp_path):
         records = acquire_tomography(random_density(np.random.default_rng(3)),

@@ -12,14 +12,13 @@ from biphoton import bell, qstate, tomo
 from biphoton.cli import BUILTIN_SCENARIOS, builtin_scenario, resolve_model
 from biphoton.optics import depolarize
 from biphoton.qstate import (PAULI_Y, DensityMatrix, PureState, bell_state,
-                             concurrence, fidelity_with_pure, maximally_mixed,
-                             random_density, random_pure, to_density)
+                             concurrence, fidelity_with_pure, random_density,
+                             to_density)
 from biphoton.sim import (_BOOTSTRAP_STREAM, CountRecord, MeasurementSetting,
-                          acquire_tomography, exact_tomography, stream,
-                          tomography_plan)
-from biphoton.tomo import (CholeskyParams, bootstrap_errors, linear_inversion,
-                           mle_reconstruct, objective_and_gradient,
-                           params_from_density, record_arrays)
+                          acquire_tomography, stream, tomography_plan)
+from biphoton.tomo import (bootstrap_errors, linear_inversion, mle_reconstruct,
+                           objective_and_gradient, params_from_density, record_arrays)
+from helpers import cholesky_density, exact_records, maximally_mixed, random_pure
 
 PLAN = tomography_plan()
 
@@ -179,8 +178,7 @@ class TestCholeskyParams:
     def test_any_parameters_give_physical_state(self):
         rng = np.random.default_rng(3)
         for _ in range(50):
-            params = CholeskyParams(rng.standard_normal(16) * 3)
-            rho = params.density()
+            rho = cholesky_density(rng.standard_normal(16) * 3)
             assert np.trace(rho.matrix).real == pytest.approx(1.0, abs=1e-12)
             assert np.linalg.eigvalsh(rho.matrix).min() >= -1e-12
 
@@ -188,12 +186,13 @@ class TestCholeskyParams:
         rng = np.random.default_rng(5)
         for _ in range(20):
             rho = random_density(rng)
-            rebuilt = params_from_density(rho).density()
+            rebuilt = cholesky_density(params_from_density(rho))
             assert np.linalg.norm(rebuilt.matrix - rho.matrix) <= 1e-5
 
-    def test_wrong_length_rejected(self):
-        with pytest.raises(ValueError):
-            CholeskyParams(np.zeros(15))
+    def test_params_from_density_gives_16_read_only_floats(self):
+        params = params_from_density(to_density(bell_state("phi+")))
+        assert params.shape == (16,) and params.dtype == np.float64
+        assert not params.flags.writeable
 
     @pytest.mark.parametrize("rows", [1, 64])
     def test_packing_gather_equals_field_copies(self, rows):
@@ -216,12 +215,12 @@ class TestCholeskyParams:
 class TestLinearInversion:
     def test_exact_phi_plus(self):
         rho = to_density(bell_state("phi+"))
-        estimate = linear_inversion(exact_tomography(rho, PLAN, 10000))
+        estimate = linear_inversion(exact_records(rho, PLAN, 10000))
         assert np.max(np.abs(estimate - rho.matrix)) <= 1e-10
 
     def test_exact_maximally_mixed(self):
         rho = maximally_mixed()
-        estimate = linear_inversion(exact_tomography(rho, PLAN, 10000))
+        estimate = linear_inversion(exact_records(rho, PLAN, 10000))
         assert np.max(np.abs(estimate - rho.matrix)) <= 1e-10
 
     def test_finite_count_error_scale(self):
@@ -250,7 +249,7 @@ class TestLinearInversion:
         settings = list(PLAN)
         ket_2 = np.array([1.0, np.exp(1j * tilt)]) / np.sqrt(2.0)
         settings[3] = MeasurementSetting(settings[3].ket_1, ket_2, "H", "tilted")
-        return exact_tomography(to_density(bell_state("phi+")), settings, 10000)
+        return exact_records(to_density(bell_state("phi+")), settings, 10000)
 
     @staticmethod
     def design_condition(records):
@@ -393,7 +392,7 @@ class TestStackedStarts:
         assert len(mats) == 200
         assert tomo._params_from_densities(mats).tobytes() == expected.tobytes()
         for mat, row in zip(mats[:5], expected):
-            assert params_from_density(mat).t.tobytes() == row.tobytes()
+            assert params_from_density(mat).tobytes() == row.tobytes()
 
     def test_rank_deficient_starts_hit_the_floor(self):
         mats = np.stack([to_density(bell_state("phi+")).matrix,
@@ -404,7 +403,7 @@ class TestStackedStarts:
         expected = np.stack([reference_params(mat) for mat in mats])
         assert tomo._params_from_densities(mats).tobytes() == expected.tobytes()
         for mat, row in zip(mats, expected):
-            assert params_from_density(mat).t.tobytes() == row.tobytes()
+            assert params_from_density(mat).tobytes() == row.tobytes()
 
 
 def ginibre_states(rng, rows, rank):
@@ -572,7 +571,7 @@ class TestMatchesMinimize:
         rng = np.random.default_rng(83)
         for _ in range(8):
             assert_matches_reference(
-                exact_tomography(random_density(rng), PLAN, mean_pairs))
+                exact_records(random_density(rng), PLAN, mean_pairs))
 
     def test_adversarial_counts(self):
         rng = np.random.default_rng(19)
@@ -657,10 +656,10 @@ class TestMleReconstruct:
     def test_exact_init_stays_put(self):
         rng = np.random.default_rng(13)
         rho = random_density(rng)
-        projectors, counts, pairs = record_arrays(exact_tomography(rho, PLAN, 10000))
+        projectors, counts, pairs = record_arrays(exact_records(rho, PLAN, 10000))
         x, _, iterations, _, _ = tomo._lbfgsb(
             lambda t, rows: objective_and_gradient(t, counts[None], pairs, projectors),
-            params_from_density(rho).t[None], 10_000)
+            params_from_density(rho)[None], 10_000)
         assert iterations[0] <= 1
         assert np.max(np.abs(tomo._density_from_params(x[0]) - rho.matrix)) <= 1e-9
 
@@ -668,7 +667,7 @@ class TestMleReconstruct:
         rng = np.random.default_rng(17)
         for _ in range(100):
             rho = random_density(rng)
-            records = exact_tomography(rho, PLAN, 10000)
+            records = exact_records(rho, PLAN, 10000)
             mle = mle_reconstruct(records).rho.matrix
             lin = linear_inversion(records)
             assert np.linalg.norm(mle - lin) <= 1e-8
@@ -696,7 +695,7 @@ class TestMleReconstruct:
                                   3000, seed)
         result = mle_reconstruct(records)
         projectors, counts, pairs = record_arrays(records)
-        start = params_from_density(linear_inversion(records)).t
+        start = params_from_density(linear_inversion(records))
         trace = result.objective_trace
         assert len(trace) == result.iterations + 1
         assert trace[0] == objective_and_gradient(start, counts, pairs, projectors)[0]
@@ -868,10 +867,10 @@ class TestBootstrapErrors:
         # there at once, and the second must be evaluated with its own counts
         # rather than reuse the first one's evaluation.
         rho = random_density(np.random.default_rng(13))
-        projectors, exact, pairs = record_arrays(exact_tomography(rho, PLAN, 10000))
+        projectors, exact, pairs = record_arrays(exact_records(rho, PLAN, 10000))
         records = sampled_records(rho, 10000, 3)
         draws = np.stack([exact, record_arrays(records)[1]])
-        start = params_from_density(rho).t
+        start = params_from_density(rho)
         x, _, iterations, _, traces = tomo._lbfgsb(
             lambda t, rows: objective_and_gradient(t, draws[rows], pairs, projectors),
             np.stack([start, start]), 10_000, traced=(1,))
@@ -1181,8 +1180,8 @@ def signed_zero_pool():
     for row in tiny:
         row[rng.choice(16, 4, replace=False)] = rng.choice(
             [5e-324, -5e-324, 2.5e-310, -1.1e-308], 4)
-    starts = [params_from_density(maximally_mixed()).t,
-              params_from_density(np.diag([1.0, 0.0, 0.0, 0.0])).t]
+    starts = [params_from_density(maximally_mixed()),
+              params_from_density(np.diag([1.0, 0.0, 0.0, 0.0]))]
     return np.vstack([rows, sparse, zeros, tiny, starts])
 
 
@@ -1199,7 +1198,7 @@ class TestSignedZeroAssembly:
             held = (self.POOL == 0.0) & (np.signbit(self.POOL) == sign)
             assert held.any(axis=0).all()
         assert (np.abs(self.POOL[self.POOL != 0.0]) < 2.3e-308).sum() >= 32
-        mixed = params_from_density(maximally_mixed()).t
+        mixed = params_from_density(maximally_mixed())
         assert (mixed[4:] == 0.0).all()
 
     def test_store_is_the_inverse_of_the_gather(self):
@@ -1335,7 +1334,7 @@ class TestSubnormalTrace:
         assert np.array_equal(raw, raw.conj().T)
         expected = tomo._density_from_params(self.T0)
         assert np.abs(raw - expected).max() <= 1e-12
-        assert np.abs(CholeskyParams(t).density().matrix - expected).max() <= 1e-12
+        assert np.abs(cholesky_density(t).matrix - expected).max() <= 1e-12
 
     def test_subnormal_parameters_take_a_power_of_two(self):
         # Every entry subnormal: the density is that of the row scaled by a
