@@ -365,11 +365,18 @@ def load_scenario(path) -> ScenarioConfig:
     from biphoton import scenario
     try:
         with open(path) as fh:
-            raw = yaml.load(fh, Loader=scenario._strict_loader(scenario._YAML_LOADER))
+            text = fh.read()
+        # Parsed from text, which PyYAML reads faster than a file handle.
+        raw = yaml.load(text, Loader=scenario._strict_loader(scenario._YAML_LOADER))
     except (yaml.YAMLError, ValueError) as exc:
         # ValueError: undecodable bytes, or an int past Python's digit limit.
-        # PyYAML's marks name the file too; the prefix alone names it here.
-        message = " ".join(str(exc).split()).replace(f' in "{path}"', "")
+        # The prefix names the file; PyYAML's marks name the text, and the
+        # pure-Python loader's (not libyaml's) quote its line, as they do not
+        # for a file.
+        for mark in (getattr(exc, "context_mark", None), getattr(exc, "problem_mark", None)):
+            if isinstance(mark, yaml.error.Mark):
+                mark.buffer = None
+        message = " ".join(str(exc).split()).replace(' in "<unicode string>"', "")
         raise ValueError(f"{path}: invalid YAML: {message}") from None
     return scenario.ScenarioConfig.from_mapping(raw, path)
 

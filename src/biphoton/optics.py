@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from biphoton.qstate import DensityMatrix, PureState, _frozen, linear_ket, schmidt_pure
+from biphoton.qstate import (DensityMatrix, PureState, _eigvalsh, _frozen, linear_ket,
+                             schmidt_pure)
 from biphoton.scenario import _ARM, _FINITE, _FINITE_POSITIVE, _UNIT, _integer, _number
 
 _UNITARY_TOL = 1e-12
@@ -73,7 +74,7 @@ class KrausChannel:
             raise ValueError("channel needs at least one Kraus operator")
         object.__setattr__(self, "arm", _integer(self.arm, "arm", *_ARM))
         total = sum(op.conj().T @ op for op in ops)
-        slack = np.linalg.eigvalsh(np.eye(2) - total)
+        slack = _eigvalsh(np.eye(2) - total)
         # Written so that NaN fails the comparison and is rejected too.
         if not float(slack.min()) >= -_CP_TOL:
             raise ValueError("Kraus operators exceed trace preservation "

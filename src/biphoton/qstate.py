@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import LinAlgError, _umath_linalg
 
 from biphoton.scenario import _FINITE, _integer, _number
 
@@ -41,6 +42,66 @@ _NORM_TOL = 1e-12
 _HERM_TOL = 1e-10
 _TRACE_TOL = 1e-10
 _PSD_TOL = 1e-9
+
+# numpy 2 has one svd and one lstsq gufunc; numpy 1 splits each by shape as
+# its wrappers do, indexed here by m < n (svd) and m <= n (lstsq).
+if hasattr(_umath_linalg, "svd"):
+    _SVD = (_umath_linalg.svd,) * 2
+    _LSTSQ = (_umath_linalg.lstsq,) * 2
+else:  # numpy 1.x
+    _SVD = (_umath_linalg.svd_n, _umath_linalg.svd_m)
+    _LSTSQ = (_umath_linalg.lstsq_n, _umath_linalg.lstsq_m)
+_EPS = float(np.finfo(float).eps)
+
+
+def _lapack(message: str):
+    """The floating-point state numpy's linalg wrappers call their gufunc
+    in, as a decorator: a LAPACK failure, which the gufunc flags as an
+    invalid operation, raises LinAlgError(message); overflow, division by
+    zero and underflow pass silently."""
+    def fail(err, flag):
+        raise LinAlgError(message)
+    return np.errstate(call=fail, invalid="call", over="ignore", divide="ignore",
+                       under="ignore")
+
+
+# numpy.linalg's gufuncs without their Python wrappers, which cost more than
+# LAPACK does on 2x2 and 4x4 matrices. Each takes a float64 or complex128
+# stack and gives the bytes of its numpy.linalg counterpart.
+
+@_lapack("Eigenvalues did not converge")
+def _eigvalsh(a: np.ndarray) -> np.ndarray:
+    """np.linalg.eigvalsh(a)."""
+    return _umath_linalg.eigvalsh_lo(a, signature="D->d" if a.dtype.kind == "c" else "d->d")
+
+
+@_lapack("Eigenvalues did not converge")
+def _eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """np.linalg.eigh(a) as a plain (eigenvalues, eigenvectors) tuple."""
+    return _umath_linalg.eigh_lo(a, signature="D->dD" if a.dtype.kind == "c" else "d->dd")
+
+
+@_lapack("SVD did not converge")
+def _svdvals(a: np.ndarray) -> np.ndarray:
+    """np.linalg.svd(a, compute_uv=False)."""
+    m, n = a.shape[-2:]
+    return _SVD[m < n](a, signature="D->d" if a.dtype.kind == "c" else "d->d")
+
+
+@_lapack("SVD did not converge in Linear Least Squares")
+def _lstsq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.linalg.lstsq(a, v, rcond=None)[0] of each vector v along the last
+    axis of `b`, each solved on its own: one call on a stack gives every
+    vector the bits of its own call, which a multi-column b does not."""
+    m, n = a.shape[-2:]
+    signature = "DDd->Ddid" if "c" in (a.dtype.kind, b.dtype.kind) else "ddd->ddid"
+    return _LSTSQ[m <= n](a, b[..., None], _EPS * max(m, n), signature=signature)[0][..., 0]
+
+
+@_lapack("Matrix is not positive definite")
+def _cholesky(a: np.ndarray) -> np.ndarray:
+    """np.linalg.cholesky(a)."""
+    return _umath_linalg.cholesky_lo(a, signature="D->D" if a.dtype.kind == "c" else "d->d")
 
 
 def linear_ket(angle: float) -> np.ndarray:
@@ -115,7 +176,7 @@ def _checked_density(mats: np.ndarray) -> np.ndarray:
         tr = complex(np.ravel(traces)[np.argmax(off)])
         raise ValueError(f"density matrix trace {tr!r} != 1")
     mats = 0.5 * (mats + adjoint)
-    if (np.linalg.eigvalsh(mats) < -_PSD_TOL).any():
+    if (_eigvalsh(mats) < -_PSD_TOL).any():
         raise ValueError("density matrix has a negative eigenvalue "
                          "beyond tolerance")
     return mats
@@ -229,9 +290,9 @@ def concurrence(rho) -> float:
 
 def _concurrence(mats: np.ndarray) -> np.ndarray:
     """`concurrence` of each density matrix along the last two axes."""
-    evals, evecs = np.linalg.eigh(mats)
+    evals, evecs = _eigh(mats)
     factor = evecs * np.sqrt(evals.clip(0.0))[..., None, :]
-    lams = np.linalg.svd(factor.swapaxes(-1, -2) @ _SYSY @ factor, compute_uv=False)
+    lams = _svdvals(factor.swapaxes(-1, -2) @ _SYSY @ factor)
     l0, l1, l2, l3 = lams.T
     # max(0.0, gap): adding 0.0 turns a -0.0 into 0.0, as max does.
     return np.maximum(l0 - l1 - l2 - l3, 0.0) + 0.0
@@ -246,13 +307,12 @@ def _depolarized_concurrence(mat: np.ndarray):
     values of D (V^T (sy x sy) V) D. It agrees with `_concurrence` of the
     depolarized state to rounding (about 1e-14 at most), not bit for bit.
     """
-    evals, evecs = np.linalg.eigh(mat)
+    evals, evecs = _eigh(mat)
     twisted = evecs.T @ _SYSY @ evecs
 
     def at(p: float) -> float:
         roots = np.sqrt(np.maximum((1.0 - p) * evals + 0.25 * p, 0.0))
-        l0, l1, l2, l3 = np.linalg.svd(roots[:, None] * twisted * roots,
-                                       compute_uv=False).tolist()
+        l0, l1, l2, l3 = _svdvals(roots[:, None] * twisted * roots).tolist()
         return max(l0 - l1 - l2 - l3, 0.0)
 
     return at
@@ -291,7 +351,7 @@ def eigen_hermitian(rho) -> tuple[np.ndarray, tuple[PureState, ...]]:
     real and positive, so decompositions are directly comparable.
     """
     mat = _as_matrix(rho)
-    evals, evecs = np.linalg.eigh(mat)
+    evals, evecs = _eigh(mat)
     order = np.argsort(evals)[::-1]
     evals = evals[order].real
     states = []
@@ -308,7 +368,7 @@ def eigen_hermitian(rho) -> tuple[np.ndarray, tuple[PureState, ...]]:
 def metric_report(rho, target: PureState) -> MetricReport:
     """Bundle concurrence, target fidelity, purity and descending spectrum
     of `rho`."""
-    evals = np.sort(np.linalg.eigh(_as_matrix(rho))[0])[::-1]
+    evals = np.sort(_eigh(_as_matrix(rho))[0])[::-1]
     return MetricReport(
         concurrence=concurrence(rho),
         fidelity_target=fidelity_with_pure(rho, target),

@@ -20,7 +20,7 @@ import numpy as np
 
 from biphoton.optics import anisotropic_coupler
 from biphoton.qstate import (DensityMatrix, _checked_density, _clip_unit, _freeze,
-                             _frozen, _unit_ket, ket, linear_ket)
+                             _frozen, _lstsq, _unit_ket, ket, linear_ket)
 from biphoton.scenario import _NATURAL, _UNIT, PLAN_HVDR16, _integer, _number
 
 # Purpose tags for derived RNG streams; disjoint so that reusing one master
@@ -269,7 +269,7 @@ class FringeCurve:
             raise ValueError("need matching angle/value arrays of length >= 3")
         design = np.column_stack(
             [np.ones_like(theta), np.cos(2.0 * theta), np.sin(2.0 * theta)])
-        c0, c1, c2 = np.linalg.lstsq(design, vals, rcond=None)[0]
+        c0, c1, c2 = _lstsq(design, vals)
         locked = c1 * np.cos(2.0 * phase_ref) + c2 * np.sin(2.0 * phase_ref)
         vis = abs(locked) / c0 if c0 > 1e-15 else 0.0
         return cls(theta, vals, float(c0), float(c1), float(c2),

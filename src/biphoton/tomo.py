@@ -21,9 +21,9 @@ import numpy as np
 
 from biphoton import bell
 from biphoton.qstate import (PAULI_X, PAULI_Y, PAULI_Z, DensityMatrix,
-                             MetricReport, PureState, _checked_density,
-                             _concurrence, _fidelity_with_pure, _freeze,
-                             bell_state, metric_report)
+                             MetricReport, PureState, _checked_density, _cholesky,
+                             _concurrence, _eigh, _fidelity_with_pure, _freeze,
+                             _lstsq, _svdvals, bell_state, metric_report)
 from biphoton.scenario import _NATURAL, _integer
 from biphoton.sim import _BOOTSTRAP_STREAM, CountRecord, stream
 
@@ -220,11 +220,11 @@ def _params_from_densities(mats: np.ndarray) -> np.ndarray:
     """`params_from_density` of each matrix of an (R, 4, 4) stack, as an
     (R, 16) array. The stacked eigh, matmul, trace and cholesky give each
     row the bits they give that matrix alone."""
-    evals, evecs = np.linalg.eigh(mats)
+    evals, evecs = _eigh(mats)
     evals = np.clip(evals, _INIT_EIGEN_FLOOR, None)
     mats = (evecs * evals[:, None, :]) @ evecs.conj().transpose(0, 2, 1)
     mats /= mats.trace(axis1=1, axis2=2).real.reshape(-1, 1, 1)
-    return _params_from_lower(np.linalg.cholesky(mats))
+    return _params_from_lower(_cholesky(mats))
 
 
 def record_arrays(records) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -264,7 +264,7 @@ def _design_matrix(projectors: np.ndarray) -> np.ndarray | None:
     """Real design matrix tr(P_n G_k), or None when the projectors do not
     span the operator space (condition number above 1e6)."""
     design = np.real(np.einsum("nij,kji->nk", projectors, _HERM_BASIS))
-    singulars = np.linalg.svd(design, compute_uv=False)
+    singulars = _svdvals(design)
     if singulars[-1] <= 0 or singulars[0] / singulars[-1] > _GRAM_COND_LIMIT:
         return None
     return design
@@ -280,11 +280,7 @@ def _linear_start(design: np.ndarray | None, counts: np.ndarray,
     starts[...] = _MIXED
     if design is not None:
         freqs = counts / pairs
-        # One lstsq per row: a multi-RHS lstsq is not bit-equal to it.
-        coeffs = np.array([np.linalg.lstsq(design, row, rcond=None)[0]
-                           for row in freqs.reshape(-1, len(pairs))])
-        mat = np.einsum("...k,kij->...ij", coeffs.reshape(counts.shape[:-1] + (16,)),
-                        _HERM_BASIS)
+        mat = np.einsum("...k,kij->...ij", _lstsq(design, freqs), _HERM_BASIS)
         mat = 0.5 * (mat + mat.conj().swapaxes(-1, -2))
         trace = mat.trace(axis1=-2, axis2=-1).real[..., None, None]
         np.divide(mat, trace, out=starts, where=trace > _PROB_FLOOR)

@@ -1109,6 +1109,34 @@ class TestYamlLoaders:
         with pytest.raises(yaml.scanner.ScannerError, match="cannot start any token"):
             yaml.load(text, Loader=yaml.SafeLoader)
 
+    @pytest.mark.parametrize("loader", [yaml.CSafeLoader, yaml.SafeLoader],
+                             ids=["libyaml", "pure-python"])
+    def test_error_line_is_that_of_a_parse_from_the_file(self, monkeypatch, tmp_path,
+                                                          loader):
+        # load_scenario parses the file's text; its message is the one a
+        # parse from the open file gave, without the file's name in the marks.
+        monkeypatch.setattr(scenario, "_YAML_LOADER", loader)
+        texts = [b"noise_p: [0.1\n", b"seed: 9\nseed: 9\n", b"a: b: c\n",
+                 b"name: x\x07\n", b"\xef\xbb\xbfname: 'x\n", b"- a\nb: c\n",
+                 b"a: *b\n", b"a: !!python/name:os.system x\n", b"name: \xff\xfe\n",
+                 b"seed: 1" + b"9" * 5000 + b"\n"]
+        texts += [text.encode() for text in scenario_mutants(200)]
+        path = tmp_path / "bad.yaml"
+        failures = 0
+        for text in texts:
+            path.write_bytes(text)
+            try:
+                with open(path) as fh:
+                    yaml.load(fh, Loader=scenario._strict_loader(loader))
+                continue
+            except (yaml.YAMLError, ValueError) as exc:
+                expected = " ".join(str(exc).split()).replace(f' in "{path}"', "")
+            with pytest.raises(ValueError) as raised:
+                load_scenario(path)
+            assert str(raised.value) == f"{path}: invalid YAML: {expected}", text
+            failures += 1
+        assert failures > 20
+
     def test_scenario_with_tab_loads_only_under_libyaml(self, tmp_path, monkeypatch):
         path = tmp_path / "tab.yaml"
         path.write_text("name: x\nsource: phi+\nseed:\t7\n")

@@ -15,13 +15,23 @@ oracles of the other test files fail somewhere downstream:
   0 of the bootstrap's stack);
 - einsum's C core equals `np.einsum(..., optimize=False)`;
 - `sim._hashed_seeds` is `SeedSequence`'s hash;
-- `optics._lift` is `np.kron`.
+- `optics._lift` is `np.kron`;
+- `qstate`'s LAPACK helpers (`_eigvalsh`, `_eigh`, `_svdvals`, `_lstsq`,
+  `_cholesky`) call numpy.linalg's gufuncs as its wrappers do, with their
+  bytes and their LinAlgError messages; `_lstsq` on a stack gives each row
+  the bits of its own `lstsq` (every linear start and fringe fit); and no
+  other code in `src/` calls those five numpy.linalg routines.
 """
+
+import ast
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from biphoton import optics, sim, tomo
+from biphoton import optics, qstate, sim, tomo
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "biphoton"
 
 ROWS = [1, 7, 64]
 
@@ -194,3 +204,147 @@ def test_lift_is_kron(arm):
         op[tuple(rng.integers(0, 2, size=2))] = complex(*rng.choice([0.0, -0.0], size=2))
         want = np.kron(op, eye) if arm == 1 else np.kron(eye, op)
         assert optics._lift(op, arm).tobytes() == want.tobytes()
+
+
+# Each LAPACK helper and its numpy.linalg counterpart.
+HELPERS = {
+    "eigvalsh": (qstate._eigvalsh, np.linalg.eigvalsh),
+    "eigh": (qstate._eigh, np.linalg.eigh),
+    "svd": (qstate._svdvals, lambda a: np.linalg.svd(a, compute_uv=False)),
+    "cholesky": (qstate._cholesky, np.linalg.cholesky),
+}
+
+
+def lstsq(a, v):
+    return np.linalg.lstsq(a, v, rcond=None)[0]
+
+
+def outcome(call, *args):
+    """The LinAlgError message `call(*args)` raises, or the dtype, shape and
+    bytes of each array it returns."""
+    try:
+        result = call(*args)
+    except np.linalg.LinAlgError as exc:
+        return "LinAlgError", str(exc)
+    parts = result if isinstance(result, tuple) else (result,)
+    return "arrays", [(part.dtype.str, part.shape, part.tobytes()) for part in parts]
+
+
+@pytest.mark.parametrize("rows", ROWS)
+@pytest.mark.parametrize("name", sorted(HELPERS))
+def test_helper_gives_the_bytes_of_numpy_linalg(name, rows):
+    helper, public = HELPERS[name]
+    rng = np.random.default_rng(600 + rows)
+    stacks = [ginibre(rng, rows), ginibre(rng, rows).real + 4.0 * np.eye(4)]
+    if name == "svd":
+        stacks += [rng.standard_normal((rows, 18, 3)), complex_normal(rng, (rows, 3, 5))]
+    for stack in stacks:
+        for mats in (stack, stack[0]):
+            assert outcome(helper, mats) == outcome(public, mats), mats.shape
+
+
+@pytest.mark.parametrize("rows", ROWS)
+@pytest.mark.parametrize("shape", [(9, 5), (5, 5), (3, 5)], ids=["tall", "square", "wide"])
+@pytest.mark.parametrize("kind", [float, complex])
+def test_lstsq_helper_gives_the_bytes_of_numpy_lstsq(kind, shape, rows):
+    rng = np.random.default_rng(700 + rows)
+    draw = rng.standard_normal if kind is float else lambda size: complex_normal(rng, size)
+    a, b = draw(shape), draw((rows, shape[0]))
+    got = qstate._lstsq(a, b)
+    assert got.shape == (rows, shape[1]) and got.dtype == kind
+    for r in range(rows):
+        assert outcome(qstate._lstsq, a, b[r]) == outcome(lstsq, a, b[r])
+        assert got[r].tobytes() == lstsq(a, b[r]).tobytes()
+
+
+def test_helpers_fail_as_numpy_linalg_does():
+    rng = np.random.default_rng(800)
+    stack = ginibre(rng, 7)
+    stack[3] = np.nan
+    for name, (helper, public) in sorted(HELPERS.items()):
+        for bad in (stack, stack[3], stack.real):
+            got = outcome(helper, bad)
+            assert got == outcome(public, bad), name
+            # numpy's cholesky passes NaN through; it fails on a matrix that
+            # is not positive definite.
+            assert got[0] == ("arrays" if name == "cholesky" else "LinAlgError"), name
+    negative = -np.eye(4, dtype=complex)
+    assert outcome(qstate._cholesky, negative) == outcome(np.linalg.cholesky, negative) == (
+        "LinAlgError", "Matrix is not positive definite")
+    # A NaN in a right-hand side gives NaN; one in the design fails lstsq.
+    design, b = rng.standard_normal((9, 5)), rng.standard_normal((7, 9))
+    b[3, 2] = np.nan
+    got = qstate._lstsq(design, b)
+    assert np.isnan(got[3]).all()
+    for r in range(7):
+        assert got[r].tobytes() == lstsq(design, b[r]).tobytes()
+    design[1, 1] = np.nan
+    for v in (b, b[0]):
+        assert outcome(qstate._lstsq, design, v) == outcome(lstsq, design, b[0]) == (
+            "LinAlgError", "SVD did not converge in Linear Least Squares")
+
+
+def fringe_design():
+    """`sim.FringeCurve.fit`'s design at the 18 fringe angles."""
+    theta = np.deg2rad(np.arange(0.0, 180.0, 10.0))
+    return np.column_stack([np.ones_like(theta), np.cos(2.0 * theta), np.sin(2.0 * theta)])
+
+
+@pytest.mark.parametrize("rows", [1, 7, 64, 201])
+@pytest.mark.parametrize("design", ["hvdr16", "fringe"])
+def test_stacked_solve_equals_one_lstsq_per_row(design, rows):
+    a = tomo._plan_arrays(sim.tomography_plan())[1] if design == "hvdr16" else fringe_design()
+    rng = np.random.default_rng(900 + rows)
+    b = rng.uniform(0.0, 1.0, (rows, len(a)))
+    b[::3] = 0.0
+    got = qstate._lstsq(a, b)
+    for r in range(rows):
+        assert got[r].tobytes() == lstsq(a, b[r]).tobytes()
+
+
+LAPACK_ROUTINES = {"eigvalsh", "eigh", "svd", "lstsq", "cholesky"}
+
+
+def lapack_breaches(tree: ast.Module, helpers_module: bool) -> list:
+    """Where `tree` reaches numpy.linalg's eigvalsh, eigh, svd, lstsq or
+    cholesky (`np.linalg.eigh`, `linalg.svd`, `from numpy.linalg import
+    lstsq`, `import numpy.linalg`, `from numpy import linalg`), or, outside
+    `qstate` (`helpers_module`), its gufuncs (`_umath_linalg`)."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in LAPACK_ROUTINES and (
+                isinstance(node.value, ast.Attribute) and node.value.attr == "linalg"
+                or isinstance(node.value, ast.Name) and node.value.id == "linalg"):
+            found.append(f"linalg.{node.attr}, line {node.lineno}")
+        elif isinstance(node, ast.Import) and any(
+                alias.name.startswith("numpy.linalg") for alias in node.names):
+            found.append(f"import numpy.linalg, line {node.lineno}")
+        elif isinstance(node, ast.ImportFrom) and node.module in ("numpy", "numpy.linalg"):
+            names = {alias.name for alias in node.names}
+            if names & (LAPACK_ROUTINES | {"linalg", "*"}):
+                found.append(f"from {node.module} import, line {node.lineno}")
+        if not helpers_module and (isinstance(node, ast.Name) and node.id == "_umath_linalg"
+                                   or isinstance(node, ast.alias)
+                                   and node.name == "_umath_linalg"):
+            found.append(f"_umath_linalg, line {node.lineno}")
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda path: path.name)
+def test_lapack_is_called_only_through_the_qstate_helpers(path):
+    tree = ast.parse(path.read_text(), str(path))
+    assert lapack_breaches(tree, path.name == "qstate.py") == []
+
+
+def test_the_lapack_guard_sees_each_form():
+    code = ("import numpy as np, numpy.linalg\n"
+            "from numpy.linalg import lstsq\n"
+            "from numpy import linalg\n"
+            "np.linalg.eigh(a)\n"
+            "numpy.linalg.svd(a)\n"
+            "linalg.cholesky(a)\n"
+            "from numpy.linalg import _umath_linalg\n"
+            "np.linalg.norm(a)\n")
+    for helpers_module, lines in [(False, [1, 2, 3, 4, 5, 6, 7]), (True, [1, 2, 3, 4, 5, 6])]:
+        found = lapack_breaches(ast.parse(code), helpers_module)
+        assert sorted(int(breach.rpartition(" ")[2]) for breach in found) == lines
