@@ -403,14 +403,18 @@ def _cmd_run(args) -> int:
 
 def _cmd_budget(args) -> int:
     import json
-    stages = []
-    for token in args.stages:
-        if "=" in token:
-            name, value = token.split("=", 1)
-            stages.append((name, float(value)))
-        else:
-            stages.append(float(token))
     from biphoton import scenario
+    stages = []
+    for i, token in enumerate(args.stages, 1):
+        name, named, text = token.partition("=")
+        if not named:
+            name, text = i, token
+        try:
+            value = float(text)
+        except ValueError:
+            value = text  # `_number` refuses it, naming the stage and the text
+        value = scenario._number(value, f"stage {name}")
+        stages.append((name, value) if named else value)
     budget = scenario.efficiency_budget(stages, solve_total=args.solve_total,
                                         quoted_unknown=args.quoted_unknown)
     print(json.dumps(budget.to_json_dict(), indent=2, sort_keys=True))

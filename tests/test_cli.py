@@ -3,6 +3,7 @@
 import ast
 import contextlib
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -433,6 +434,31 @@ class TestFitNoise:
             if config.noise_fit_concurrence is not None:
                 assert resolve_model(config).noise_p.hex() == fit_outcome(
                     reference_fit_noise, target, base)
+
+    def test_27600_outcomes_keep_their_bytes(self):
+        # Each fit's p as float.hex, or its ValueError's text, newline-joined:
+        # 3000 sweep bases at their target and the band edges of
+        # test_sweep_fits_match_the_exact_bisection, then 3000 `fit_bases`
+        # at their targets and the two edges about the first mid. 24,039 of
+        # them return a p. Moving the fit must keep every one.
+        def outcome(target, base):
+            try:
+                return fit_noise(target, base).hex()
+            except ValueError as exc:
+                return str(exc)
+
+        outcomes = []
+        for config, target in sweep_configs(3000, seed=9090):
+            base = channel_output(config)
+            first = concurrence(depolarize(base, 0.5))
+            outcomes += [outcome(t, base) for t in (target, first + 1e-6, first - 1e-6,
+                                                     concurrence(base) - 1e-7)]
+        for base, targets in fit_bases(9191, 3000):
+            first = concurrence(depolarize(base, 0.5))
+            outcomes += [outcome(t, base) for t in [*targets, first + 1e-6, first - 1e-6]]
+        assert len(outcomes) == 27_600
+        digest = hashlib.sha256("\n".join(outcomes).encode()).hexdigest()
+        assert digest == "af323b42fbfb89eb4f1e4e5d2fa17f32855d66d4aef83b8ebdf3dbd1da680382"
 
     def test_sweep_fits_evaluate_few_steps(self, monkeypatch):
         # The convexity bounds decide all but a few steps of each fit; the
@@ -1035,6 +1061,16 @@ class TestCommandLine:
     def test_invalid_budget_exits_nonzero(self, capsys):
         assert cli.main(["budget", "0.0"]) == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["x"], "stage 1 must be a number, got 'x'"),
+        (["a=0.5", "b="], "stage b must be a number, got ''"),
+        (["0.5", "0.9", "1/2"], "stage 3 must be a number, got '1/2'"),
+        (["0.5", "nan"], "stage 2 must be a number, got nan"),
+    ], ids=["bare", "named-empty", "bare-third", "nan"])
+    def test_unreadable_stage_is_named_with_its_token(self, capsys, argv, message):
+        assert cli.main(["budget", *argv]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
     @pytest.mark.parametrize("argv, flag", [
         (["0.5", "--solve-total", "nan"], "--solve-total"),

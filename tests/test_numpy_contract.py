@@ -14,6 +14,9 @@ oracles of the other test files fail somewhere downstream:
   call (stacked starts, densities, checks and metrics: the main fit is row
   0 of the bootstrap's stack);
 - einsum's C core equals `np.einsum(..., optimize=False)`;
+- the probability terms laid out settings first (`"nij,rji->nir"`, rows
+  innermost) are, transposed, the bytes of the rows-first layout: the same
+  products summed in the same order (`tomo._Work.terms`);
 - `sim._hashed_seeds` is `SeedSequence`'s hash;
 - `optics._lift` is `np.kron`;
 - `qstate`'s LAPACK helpers (`_eigvalsh`, `_eigh`, `_svdvals`, `_lstsq`,
@@ -91,8 +94,8 @@ INTO_CASES = {
                    lambda w, p, n: 1.0 / w.trace),
     "scale-floats": (lambda w, p, n: np.multiply(w.gram_floats, w.inv, w.gram_floats),
                      lambda w, p, n: w.gram_floats * w.inv),
-    "einsum-terms": (lambda w, p, n: tomo._einsum("nij,rji->rni", p, w.gram, out=w.terms),
-                     lambda w, p, n: tomo._einsum("nij,rji->rni", p, w.gram)),
+    "einsum-terms": (lambda w, p, n: tomo._einsum("nij,rji->nir", p, w.gram, out=w.terms),
+                     lambda w, p, n: tomo._einsum("nij,rji->nir", p, w.gram)),
     "add-columns": (lambda w, p, n: np.add(w.term_columns[0], w.term_columns[1], w.probs),
                     lambda w, p, n: w.term_columns[0] + w.term_columns[1]),
     "add-in-place": (lambda w, p, n: np.add(w.probs, w.term_columns[2], w.probs),
@@ -180,11 +183,26 @@ def test_c_einsum_equals_einsum_without_optimize():
     gram = complex_normal(rng, (7, 4, 4))
     dldp = rng.standard_normal((7, 16))
     floats = projectors.reshape(16, 16).view(np.float64)
-    for subscripts, operands in [("nij,rji->rni", (projectors, gram)),
+    for subscripts, operands in [("nij,rji->nir", (projectors, gram)),
                                  ("rn,nk->rk", (dldp, floats)),
                                  ("...k,kij->...ij", (dldp, tomo._HERM_BASIS))]:
         expected = np.einsum(subscripts, *operands, optimize=False)
         assert tomo._einsum(subscripts, *operands).tobytes() == expected.tobytes(), subscripts
+
+
+@pytest.mark.parametrize("rows", [1, 7, 64, 201, 256])
+def test_settings_first_terms_are_the_rows_first_bytes(rows):
+    rng = np.random.default_rng(450 + rows)
+    projectors = tomo._plan_arrays(sim.tomography_plan())[0]
+    gram = ginibre(rng, rows)
+    gram[::5] = 0.0
+    gram[1::5] = -0.0
+    gram[2::5, 1, 2] = complex(-0.0, 0.0)
+    gram[3::5, 3] = complex(-0.0, -0.0)
+    settings_first = tomo._einsum("nij,rji->nir", projectors, gram)
+    rows_first = tomo._einsum("nij,rji->rni", projectors, gram)
+    assert settings_first.shape == (16, 4, rows)
+    assert settings_first.transpose(2, 0, 1).tobytes() == rows_first.tobytes()
 
 
 @pytest.mark.parametrize("words", [[0], [7, 3], [2**32 - 1, 5, 9]])

@@ -11,7 +11,9 @@ three conditions:
 A name that meets none is reached by the tests alone: a second way to compute
 what the package already computes, which goes, or which the README says what
 it is for. Names are matched as identifiers, so an attribute of the same name
-anywhere in `src/biphoton` counts as a use.
+anywhere in `src/biphoton` counts as a use. A use inside the body of a public
+definition counts only once that definition meets a condition itself, so a
+chain of public names that the tests alone reach is flagged whole.
 """
 
 import ast
@@ -26,11 +28,6 @@ SRC = ROOT / "src" / "biphoton"
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
-def public_definitions(tree: ast.Module) -> list:
-    return [node.name for node in tree.body
-            if isinstance(node, DEFINITIONS) and not node.name.startswith("_")]
-
-
 def named(node: ast.AST):
     """Every identifier `node` names: variables, attributes and imports."""
     for child in ast.walk(node):
@@ -40,17 +37,6 @@ def named(node: ast.AST):
             yield child.attr
         elif isinstance(child, ast.alias):
             yield child.name.rpartition(".")[2]
-
-
-def referenced(trees) -> set:
-    """The identifiers the module-level statements of `trees` name, each
-    definition's own name left out of what its body names."""
-    found = set()
-    for tree in trees:
-        for statement in tree.body:
-            own = statement.name if isinstance(statement, DEFINITIONS) else None
-            found.update(name for name in named(statement) if name != own)
-    return found
 
 
 def readme_names(text: str) -> set:
@@ -63,12 +49,24 @@ def readme_names(text: str) -> set:
 
 def unused(sources: dict, keys: set, readme: str) -> list:
     """`<module>.<name>` of each public function or class of `sources`
-    (module name to source text) that meets none of the three conditions."""
-    trees = {module: ast.parse(text) for module, text in sources.items()}
-    names = referenced(trees.values()) | readme_names(readme)
-    return sorted(f"{module}.{name}" for module, tree in trees.items()
-                  for name in public_definitions(tree)
-                  if name not in names and f"{module}.{name}" not in keys)
+    (module name to source text) that meets none of the three conditions.
+    Module-level statements other than public definitions, and the public
+    definitions that own a key, name what is used; a public definition whose
+    name is used then adds what its body names, until none is added."""
+    used = readme_names(readme)
+    bodies = {}
+    for module, text in sources.items():
+        for statement in ast.parse(text).body:
+            own = statement.name if isinstance(statement, DEFINITIONS) else None
+            names = {name for name in named(statement) if name != own}
+            if own is None or own.startswith("_") or f"{module}.{own}" in keys:
+                used |= names
+            else:
+                bodies[f"{module}.{own}"] = names
+    while reached := [key for key in bodies if key.rpartition(".")[2] in used]:
+        for key in reached:
+            used |= bodies.pop(key)
+    return sorted(bodies)
 
 
 def benchmark_owners() -> set:
@@ -93,7 +91,13 @@ def test_every_public_name_is_called_measured_or_documented():
     ({"m": "def f(): pass\n"}, set(), "```python\ny = f()\n```\n", []),
     ({"m": "def f(): pass\n"}, set(), "f is documented in prose only.", ["m.f"]),
     ({"m": "def _f(): pass\nclass C:\n    def g(self): pass\n"}, set(), "", ["m.C"]),
+    ({"m": "def f(): pass\ndef g(): return f()\n"}, set(), "", ["m.f", "m.g"]),
+    ({"m": "def f(): return g()\ndef g(): return f()\n"}, set(), "", ["m.f", "m.g"]),
+    ({"m": "def f(): pass\ndef g(): return f()\n"}, {"m.g"}, "", []),
+    ({"m": "def f(): pass\ndef g(): return f()\n"}, set(), "Call `g()`.", []),
+    ({"a": "def f(): pass\n", "b": "def g(): return f()\nh = g\n"}, set(), "", []),
 ], ids=["called", "recursion-only", "imported", "attribute", "keyed", "inline-code",
-        "code-block", "prose-only", "private-and-methods"])
+        "code-block", "prose-only", "private-and-methods", "test-only-chain",
+        "test-only-cycle", "keyed-chain", "documented-chain", "module-level-chain"])
 def test_the_guard_sees_each_form(sources, keys, readme, want):
     assert unused(sources, keys, readme) == want

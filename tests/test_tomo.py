@@ -862,6 +862,36 @@ class TestBootstrapErrors:
                 assert tuple(trace) == expected
         assert all(sigma == sigmas[0] for sigma in sigmas)
 
+    def test_partial_rounds_pass_an_index_array(self):
+        # Low-count draws stop at different rounds. A round in which every
+        # row asks passes their list; any other passes one integer index
+        # array, which indexes the counts as the list would. Each row still
+        # gets the bytes of its one-row fit.
+        records = sampled_records(random_density(np.random.default_rng(101)), 500, 9)
+        projectors, counts, pairs = record_arrays(records)
+        draws = np.array([counts] + [stream(4, _BOOTSTRAP_STREAM, r).poisson(counts)
+                                     for r in range(7)], dtype=float)
+        starts = tomo._params_from_densities(
+            tomo._linear_start(tomo._design_matrix(projectors), draws, pairs))
+        asked = []
+
+        def fun(t, rows):
+            asked.append(rows)
+            return objective_and_gradient(t, draws[rows], pairs, projectors)
+
+        x, values, iterations, converged, _ = tomo._lbfgsb(fun, starts, 10_000)
+        assert len(set(iterations)) >= 4
+        partial = [rows for rows in asked if len(rows) < len(draws)]
+        assert partial and all(type(rows) is list for rows in asked if len(rows) == len(draws))
+        for rows in partial:
+            assert type(rows) is np.ndarray and rows.dtype == np.intp and rows.ndim == 1
+        for r, row in enumerate(draws):
+            one = tomo._lbfgsb(lambda t, _: objective_and_gradient(t, row, pairs, projectors),
+                               starts[r:r + 1], 10_000)
+            assert x[r].tobytes() == one[0][0].tobytes()
+            assert values[r].hex() == one[1][0].hex()
+            assert (iterations[r], converged[r]) == (one[2][0], one[3][0])
+
     def test_rows_sharing_a_start_each_evaluate_it(self):
         # Two rows start at one point with other counts: the first converges
         # there at once, and the second must be evaluated with its own counts
